@@ -283,6 +283,8 @@ def cmd_fuse(opts: _Options) -> int:
     )
     swapped = fusion.shallow_swap(feats, residual=not pure_swap)
     fused = fusion.fuse(swapped, block)
+    for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):
+        tensor.check_finite(arr, f"fused {name} tensor")
 
     _atomic_file(out / "fused_rgb.tsr",
                  lambda p: tensor_io.write_tensor(p, fused.f_r))

@@ -209,7 +209,7 @@ class SelectiveSsmParams:
     """Input-dependent scan parameters for D channels and N states.
 
     Fields:
-        a:        (D, N) per-channel evolution coefficients.
+        a:        (D, N) per-channel evolution coefficients, all < 0.
         w_delta:  (D, D) and u_delta (D,) -- affine map to the per-channel
                   step pre-activation; the step itself is softplus of it.
         w_b, u_b: (N, D) / (N,) affine map to the per-token input projection.
@@ -228,6 +228,9 @@ class SelectiveSsmParams:
         a = check_finite(np.asarray(self.a, dtype=np.float64), "a")
         if a.ndim != 2:
             raise ValueError("a must be (channels, states)")
+        if np.any(a >= 0.0):
+            # Keeps every a_bar = exp(delta * a) below 1, so long scans stay bounded.
+            raise ValueError("a must be strictly negative")
         d, n = a.shape
         expect = {
             "w_delta": (d, d),
@@ -300,7 +303,10 @@ class SelectiveSsmParams:
 
 
 def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
-    """Shared forward pass; returns intermediates needed by the backward pass."""
+    """Reference per-token scan; returns the intermediates the backward pass needs.
+
+    The tests hold :func:`selective_scan` to ``_selective_forward(x, p)[0]``.
+    """
     length = x.shape[0]
     s = x @ p.w_delta.T + p.u_delta                      # (L, D)
     delta = softplus(s)                                  # (L, D), > 0
@@ -321,6 +327,69 @@ def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
     return y, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs
 
 
+def _two_level_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
+    """Forward-only selective scan, run as a two-level linear recurrence.
+
+    The tokens are split into K chunks of T steps, T being the power of two
+    >= sqrt(L), with the last chunk zero-padded. All chunks advance together
+    through T steps from a zero state. Each step builds that step's a_bar and
+    b_bar * x for every chunk in place, and keeps the in-chunk cumulative
+    product of a_bar. A carry pass over the K chunks then gives the state
+    entering each chunk, h_in, and every output gains <C_t, cumprod_t * h_in>.
+    Only the cumulative products are held at full (L, D, N) size. They stay
+    in (0, 1] because a < 0, so the carry is bounded.
+    """
+    length, d = x.shape
+    n = p.n_state
+    t_len = 1 << ((length - 1).bit_length() + 1) // 2
+    k = -(-length // t_len)
+    xp = np.zeros((k * t_len, d))
+    xp[:length] = x
+
+    def by_step(v):
+        # (K*T, m) -> (T, K, m), so step j of every chunk is one contiguous slab.
+        return np.ascontiguousarray(v.reshape(k, t_len, -1).swapaxes(0, 1))
+
+    delta = softplus(xp @ p.w_delta.T + p.u_delta)
+    delta_s = by_step(delta)
+    dx_s = by_step(delta * xp)
+    b_s = by_step(xp @ p.w_b.T + p.u_b)
+    c_s = by_step(xp @ p.w_c.T + p.u_c)[..., None]
+    # Steps where some z = delta * a (always <= 0) has |z| < ZOH_SERIES_EPS.
+    series = (delta_s * -p.a.max(axis=1) < ZOH_SERIES_EPS).any(axis=(1, 2))
+
+    cum = np.empty((t_len, k, d, n))
+    y = np.empty((t_len, k, d, 1))
+    z = np.empty((k, d, n))
+    u = np.empty((k, d, n))
+    h = np.zeros((k, d, n))
+    for j in range(t_len):
+        a_bar = cum[j]
+        np.multiply(delta_s[j][:, :, None], p.a, out=z)
+        np.expm1(z, out=u)
+        np.add(u, 1.0, out=a_bar)                # exp(z) without a second exponential
+        if series[j]:
+            small = z > -ZOH_SERIES_EPS
+            u[small] = 1.0
+            z[small] = 1.0
+        u /= z                                   # ZOH factor, 1 on the series branch
+        u *= dx_s[j][:, :, None]
+        u *= b_s[j][:, None, :]                  # b_bar * x
+        h *= a_bar
+        h += u
+        np.matmul(h, c_s[j], out=y[j])
+        if j:
+            a_bar *= cum[j - 1]
+
+    h_in = np.zeros((k, d, n))
+    for i in range(1, k):
+        h_in[i] = cum[-1, i - 1] * h_in[i - 1] + h[i - 1]
+    carried = cum[:, 1:]
+    carried *= h_in[1:]
+    y[:, 1:] += carried @ c_s[:, 1:]
+    return y[..., 0].swapaxes(0, 1).reshape(-1, d)[:length]
+
+
 def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
                    counter: OpCounter | None = None) -> np.ndarray:
     """Input-dependent scan over an (L, D) token sequence.
@@ -332,13 +401,18 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
         y_{t,d} = <C_t, h_t>
 
     where b_bar uses the same zero-order-hold factor as :func:`discretize`.
+
+    The result comes from a forward-only two-level scan; the per-token loop
+    behind :func:`selective_scan_input_grad` is the reference it is tested
+    against. ``counter`` receives :func:`selective_scan_mac_count`, the
+    reference recurrence's multiplies, not the two-level scan's carry work.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("selective_scan needs a nonempty (L, D) sequence")
     if x.shape[1] != p.d_channels:
         raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
-    y = _selective_forward(x, p)[0]
+    y = _two_level_scan(x, p)
     if counter is not None:
         counter.add(selective_scan_mac_count(x.shape[0], p.d_channels, p.n_state))
     return y
@@ -492,7 +566,10 @@ def scan_mac_count(length: int, n_state: int) -> int:
 
 
 def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
-    """Exact multiply count of :func:`selective_scan`.
+    """Exact multiply count of the reference selective-scan recurrence.
+
+    This is what :func:`selective_scan` adds to its counter. The two-level
+    scan's cumulative-product and carry multiplies are not included.
 
     Per token: D^2 (step projection) + 2 N D (input/output projections)
     + 4 N D (discretization: z, phi, delta*B, b_bar) + 3 N D (recurrence
@@ -505,5 +582,9 @@ def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
 
 
 def ss2d_mac_count(h: int, w: int, d_channels: int, n_state: int) -> int:
-    """Exact multiply count of :func:`ss2d`: four directional scans."""
+    """Exact multiply count of :func:`ss2d`: four directional reference scans.
+
+    Like :func:`selective_scan_mac_count`, it excludes the two-level scan's
+    carry multiplies.
+    """
     return 4 * selective_scan_mac_count(h * w, d_channels, n_state)

@@ -185,6 +185,23 @@ class TestFuse:
             assert float(mean) == pytest.approx(want[2], rel=1e-9, abs=1e-12)
             assert float(var) == pytest.approx(want[3], rel=1e-9, abs=1e-12)
 
+    def test_non_finite_fusion_writes_nothing(self, tmp_path, clean_ppm, capsys,
+                                              monkeypatch):
+        from cfmw_kit import fusion
+        real_fuse = fusion.fuse
+
+        def nan_fuse(feats, block):
+            fused = real_fuse(feats, block)
+            fused.f_t[0, 0, 0] = np.nan
+            return fused
+
+        monkeypatch.setattr(fusion, "fuse", nan_fuse)
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm,
+                    "--patch", 8, "--dim", 4, "--out", out) == 1
+        assert "fused thermal tensor contains non-finite values" in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
     def test_mismatched_images_rejected(self, tmp_path, clean_ppm, capsys):
         small = tmp_path / "small.ppm"
         write_ppm(small, np.zeros((16, 16, 3)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cfmw_kit.ssm import (
+    ZOH_SERIES_EPS,
     ContinuousSsm,
     DiscreteSsm,
     OpCounter,
@@ -22,6 +23,7 @@ from cfmw_kit.ssm import (
     softplus_inverse,
     ss2d,
     ss2d_mac_count,
+    _selective_forward,
 )
 from cfmw_kit.tensor import SeededRng, softplus
 
@@ -229,6 +231,48 @@ class TestSelectiveScan:
         p = SelectiveSsmParams.random(3, 2, SeededRng(14))
         with pytest.raises(ValueError):
             selective_scan(np.zeros((4, 2)), p)
+
+    def test_rejects_non_negative_evolution(self):
+        p = SelectiveSsmParams.random(2, 3, SeededRng(27))
+        for bad in (0.0, 0.5):
+            a = p.a.copy()
+            a[1, 2] = bad
+            with pytest.raises(ValueError, match="^a must be strictly negative"):
+                SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+
+
+def _assert_matches_reference(x, p):
+    want = _selective_forward(x, p)[0]
+    got = selective_scan(x, p)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+class TestFastScanOracle:
+    """The two-level selective scan against the per-token reference loop."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 15, 16, 17, 63, 64, 65, 1000, 4099])
+    def test_matches_reference_loop(self, length):
+        rng = SeededRng(30 + length)
+        for d_ch, n in ((1, 1), (3, 2), (8, 5)):
+            p = SelectiveSsmParams.random(d_ch, n, rng)
+            _assert_matches_reference(rng.normal(length * d_ch).reshape(length, d_ch), p)
+
+    def test_series_branch_inside_fast_path(self):
+        # Channel 1's step is about exp(-40), so |z| < ZOH_SERIES_EPS there;
+        # channel 2's step underflows to 0, so z is exactly zero.
+        rng = SeededRng(31)
+        p = SelectiveSsmParams.random(4, 3, rng)
+        u_delta = p.u_delta.copy()
+        u_delta[1] = -40.0
+        u_delta[2] = -800.0
+        p = SelectiveSsmParams(**{**p.to_tensors(), "u_delta": u_delta})
+        x = rng.normal(65 * 4).reshape(65, 4)
+        z = _selective_forward(x, p)[5]
+        small = np.abs(z) < ZOH_SERIES_EPS
+        assert small[:, 1:3].all() and not small[:, [0, 3]].any()
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            _assert_matches_reference(x, p)
 
 
 class TestOpCounts:
