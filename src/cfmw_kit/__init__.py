@@ -2,7 +2,7 @@
 
 Submodules:
     tensor    -- float64 array primitives and counter-based seeded randomness
-    tensor_io -- TSR1 binary tensor format and key=value manifests
+    tensor_io -- TSR1 tensors, key=value manifests, parameter bundles
     imageio   -- binary PPM (P6) / PGM (P5) image files
     ssm       -- state-space discretization, scans, kernels, 2-D selective scan
     fusion    -- patch embedding, channel swap, gated scan fusion, attention

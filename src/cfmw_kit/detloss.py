@@ -17,6 +17,7 @@ import numpy as np
 
 from .metrics import giou
 from .tensor import check_finite
+from .tensor_io import _rebuild, load_bundle, save_bundle
 
 __all__ = [
     "PredictionGrid",
@@ -156,27 +157,8 @@ def total_loss(pred: PredictionGrid, targets: GridTargets,
             + weights.lambda_conf * (noobj + obj))
 
 
-_GRID_TENSORS = ("boxes", "confidence", "class_probs", "obj_mask", "noobj_mask")
-
-
-def save_grid(pred: PredictionGrid, targets: GridTargets, directory) -> None:
-    """Store a grid and its targets as TSR1 tensors plus a manifest.
-
-    The manifest declares the grid side, boxes per cell, and class count;
-    masks travel as 0/1 float tensors.
-    """
-    from pathlib import Path
-
-    from .tensor_io import write_manifest, write_tensor
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "meta.s_grid": str(pred.s_grid),
-        "meta.n_boxes": str(pred.n_boxes),
-        "meta.n_classes": str(pred.n_classes),
-    }
-    tensors = {
+def _grid_tensors(pred: PredictionGrid, targets: GridTargets) -> dict[str, np.ndarray]:
+    return {
         "boxes": pred.boxes,
         "confidence": pred.confidence,
         "class_probs": pred.class_probs,
@@ -185,36 +167,37 @@ def save_grid(pred: PredictionGrid, targets: GridTargets, directory) -> None:
         "target_boxes": targets.boxes,
         "target_class_probs": targets.class_probs,
     }
-    for key, arr in tensors.items():
-        fname = key + ".tsr"
-        write_tensor(directory / fname, arr)
-        manifest[f"tensor.{key}"] = fname
-    write_manifest(directory / "manifest.txt", manifest)
+
+
+def save_grid(pred: PredictionGrid, targets: GridTargets, directory) -> None:
+    """Store a grid and its targets as a bundle of TSR1 tensors plus a manifest.
+
+    The manifest declares the grid side, boxes per cell, and class count;
+    masks travel as 0/1 float tensors.
+    """
+    meta = {
+        "s_grid": str(pred.s_grid),
+        "n_boxes": str(pred.n_boxes),
+        "n_classes": str(pred.n_classes),
+    }
+    save_bundle(directory, meta, _grid_tensors(pred, targets))
 
 
 def load_grid(directory) -> tuple[PredictionGrid, GridTargets]:
-    from pathlib import Path
+    meta, tensors = load_bundle(directory)
 
-    from .tensor_io import read_manifest, read_tensor
+    def from_tensors(t: dict[str, np.ndarray]) -> tuple[PredictionGrid, GridTargets]:
+        pred = PredictionGrid(
+            s_grid=int(meta["s_grid"]),
+            n_boxes=int(meta["n_boxes"]),
+            boxes=t["boxes"],
+            confidence=t["confidence"],
+            class_probs=t["class_probs"],
+            obj_mask=t["obj_mask"] != 0.0,
+            noobj_mask=t["noobj_mask"] != 0.0,
+        )
+        if pred.n_classes != int(meta["n_classes"]):
+            raise ValueError("manifest class count does not match the stored tensors")
+        return pred, GridTargets(boxes=t["target_boxes"], class_probs=t["target_class_probs"])
 
-    directory = Path(directory)
-    manifest = read_manifest(directory / "manifest.txt")
-    tensors = {key[len("tensor."):]: read_tensor(directory / value)
-               for key, value in manifest.items() if key.startswith("tensor.")}
-    for name in _GRID_TENSORS + ("target_boxes", "target_class_probs"):
-        if name not in tensors:
-            raise ValueError(f"grid directory is missing tensor {name!r}")
-    pred = PredictionGrid(
-        s_grid=int(manifest["meta.s_grid"]),
-        n_boxes=int(manifest["meta.n_boxes"]),
-        boxes=tensors["boxes"],
-        confidence=tensors["confidence"],
-        class_probs=tensors["class_probs"],
-        obj_mask=tensors["obj_mask"] != 0.0,
-        noobj_mask=tensors["noobj_mask"] != 0.0,
-    )
-    if pred.n_classes != int(manifest["meta.n_classes"]):
-        raise ValueError("manifest class count does not match the stored tensors")
-    targets = GridTargets(boxes=tensors["target_boxes"],
-                          class_probs=tensors["target_class_probs"])
-    return pred, targets
+    return _rebuild(tensors, from_tensors, lambda pair: _grid_tensors(*pair))

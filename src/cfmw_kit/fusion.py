@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import SeededRng, check_finite, silu
-from .tensor_io import read_manifest, read_tensor, write_manifest, write_tensor
+from .tensor_io import _from_prefixed, _rebuild, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
 __all__ = [
@@ -215,6 +215,11 @@ class Mlp3:
         return cls(**{k: tensors[k] for k in ("w1", "b1", "w2", "b2", "w3", "b3")})
 
 
+_NORMS = ("norm_scale_r", "norm_offset_r", "norm_scale_t", "norm_offset_t")
+_NESTED = {"gate_r": Mlp3, "gate_t": Mlp3, "out_mlp": Mlp3,
+           "ss2d_r": Ss2dParams, "ss2d_t": Ss2dParams}
+
+
 @dataclass(frozen=True)
 class FusionBlockParams:
     """Weights of the gated two-stream fusion block.
@@ -244,7 +249,7 @@ class FusionBlockParams:
         if self.residual_mode not in ("crossed", "straight"):
             raise ValueError(f"unknown residual mode {self.residual_mode!r}")
         c = self.ss2d_r.d_channels
-        for name in ("norm_scale_r", "norm_offset_r", "norm_scale_t", "norm_offset_t"):
+        for name in _NORMS:
             arr = check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
             if arr.shape != (c,):
                 raise ValueError(f"{name} must have shape ({c},)")
@@ -292,6 +297,27 @@ class FusionBlockParams:
             out_mlp=mlp(),
             ss2d_r=Ss2dParams.random(c, n_state, rng),
             ss2d_t=Ss2dParams.random(c, n_state, rng),
+            residual_mode=residual_mode,
+        )
+
+    def to_tensors(self) -> dict[str, np.ndarray]:
+        """Every weight tensor by role; a nested weight is named ``<field>.<key>``."""
+        out = {name: getattr(self, name) for name in _NORMS}
+        for name in _NESTED:
+            for key, arr in getattr(self, name).to_tensors().items():
+                out[f"{name}.{key}"] = arr
+        return out
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray], grid_h: int, grid_w: int,
+                     residual_mode: str) -> "FusionBlockParams":
+        """Inverse of :meth:`to_tensors`; the grid and residual mode are not tensors."""
+        return cls(
+            grid_h=grid_h,
+            grid_w=grid_w,
+            **{name: tensors[name] for name in _NORMS},
+            **{name: _from_prefixed(kind.from_tensors, tensors, name)
+               for name, kind in _NESTED.items()},
             residual_mode=residual_mode,
         )
 
@@ -560,54 +586,14 @@ def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
 
 
 def save_fusion_params(p: FusionBlockParams, directory: str | Path) -> None:
-    """Store every weight tensor as TSR1 plus a manifest naming each role."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tensors: dict[str, np.ndarray] = {
-        "norm_scale_r": p.norm_scale_r, "norm_offset_r": p.norm_offset_r,
-        "norm_scale_t": p.norm_scale_t, "norm_offset_t": p.norm_offset_t,
-    }
-    for name, mlp in (("gate_r", p.gate_r), ("gate_t", p.gate_t), ("out_mlp", p.out_mlp)):
-        for key, arr in mlp.to_tensors().items():
-            tensors[f"{name}.{key}"] = arr
-    for name, ss in (("ss2d_r", p.ss2d_r), ("ss2d_t", p.ss2d_t)):
-        for key, arr in ss.to_tensors().items():
-            tensors[f"{name}.{key}"] = arr
-    manifest: dict[str, str] = {
-        "meta.grid_h": str(p.grid_h),
-        "meta.grid_w": str(p.grid_w),
-        "meta.residual_mode": p.residual_mode,
-    }
-    for key, arr in tensors.items():
-        fname = key + ".tsr"
-        write_tensor(directory / fname, arr)
-        manifest[f"tensor.{key}"] = fname
-    write_manifest(directory / "manifest.txt", manifest)
+    """Store every weight tensor as a bundle, with the grid and residual mode as meta."""
+    meta = {"grid_h": str(p.grid_h), "grid_w": str(p.grid_w),
+            "residual_mode": p.residual_mode}
+    save_bundle(directory, meta, p.to_tensors())
 
 
 def load_fusion_params(directory: str | Path) -> FusionBlockParams:
-    directory = Path(directory)
-    manifest = read_manifest(directory / "manifest.txt")
-    tensors: dict[str, np.ndarray] = {}
-    for key, value in manifest.items():
-        if key.startswith("tensor."):
-            tensors[key[len("tensor."):]] = read_tensor(directory / value)
-
-    def sub(prefix: str) -> dict[str, np.ndarray]:
-        return {k[len(prefix) + 1:]: v for k, v in tensors.items()
-                if k.startswith(prefix + ".")}
-
-    return FusionBlockParams(
-        grid_h=int(manifest["meta.grid_h"]),
-        grid_w=int(manifest["meta.grid_w"]),
-        norm_scale_r=tensors["norm_scale_r"],
-        norm_offset_r=tensors["norm_offset_r"],
-        norm_scale_t=tensors["norm_scale_t"],
-        norm_offset_t=tensors["norm_offset_t"],
-        gate_r=Mlp3.from_tensors(sub("gate_r")),
-        gate_t=Mlp3.from_tensors(sub("gate_t")),
-        out_mlp=Mlp3.from_tensors(sub("out_mlp")),
-        ss2d_r=Ss2dParams.from_tensors(sub("ss2d_r")),
-        ss2d_t=Ss2dParams.from_tensors(sub("ss2d_t")),
-        residual_mode=manifest["meta.residual_mode"],
-    )
+    meta, tensors = load_bundle(directory)
+    return _rebuild(tensors, lambda t: FusionBlockParams.from_tensors(
+        t, int(meta["grid_h"]), int(meta["grid_w"]), meta["residual_mode"]),
+        FusionBlockParams.to_tensors)

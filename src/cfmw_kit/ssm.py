@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import SeededRng, check_finite, sigmoid, softplus
+from .tensor_io import _from_prefixed, _rebuild, load_bundle, save_bundle
 
 __all__ = [
     "OpCounter",
@@ -493,9 +494,7 @@ class Ss2dParams:
     def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "Ss2dParams":
         parts = {}
         for name in ("row_fwd", "row_bwd", "col_fwd", "col_bwd"):
-            sub = {k.split(".", 1)[1]: v for k, v in tensors.items()
-                   if k.startswith(name + ".")}
-            parts[name] = SelectiveSsmParams.from_tensors(sub)
+            parts[name] = _from_prefixed(SelectiveSsmParams.from_tensors, tensors, name)
         return cls(**parts)
 
 
@@ -525,37 +524,18 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
 
 
 def save_scan_params(p: SelectiveSsmParams | Ss2dParams, directory) -> None:
-    """Store parameter tensors as TSR1 files plus a role-naming manifest."""
-    from pathlib import Path
-
-    from .tensor_io import write_manifest, write_tensor
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    """Store parameter tensors as a bundle whose ``meta.kind`` names the container."""
     kind = "ss2d" if isinstance(p, Ss2dParams) else "selective"
-    manifest: dict[str, str] = {"meta.kind": kind}
-    for key, arr in p.to_tensors().items():
-        fname = key + ".tsr"
-        write_tensor(directory / fname, arr)
-        manifest[f"tensor.{key}"] = fname
-    write_manifest(directory / "manifest.txt", manifest)
+    save_bundle(directory, {"kind": kind}, p.to_tensors())
 
 
 def load_scan_params(directory) -> SelectiveSsmParams | Ss2dParams:
-    from pathlib import Path
-
-    from .tensor_io import read_manifest, read_tensor
-
-    directory = Path(directory)
-    manifest = read_manifest(directory / "manifest.txt")
-    tensors = {key[len("tensor."):]: read_tensor(directory / value)
-               for key, value in manifest.items() if key.startswith("tensor.")}
-    kind = manifest.get("meta.kind")
-    if kind == "ss2d":
-        return Ss2dParams.from_tensors(tensors)
-    if kind == "selective":
-        return SelectiveSsmParams.from_tensors(tensors)
-    raise ValueError(f"unknown parameter kind {kind!r}")
+    meta, tensors = load_bundle(directory)
+    kind = meta.get("kind")
+    cls = {"ss2d": Ss2dParams, "selective": SelectiveSsmParams}.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown parameter kind {kind!r}")
+    return _rebuild(tensors, cls.from_tensors, cls.to_tensors)
 
 
 def scan_mac_count(length: int, n_state: int) -> int:

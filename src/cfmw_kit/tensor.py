@@ -11,23 +11,16 @@ on any platform with IEEE-754 doubles.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = [
     "SeededRng",
-    "zeros",
     "randn",
-    "matmul",
     "silu",
     "sigmoid",
     "softplus",
-    "map_elementwise",
-    "concat",
-    "split",
-    "reduce_sum",
-    "reduce_mean",
     "check_finite",
 ]
 
@@ -113,11 +106,6 @@ def check_finite(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     return t
 
 
-def zeros(shape: Sequence[int]) -> np.ndarray:
-    """All-zero tensor of the given shape; empty shapes are rejected."""
-    return np.zeros(_check_shape(shape), dtype=np.float64)
-
-
 def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:
     """I.i.d. standard-normal tensor, advancing ``rng`` deterministically."""
     shape = _check_shape(shape)
@@ -125,17 +113,6 @@ def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:
     for s in shape:
         n *= s
     return rng.normal(n).reshape(shape)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product of a 2-D (m, k) by a 2-D (k, n), accumulated in float64."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner extents differ: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
@@ -159,59 +136,3 @@ def softplus(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     return np.where(t > 30.0, t, np.log1p(np.exp(np.minimum(t, 30.0))))
 
-
-_ELEMENTWISE: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "silu": silu,
-    "sigmoid": sigmoid,
-    "softplus": softplus,
-    "exp": np.exp,
-    "neg": np.negative,
-    "abs": np.abs,
-}
-
-
-def map_elementwise(t: np.ndarray, op: str) -> np.ndarray:
-    """Apply a named elementwise function (silu, sigmoid, exp, neg, ...)."""
-    try:
-        fn = _ELEMENTWISE[op]
-    except KeyError:
-        raise ValueError(f"unknown elementwise op {op!r}") from None
-    return fn(np.asarray(t, dtype=np.float64))
-
-
-def _check_axis(t: np.ndarray, axis: int) -> int:
-    if not -t.ndim <= axis < t.ndim:
-        raise ValueError(f"axis {axis} out of range for rank {t.ndim}")
-    return axis % t.ndim
-
-
-def concat(parts: Sequence[np.ndarray], axis: int) -> np.ndarray:
-    """Concatenate along ``axis``; inverse of :func:`split` on that axis."""
-    if len(parts) == 0:
-        raise ValueError("concat needs at least one part")
-    axis = _check_axis(np.asarray(parts[0]), axis)
-    return np.concatenate([np.asarray(p, dtype=np.float64) for p in parts], axis=axis)
-
-
-def split(t: np.ndarray, axis: int, at: int) -> tuple[np.ndarray, np.ndarray]:
-    """Split into [0:at) and [at:extent) along ``axis``; both parts non-empty."""
-    t = np.asarray(t, dtype=np.float64)
-    axis = _check_axis(t, axis)
-    extent = t.shape[axis]
-    if not 0 < at < extent:
-        raise ValueError(f"split index {at} outside (0, {extent})")
-    lo = [slice(None)] * t.ndim
-    hi = [slice(None)] * t.ndim
-    lo[axis] = slice(0, at)
-    hi[axis] = slice(at, extent)
-    return t[tuple(lo)].copy(), t[tuple(hi)].copy()
-
-
-def reduce_sum(t: np.ndarray, axis: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    return np.sum(t, axis=_check_axis(t, axis))
-
-
-def reduce_mean(t: np.ndarray, axis: int) -> np.ndarray:
-    t = np.asarray(t, dtype=np.float64)
-    return np.mean(t, axis=_check_axis(t, axis))

@@ -1,4 +1,4 @@
-"""TSR1 binary tensor files and plain-text key=value manifests.
+"""TSR1 binary tensor files, plain-text key=value manifests, parameter bundles.
 
 TSR1 layout, all little-endian:
 
@@ -8,10 +8,16 @@ TSR1 layout, all little-endian:
     rest         row-major float64 payload
 
 Round-trips are bit-exact.
+
+A bundle is a directory holding one TSR1 file per named tensor plus
+``manifest.txt``: ``meta.<key>=<value>`` lines, then one
+``tensor.<name>=<name>.tsr`` line per tensor, each group in insertion order.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
 import struct
 from pathlib import Path
 
@@ -24,15 +30,20 @@ __all__ = [
     "read_tensor",
     "write_manifest",
     "read_manifest",
+    "save_bundle",
+    "load_bundle",
 ]
 
 MAGIC = b"TSR1"
+_MANIFEST = "manifest.txt"
 
 
 def tensor_to_bytes(arr: np.ndarray) -> bytes:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError("rank-0 tensors cannot be serialized")
+    if any(s < 1 for s in arr.shape):
+        raise ValueError(f"TSR1 extents must be >= 1, got {arr.shape}")
     header = MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
     return header + arr.astype("<f8", copy=False).tobytes(order="C")
@@ -68,14 +79,18 @@ def read_tensor(path: str | Path) -> np.ndarray:
 
 
 def write_manifest(path: str | Path, entries: dict[str, str]) -> None:
-    """One ``key=value`` line per entry, in insertion order."""
+    """One ``key=value`` line per entry, in insertion order.
+
+    An entry that :func:`read_manifest` would not return unchanged is refused.
+    """
     lines = []
     for key, value in entries.items():
         key = str(key)
-        value = str(value)
-        if "=" in key or "\n" in key or "\n" in value:
+        line = f"{key}={value}"
+        if (not key or "=" in key or key.startswith("#") or not line.isascii()
+                or line.splitlines() != [line] or line.strip() != line):
             raise ValueError(f"manifest entry {key!r} not representable")
-        lines.append(f"{key}={value}\n")
+        lines.append(line + "\n")
     Path(path).write_text("".join(lines), encoding="ascii")
 
 
@@ -90,3 +105,79 @@ def read_manifest(path: str | Path) -> dict[str, str]:
         key, value = line.split("=", 1)
         entries[key] = value
     return entries
+
+
+def _tensor_file(name: str) -> str:
+    """``<name>.tsr``; a name holding ``/``, ``\\`` or ``..`` could leave the bundle."""
+    if not name or "/" in name or "\\" in name or ".." in name:
+        raise ValueError(f"tensor name {name!r} is not a plain file name")
+    return name + ".tsr"
+
+
+def save_bundle(directory: str | Path, meta: dict[str, str],
+                tensors: dict[str, np.ndarray]) -> None:
+    """Write ``meta`` entries and named tensors as a bundle in ``directory``.
+
+    The files go to a sibling temp directory that is then renamed into place,
+    so a failed save leaves nothing behind. A ``directory`` that exists and
+    is not empty is refused, so stale tensors never sit beside new ones.
+    """
+    directory = Path(directory)
+    if directory.is_dir() and any(directory.iterdir()):
+        raise ValueError(f"bundle directory {directory} exists and is not empty")
+    manifest = {f"meta.{key}": value for key, value in meta.items()}
+    tmp = directory.parent / f".{directory.name}.{os.getpid()}.tmp"
+    tmp.mkdir(parents=True)
+    try:
+        for name, arr in tensors.items():
+            manifest[f"tensor.{name}"] = _tensor_file(name)
+            write_tensor(tmp / _tensor_file(name), arr)
+        write_manifest(tmp / _MANIFEST, manifest)
+        os.replace(tmp, directory)
+    except BaseException:
+        shutil.rmtree(tmp, ignore_errors=True)
+        raise
+
+
+def load_bundle(directory: str | Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """Read a bundle back as its ``meta`` entries and its tensors by name.
+
+    Every manifest key must be ``meta.*`` or ``tensor.*``, and tensor
+    ``name`` must be stored as ``<name>.tsr`` inside ``directory``.
+    """
+    directory = Path(directory)
+    meta: dict[str, str] = {}
+    tensors: dict[str, np.ndarray] = {}
+    for key, value in read_manifest(directory / _MANIFEST).items():
+        group, _, name = key.partition(".")
+        if group == "meta" and name:
+            meta[name] = value
+        elif group == "tensor" and value == _tensor_file(name):
+            tensors[name] = read_tensor(directory / value)
+        elif group == "tensor":
+            raise ValueError(f"tensor {name!r} must be stored as {name}.tsr, not {value!r}")
+        else:
+            raise ValueError(f"unknown manifest key {key!r} in {directory}")
+    return meta, tensors
+
+
+def _from_prefixed(from_tensors, tensors: dict[str, np.ndarray], prefix: str):
+    """``from_tensors`` of the entries ``<prefix>.<rest>``, keyed by ``<rest>``."""
+    cut = len(prefix) + 1
+    try:
+        return from_tensors({k[cut:]: v for k, v in tensors.items()
+                             if k.startswith(prefix + ".")})
+    except KeyError as exc:  # name the missing entry in full
+        raise KeyError(f"{prefix}.{exc.args[0]}") from None
+
+
+def _rebuild(tensors: dict[str, np.ndarray], from_tensors, to_tensors):
+    """``from_tensors(tensors)``; a missing entry or an extra tensor is a ValueError."""
+    try:
+        built = from_tensors(tensors)
+    except KeyError as exc:
+        raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
+    extra = sorted(tensors.keys() - to_tensors(built).keys())
+    if extra:
+        raise ValueError(f"bundle has unexpected tensor {extra[0]!r}")
+    return built

@@ -202,6 +202,32 @@ class TestFuse:
         assert "fused thermal tensor contains non-finite values" in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda m: m.replace("tensor.norm_scale_r=norm_scale_r.tsr\n", ""), "norm_scale_r"),
+        (lambda m: m.replace("=norm_scale_r.tsr", "=../norm_scale_r.tsr"), "../norm_scale_r.tsr"),
+    ])
+    def test_bad_params_bundle_writes_nothing(self, tmp_path, clean_ppm, capsys, edit, named):
+        from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
+        from cfmw_kit.tensor import SeededRng
+        params = tmp_path / "params"
+        save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), params)
+        (tmp_path / "norm_scale_r.tsr").write_bytes((params / "norm_scale_r.tsr").read_bytes())
+        manifest = params / "manifest.txt"
+        manifest.write_text(edit(manifest.read_text()))
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                    "--dim", 4, "--params", params, "--out", out) == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_params_bundle_round_trip(self, tmp_path, clean_ppm):
+        from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
+        from cfmw_kit.tensor import SeededRng
+        save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), tmp_path / "p")
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                    "--dim", 4, "--params", tmp_path / "p", "--out", tmp_path / "out") == 0
+        assert (tmp_path / "out" / "fuse_stats.csv").exists()
+
     def test_mismatched_images_rejected(self, tmp_path, clean_ppm, capsys):
         small = tmp_path / "small.ppm"
         write_ppm(small, np.zeros((16, 16, 3)))

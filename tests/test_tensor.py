@@ -1,20 +1,7 @@
 import numpy as np
 import pytest
 
-from cfmw_kit.tensor import (
-    SeededRng,
-    concat,
-    map_elementwise,
-    matmul,
-    randn,
-    reduce_mean,
-    reduce_sum,
-    sigmoid,
-    silu,
-    softplus,
-    split,
-    zeros,
-)
+from cfmw_kit.tensor import SeededRng, randn, sigmoid, silu, softplus
 
 
 class TestSeededRng:
@@ -51,50 +38,10 @@ class TestSeededRng:
         assert abs(sample.mean()) < 0.05
         assert abs(sample.var() - 1.0) < 0.1
 
-
-class TestZeros:
-    def test_2x2(self):
-        assert np.array_equal(zeros([2, 2]), np.zeros((2, 2)))
-
-    def test_singleton(self):
-        assert np.array_equal(zeros([1]), np.zeros(1))
-
-    def test_shape_preserved(self):
-        z = zeros([3, 1, 2])
-        assert z.shape == (3, 1, 2) and np.all(z == 0.0)
-
-    def test_empty_shape_rejected(self):
+    @pytest.mark.parametrize("shape", [[], [2, 0], [-1]])
+    def test_randn_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):
-            zeros([])
-
-    def test_nonpositive_extent_rejected(self):
-        with pytest.raises(ValueError):
-            zeros([2, 0])
-
-
-class TestMatmul:
-    def test_identity(self):
-        m = randn([3, 3], SeededRng(3))
-        eye = np.eye(3)
-        assert np.array_equal(matmul(eye, m), m)
-        assert np.array_equal(matmul(m, eye), m)
-
-    def test_hand_case(self):
-        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[0.0], [1.0]]))
-        assert np.array_equal(out, np.array([[2.0], [4.0]]))
-
-    def test_zeros_annihilate(self):
-        m = randn([2, 5], SeededRng(4))
-        assert np.all(matmul(zeros([4, 2]), m) == 0.0)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(zeros([2, 3]), zeros([4, 2]))
-
-    def test_deterministic_repeat(self):
-        a = randn([17, 13], SeededRng(10))
-        b = randn([13, 11], SeededRng(11))
-        assert np.array_equal(matmul(a, b), matmul(a, b))
+            randn(shape, SeededRng(1))
 
 
 class TestElementwise:
@@ -111,38 +58,3 @@ class TestElementwise:
     def test_softplus_positive(self):
         z = randn([100], SeededRng(8)) * 20
         assert np.all(softplus(z) > 0.0)
-
-    def test_map_dispatch(self):
-        z = randn([10], SeededRng(9))
-        assert np.array_equal(map_elementwise(z, "neg"), -z)
-        assert np.array_equal(map_elementwise(z, "exp"), np.exp(z))
-        with pytest.raises(ValueError):
-            map_elementwise(z, "nope")
-
-
-class TestShapeAlgebra:
-    def test_split_concat_identity(self):
-        t = randn([2, 3, 8], SeededRng(12))
-        for at in (1, 4, 7):
-            lo, hi = split(t, 2, at)
-            assert np.array_equal(concat([lo, hi], 2), t)
-
-    def test_split_concat_other_axes(self):
-        t = randn([4, 6], SeededRng(13))
-        lo, hi = split(t, 0, 2)
-        assert np.array_equal(concat([lo, hi], 0), t)
-
-    def test_split_bounds(self):
-        t = zeros([2, 4])
-        for at in (0, 4, 5):
-            with pytest.raises(ValueError):
-                split(t, 1, at)
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            split(zeros([2, 2]), 2, 1)
-
-    def test_reductions(self):
-        t = np.arange(6, dtype=np.float64).reshape(2, 3)
-        assert np.array_equal(reduce_sum(t, 0), t.sum(axis=0))
-        assert np.array_equal(reduce_mean(t, 1), t.mean(axis=1))
