@@ -39,11 +39,6 @@ from . import diffusion, fusion, imageio, metrics, tensor, tensor_io, weather
 ENV_THREADS = "CFMW_KIT_THREADS"
 DEFAULT_SEED = 42
 
-# Boxes from different images are offset by this much so that a single
-# matching pool ranks confidences globally while cross-image overlaps stay
-# at exactly zero.
-_IMAGE_OFFSET = 1.0e6
-
 
 def _atomic_file(path: Path, writer) -> None:
     """Write through a sibling temp file and rename into place."""
@@ -343,11 +338,6 @@ def _load_box_files(path: Path, parse) -> dict[str, list]:
     return {path.name: parse(path.read_text(encoding="ascii"))}
 
 
-def _offset_box(box, k: int):
-    dx = k * _IMAGE_OFFSET
-    return (box[0] + dx, box[1], box[2] + dx, box[3])
-
-
 def cmd_eval(opts: _Options) -> int:
     out = _out_dir(opts)
     rows = ["metric,value\n"]
@@ -370,24 +360,19 @@ def cmd_eval(opts: _Options) -> int:
         raise ValueError("detection metrics need both --dets and --gts")
     if dets_path is not None:
         max_area = opts.get("max-area", None, float)
+        if max_area is not None and not 0.0 < max_area < math.inf:
+            raise ValueError(f"--max-area must be finite and > 0, got {max_area!r}")
         det_files = _load_box_files(Path(dets_path), metrics.parse_detections)
         gt_files = _load_box_files(Path(gts_path), metrics.parse_ground_truth)
         if set(det_files) != set(gt_files):
             missing = set(det_files) ^ set(gt_files)
             raise ValueError(f"unpaired detection/ground-truth files: {sorted(missing)}")
-        dets: list[metrics.Detection] = []
-        gts: list[metrics.GroundTruthBox] = []
-        for k, name in enumerate(sorted(gt_files)):
-            for d in det_files[name]:
-                if max_area is not None and _box_area(d.box) >= max_area:
-                    continue
-                dets.append(metrics.Detection(_offset_box(d.box, k),
-                                              d.class_id, d.confidence))
-            for g in gt_files[name]:
-                if max_area is not None and _box_area(g.box) >= max_area:
-                    continue
-                gts.append(metrics.GroundTruthBox(_offset_box(g.box, k), g.class_id))
-        result = metrics.mean_ap(dets, gts)
+
+        def kept(boxes):
+            return [b for b in boxes if max_area is None or _box_area(b.box) < max_area]
+
+        images = [(kept(det_files[name]), kept(gt_files[name])) for name in sorted(gt_files)]
+        result = metrics.mean_ap(images)
         rows.append(f"map50,{result.map50!r}\n")
         rows.append(f"map75,{result.map75!r}\n")
         rows.append(f"map,{result.map_mean!r}\n")

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .tensor import check_finite
+
 __all__ = [
     "write_ppm",
     "read_ppm",
@@ -25,7 +27,7 @@ __all__ = [
 
 
 def _quantize(arr: np.ndarray, maxval: int) -> np.ndarray:
-    q = np.rint(np.clip(arr, 0.0, maxval)).astype(np.uint16)
+    q = np.rint(np.clip(check_finite(arr, "image"), 0.0, maxval)).astype(np.uint16)
     return q
 
 

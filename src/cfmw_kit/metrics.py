@@ -1,10 +1,12 @@
 """Restoration and detection metrics: PSNR, SSIM, IoU/GIoU, AP and mAP.
 
-Boxes are (x1, y1, x2, y2) with x1 < x2 and y1 < y2 in continuous pixel
-coordinates. Average precision ranks detections by confidence (ties keep
-input order), greedily matches each to the unmatched ground-truth box of
-highest overlap, and integrates the precision-recall curve over all recall
-increments using the precision attained before each increment.
+Boxes are (x1, y1, x2, y2) with finite x1 < x2 and y1 < y2 in continuous
+pixel coordinates and a finite, nonzero area. Average precision takes one
+(detections, ground truth) pair per image, ranks all detections by
+confidence (ties keep image order, then input order), greedily matches each
+to the unmatched ground-truth box of highest overlap in its own image, and
+integrates the precision-recall curve over all recall increments using the
+precision attained before each increment.
 """
 
 from __future__ import annotations
@@ -40,12 +42,13 @@ DEFAULT_MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 _LUMA = (0.299, 0.587, 0.114)
 
 Box = tuple[float, float, float, float]
+ImageBoxes = tuple[list["Detection"], list["GroundTruthBox"]]  # one image's boxes
 
 
 def _check_box(box, name: str = "box") -> Box:
     x1, y1, x2, y2 = (float(v) for v in box)
-    if not (x1 < x2 and y1 < y2):
-        raise ValueError(f"{name} is degenerate: {(x1, y1, x2, y2)}")
+    if not (x1 < x2 and y1 < y2 and 0.0 < (x2 - x1) * (y2 - y1) < math.inf):
+        raise ValueError(f"{name} is degenerate or not finite: {(x1, y1, x2, y2)}")
     return (x1, y1, x2, y2)
 
 
@@ -204,33 +207,44 @@ def giou(a, b) -> float:
     return inter / union - (hull - union) / hull
 
 
-def _match_flags(dets: list[Detection], gts: list[GroundTruthBox],
-                 class_id: int, iou_thr: float) -> tuple[list[bool], int]:
-    """Confidence-ranked TP/FP flags for one class, plus its ground-truth count."""
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``iou`` of every box in ``a`` (n, 4) with every box in ``b`` (m, 4), bit
+    for bit: the same float operations in the same order."""
+    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
+    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
+    return inter / (_area(a.T)[:, None] + _area(b.T)[None, :] - inter)
+
+
+def _ranked_ious(images: list[ImageBoxes],
+                 class_id: int) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
+    """One class's IoU matrix per image (detections x ground truth), and the
+    (image, row, confidence) of each of its detections in confidence order."""
+    matrices, ranked = [], []
+    for k, (dets, gts) in enumerate(images):
+        cls_dets = [d for d in dets if d.class_id == class_id]
+        cls_gts = [g.box for g in gts if g.class_id == class_id]
+        matrices.append(_iou_matrix(np.reshape([d.box for d in cls_dets], (-1, 4)),
+                                    np.reshape(cls_gts, (-1, 4))))
+        ranked += [(k, r, d.confidence) for r, d in enumerate(cls_dets)]
+    ranked.sort(key=lambda row: -row[2])  # stable: ties keep image, then input order
+    return matrices, ranked
+
+
+def _ap_at(matrices: list[np.ndarray], ranked: list[tuple[int, int, float]],
+           iou_thr: float) -> float:
+    """AP of one class at one threshold from :func:`_ranked_ious` output."""
     if not 0.0 < iou_thr <= 1.0:
         raise ValueError("IoU threshold must lie in (0, 1]")
-    cls_dets = [d for d in dets if d.class_id == class_id]
-    cls_gts = [g for g in gts if g.class_id == class_id]
-    order = sorted(range(len(cls_dets)), key=lambda i: -cls_dets[i].confidence)
-    matched = [False] * len(cls_gts)
+    free = [m.copy() for m in matrices]  # a matched column is set to -1
     flags: list[bool] = []
-    for i in order:
-        det = cls_dets[i]
-        best_iou = 0.0
-        best_j = -1
-        for j, gt in enumerate(cls_gts):
-            if matched[j]:
-                continue
-            v = iou(det.box, gt.box)
-            if v > best_iou:
-                best_iou = v
-                best_j = j
-        if best_j >= 0 and best_iou >= iou_thr:
-            matched[best_j] = True
-            flags.append(True)
-        else:
-            flags.append(False)
-    return flags, len(cls_gts)
+    for k, r, _ in ranked:
+        row = free[k][r]
+        hit = bool(row.max(initial=0.0) >= iou_thr)  # iou_thr > 0 skips IoU 0
+        if hit:
+            free[k][:, np.argmax(row)] = -1.0
+        flags.append(hit)
+    return _ap_from_flags(flags, sum(m.shape[1] for m in matrices))
 
 
 def _ap_from_flags(flags: list[bool], n_gt: int) -> float:
@@ -252,14 +266,13 @@ def _ap_from_flags(flags: list[bool], n_gt: int) -> float:
     return ap
 
 
-def average_precision(dets: list[Detection], gts: list[GroundTruthBox],
-                      class_id: int, iou_thr: float) -> float:
+def average_precision(images: list[ImageBoxes], class_id: int, iou_thr: float) -> float:
     """All-point AP for one class at one IoU threshold.
 
+    ``images`` holds one ``(detections, ground_truth)`` pair per image.
     Empty ground truth yields 1 with no detections and 0 otherwise.
     """
-    flags, n_gt = _match_flags(dets, gts, class_id, iou_thr)
-    return _ap_from_flags(flags, n_gt)
+    return _ap_at(*_ranked_ious(images, class_id), iou_thr)
 
 
 @dataclass(frozen=True)
@@ -269,27 +282,26 @@ class MeanApResult:
     map_mean: float
 
 
-def mean_ap(dets: list[Detection], gts: list[GroundTruthBox],
-            thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
+def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
     """Class-mean AP at 0.50, at 0.75, and averaged over the threshold grid.
 
-    The class set is inferred from the ground truth; with no ground truth at
-    all the result mirrors the per-class convention (1 with no detections,
-    0 otherwise).
+    ``images`` holds one ``(detections, ground_truth)`` pair per image. The
+    class set is inferred from the ground truth; with no ground truth at all
+    the result mirrors the per-class convention (1 with no detections, 0
+    otherwise). Each distinct threshold is matched once.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("threshold grid must be nonempty")
-    classes = sorted({g.class_id for g in gts})
+    classes = sorted({g.class_id for _, gts in images for g in gts})
     if not classes:
-        value = 1.0 if not dets else 0.0
+        value = 0.0 if any(dets for dets, _ in images) else 1.0
         return MeanApResult(value, value, value)
-
-    def class_mean(thr: float) -> float:
-        return sum(average_precision(dets, gts, c, thr) for c in classes) / len(classes)
-
-    grid_mean = sum(class_mean(t) for t in thresholds) / len(thresholds)
-    return MeanApResult(map50=class_mean(0.50), map75=class_mean(0.75),
+    per_class = [_ranked_ious(images, c) for c in classes]
+    class_mean = {thr: sum(_ap_at(*m, thr) for m in per_class) / len(classes)
+                  for thr in dict.fromkeys(thresholds + (0.50, 0.75))}
+    grid_mean = sum(class_mean[t] for t in thresholds) / len(thresholds)
+    return MeanApResult(map50=class_mean[0.50], map75=class_mean[0.75],
                         map_mean=grid_mean)
 
 

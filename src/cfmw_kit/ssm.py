@@ -534,7 +534,8 @@ def load_scan_params(directory) -> SelectiveSsmParams | Ss2dParams:
     kind = meta.get("kind")
     cls = {"ss2d": Ss2dParams, "selective": SelectiveSsmParams}.get(kind)
     if cls is None:
-        raise ValueError(f"unknown parameter kind {kind!r}")
+        raise ValueError(f"unknown parameter kind {kind!r}" if "kind" in meta
+                         else "bundle is missing 'kind'")
     return _rebuild(tensors, cls.from_tensors, cls.to_tensors)
 
 

@@ -283,11 +283,11 @@ def test_criterion_9_metrics_fixtures():
     dets = [metrics.Detection((0, 0, 10, 10), 0, 0.9),
             metrics.Detection((100, 100, 105, 105), 0, 0.8),
             metrics.Detection((20, 20, 30, 30), 0, 0.7)]
-    ap = metrics.average_precision(dets, gts, 0, 0.5)
-    ap_ok = ap == 0.75 and ap == brute_force_ap(dets, gts, 0, 0.5)
+    ap = metrics.average_precision([(dets, gts)], 0, 0.5)
+    ap_ok = ap == 0.75 and ap == brute_force_ap([(dets, gts)], 0, 0.5)
 
-    sweep = metrics.mean_ap([metrics.Detection((0, 0, 10, 6), 0, 0.9)],
-                            [metrics.GroundTruthBox((0, 0, 10, 10), 0)])
+    sweep = metrics.mean_ap([([metrics.Detection((0, 0, 10, 6), 0, 0.9)],
+                              [metrics.GroundTruthBox((0, 0, 10, 10), 0)])])
     sweep_ok = (sweep.map50 == 1.0 and sweep.map75 == 0.0
                 and sweep.map_mean == 0.3)
     _report(9, "metric fixtures (PSNR, SSIM, GIoU, AP, mAP sweep)",

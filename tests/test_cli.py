@@ -280,6 +280,28 @@ class TestBench:
         assert "at least 4" in capsys.readouterr().err
 
 
+def _box_dirs(root, files):
+    """``dets/`` and ``gts/`` under ``root`` from ``{name: (dets, gts)}`` texts."""
+    dirs = root / "dets", root / "gts"
+    for d in dirs:
+        d.mkdir()
+    for name, texts in files.items():
+        for d, text in zip(dirs, texts):
+            (d / name).write_text(text)
+    return dirs
+
+
+def _eval_boxes(root, files, *extra):
+    """Run ``eval`` on box files; (exit code, ``{metric: value text}`` or None)."""
+    dets_dir, gts_dir = _box_dirs(root, files)
+    out = root / "out"
+    code = _run("eval", "--dets", dets_dir, "--gts", gts_dir, *extra, "--out", out)
+    if not (out / "metrics.csv").exists():
+        return code, None
+    rows = (out / "metrics.csv").read_text().splitlines()[1:]
+    return code, dict(row.split(",") for row in rows)
+
+
 class TestEval:
     def test_identical_pair(self, tmp_path, clean_ppm, capsys):
         out = tmp_path / "out"
@@ -324,6 +346,64 @@ class TestEval:
                     return float(line.split(",")[1])
         assert get(out_all, "map50") == 0.5
         assert get(out_small, "map50") == 1.0
+
+    def test_boxes_match_within_their_own_image(self, tmp_path):
+        # IoU 0.49999999999999994 in b.txt: below 0.5 whatever the file's index
+        code, got = _eval_boxes(tmp_path, {
+            "a.txt": ("0 5 5 9 9 0.8\n", "0 5 5 9 9\n"),
+            "b.txt": ("0 0.1 0.1 0.4 0.4 0.9\n", "0 0.2 0.1 0.5 0.4\n")})
+        assert code == 0
+        assert got["map50"] == "0.0"
+
+    def test_directory_eval_matches_hand_computed_answer(self, tmp_path):
+        code, got = _eval_boxes(tmp_path, {
+            "a.txt": ("0 0 0 10 10 0.6\n", "0 0 0 10 10\n2 1000000 0 1000010 10\n"),
+            "b.txt": ("0 0 0 10 10 0.9\n0 0 0 10 10 0.8\n1 20 20 30 26 0.5\n"
+                      "2 0 0 10 10 0.7\n", "0 0 0 10 10\n1 20 20 30 30\n")})
+        assert code == 0
+        # class 0 ranks b (TP), b's duplicate (FP), a (TP): AP 1/2 + 1/2 * 1/2;
+        # class 1 has IoU 0.6, a TP up to 0.60; class 2's only detection is in
+        # b and its ground truth in a, so it never matches
+        ap0 = 0.75
+        map50 = (ap0 + 1.0 + 0.0) / 3
+        map75 = (ap0 + 0.0 + 0.0) / 3
+        want = {"map50": map50, "map75": map75,
+                "map": sum([map50] * 3 + [map75] * 7) / 10}
+        assert got == {k: repr(v) for k, v in want.items()}
+
+    def test_file_order_does_not_matter(self, tmp_path):
+        rng = np.random.default_rng(7)
+        confs = iter((rng.permutation(40) / 40 + 0.01).tolist())
+        images = []
+        for _ in range(4):
+            lines = ["", ""]
+            for cls in range(2):
+                xy = rng.uniform(0, 20, size=(5, 2)).tolist()
+                for x, y in xy[:4]:
+                    lines[0] += f"{cls} {x!r} {y!r} {x + 8!r} {y + 8!r} {next(confs)!r}\n"
+                for x, y in xy[1:]:
+                    lines[1] += f"{cls} {x + 1!r} {y!r} {x + 9!r} {y + 8!r}\n"
+            images.append(tuple(lines))
+        results = []
+        for k, order in enumerate(([0, 1, 2, 3], [3, 1, 0, 2], [2, 3, 1, 0])):
+            root = tmp_path / str(k)
+            root.mkdir()
+            files = {f"img{pos}.txt": images[i] for pos, i in enumerate(order)}
+            results.append(_eval_boxes(root, files))
+        assert results[0][0] == 0 and results[0][1]["map50"] != "0.0"
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_max_area_must_be_finite_and_positive(self, tmp_path, capsys, value):
+        code, got = _eval_boxes(tmp_path, {"a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n")},
+                                "--max-area", value)
+        assert (code, got) == (1, None)
+        assert "--max-area must be finite and > 0" in capsys.readouterr().err
+
+    def test_non_finite_box_rejected(self, tmp_path, capsys):
+        code, got = _eval_boxes(tmp_path, {"a.txt": ("0 0 0 inf 10 0.9\n", "0 0 0 10 10\n")})
+        assert (code, got) == (1, None)
+        assert "(0.0, 0.0, inf, 10.0)" in capsys.readouterr().err
 
     def test_unpaired_files_rejected(self, tmp_path, capsys):
         dets_dir = tmp_path / "dets"

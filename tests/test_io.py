@@ -13,6 +13,7 @@ from cfmw_kit.imageio import (
     read_ppm,
     write_depth_pgm,
     write_mask_pgm,
+    write_pgm,
     write_ppm,
 )
 from cfmw_kit.ssm import SelectiveSsmParams, Ss2dParams, load_scan_params, save_scan_params
@@ -130,6 +131,17 @@ class TestPgm:
         assert np.abs(back - depth).max() <= 0.5 * 37.5 / 65535.0
 
 
+@pytest.mark.parametrize("write, shape", [(write_ppm, (2, 2, 3)), (write_pgm, (2, 2)),
+                                          (write_mask_pgm, (2, 2)), (write_depth_pgm, (2, 2))])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_netpbm_writers_refuse_non_finite_pixels(tmp_path, write, shape, bad):
+    pixels = np.full(shape, 0.5)
+    pixels[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite|nonnegative"):
+        write(tmp_path / "x.pnm", pixels)
+    assert not (tmp_path / "x.pnm").exists()
+
+
 def _seeded_grid(rng):
     cells, n, k = 4, 2, 3
     u = rng.uniform(cells * n).reshape(cells, n)
@@ -239,6 +251,13 @@ class TestBundle:
         manifest.write_text(manifest.read_text().replace("meta.grid_w=2\n", ""))
         with pytest.raises(ValueError, match="grid_w"):
             load_fusion_params(tmp_path / "b")
+
+    def test_scan_loader_names_a_missing_kind(self, tmp_path):
+        save_scan_params(SelectiveSsmParams.random(2, 1, SeededRng(4)), tmp_path / "p")
+        manifest = tmp_path / "p" / "manifest.txt"
+        manifest.write_text(manifest.read_text().replace("meta.kind=selective\n", ""))
+        with pytest.raises(ValueError, match="bundle is missing 'kind'"):
+            load_scan_params(tmp_path / "p")
 
     @pytest.mark.parametrize("meta, tensors", [
         ({}, {"a": np.zeros(2), "b": np.zeros((0, 2))}),

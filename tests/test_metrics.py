@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfmw_kit import metrics
 from cfmw_kit.metrics import (
     DEFAULT_MAP_THRESHOLDS,
     Detection,
@@ -26,29 +27,33 @@ from cfmw_kit.tensor import SeededRng
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
-def brute_force_ap(dets, gts, class_id, iou_thr):
+def brute_force_ap(images, class_id, iou_thr):
     """Independent prefix-enumeration oracle for average precision.
 
-    Sorts by confidence (stable), matches greedily to the unmatched box of
-    highest overlap, lists every prefix's (recall, precision) point, and
+    ``images`` holds one ``(dets, gts)`` pair per image. Sorts every image's
+    detections by confidence (stable: ties keep image order, then input
+    order), matches each greedily to the unmatched box of its own image with
+    the highest overlap, lists every prefix's (recall, precision) point, and
     accumulates recall increments times the precision attained before each.
     """
-    ds = [d for d in dets if d.class_id == class_id]
-    ds = sorted(ds, key=lambda d: -d.confidence)
-    gs = [g.box for g in gts if g.class_id == class_id]
-    if not gs:
+    ds = [(k, d) for k, (dets, _) in enumerate(images) for d in dets
+          if d.class_id == class_id]
+    ds = sorted(ds, key=lambda kd: -kd[1].confidence)
+    gs = [[g.box for g in gts if g.class_id == class_id] for _, gts in images]
+    n_gt = sum(len(boxes) for boxes in gs)
+    if not n_gt:
         return 1.0 if not ds else 0.0
     taken = set()
     points = []
     tp = 0
-    for k, det in enumerate(ds, start=1):
-        cands = [(iou(det.box, g), j) for j, g in enumerate(gs) if j not in taken]
+    for n, (k, det) in enumerate(ds, start=1):
+        cands = [(iou(det.box, g), j) for j, g in enumerate(gs[k]) if (k, j) not in taken]
         cands = [(v, j) for v, j in cands if v >= iou_thr]
         if cands:
             best = max(cands, key=lambda c: (c[0], -c[1]))
-            taken.add(best[1])
+            taken.add((k, best[1]))
             tp += 1
-        points.append((tp / len(gs), tp / k))
+        points.append((tp / n_gt, tp / n))
     area = 0.0
     r_prev, p_prev = 0.0, 1.0
     for r, p in points:
@@ -164,27 +169,47 @@ class TestBoxOverlap:
             iou((0, 0, 0, 1), (0, 0, 1, 1))
         with pytest.raises(ValueError):
             Detection(box=(0, 0, 1, 0), class_id=0, confidence=0.5)
+        # non-finite corners, and areas that underflow to 0 or overflow to inf
+        for box in ((0, 0, math.inf, 1), (-math.inf, 0, 1, 1), (0, math.nan, 1, 1),
+                    (0, 0, 1e-200, 1e-200), (-1e308, 0, 1e308, 1)):
+            with pytest.raises(ValueError, match="degenerate or not finite"):
+                iou(box, (0, 0, 1, 1))
+            with pytest.raises(ValueError, match="degenerate or not finite"):
+                GroundTruthBox(box, 0)
+
+    def test_iou_matrix_bit_identical_to_iou(self):
+        rng = SeededRng(88)
+        # small, far-off and touching boxes; the far ones sit past x = 1e6
+        vals = rng.uniform(4 * 40).reshape(40, 4) * 20
+        boxes = np.concatenate([vals[:, :2], vals[:, :2] + vals[:, 2:] + 0.01], axis=1)
+        boxes[::5, 0::2] += 1.0e6
+        boxes[1::7] = boxes[0] + [boxes[0, 2] - boxes[0, 0], 0, boxes[0, 2] - boxes[0, 0], 0]
+        a, b = boxes[:25], boxes[15:]
+        m = metrics._iou_matrix(a, b)
+        want = [[iou(x, y) for y in b] for x in a]
+        assert m.shape == (25, 25)
+        assert m.tobytes() == np.array(want).tobytes()
 
 
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
         gts = [GroundTruthBox((0, 0, 10, 10), 0)]
         dets = [Detection((0, 0, 10, 10), 0, 0.9)]
-        assert average_precision(dets, gts, 0, 0.5) == 1.0
+        assert average_precision([(dets, gts)], 0, 0.5) == 1.0
 
     def test_below_threshold_is_zero(self):
         gts = [GroundTruthBox((0, 0, 10, 10), 0)]
         dets = [Detection((9, 9, 19, 19), 0, 0.9)]
-        assert average_precision(dets, gts, 0, 0.5) == 0.0
+        assert average_precision([(dets, gts)], 0, 0.5) == 0.0
 
     def test_hit_miss_hit_fixture(self):
         gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((20, 20, 30, 30), 0)]
         dets = [Detection((0, 0, 10, 10), 0, 0.9),
                 Detection((100, 100, 105, 105), 0, 0.8),
                 Detection((20, 20, 30, 30), 0, 0.7)]
-        value = average_precision(dets, gts, 0, 0.5)
+        value = average_precision([(dets, gts)], 0, 0.5)
         assert value == 0.75
-        assert value == brute_force_ap(dets, gts, 0, 0.5)
+        assert value == brute_force_ap([(dets, gts)], 0, 0.5)
 
     def test_matches_brute_force_on_random_cases(self):
         rng = SeededRng(86)
@@ -200,29 +225,71 @@ class TestAveragePrecision:
                 x, y = rng.uniform(2) * 55
                 conf = round(float(rng.uniform(1)[0]), 3)
                 dets.append(Detection((x, y, x + 10, y + 10), 0, conf))
-            got = average_precision(dets, gts, 0, 0.5)
-            want = brute_force_ap(dets, gts, 0, 0.5)
+            got = average_precision([(dets, gts)], 0, 0.5)
+            want = brute_force_ap([(dets, gts)], 0, 0.5)
             assert got == pytest.approx(want, abs=1e-12)
+
+    def test_matches_brute_force_across_images(self):
+        rng = SeededRng(89)
+        for _ in range(60):
+            images = []
+            for _ in range(1 + int(rng.uniform(1)[0] * 4)):
+                # images overlap in coordinates; some boxes sit past x = 1e6
+                shift = 1.0e6 if rng.uniform(1)[0] < 0.3 else 0.0
+                gts, dets = [], []
+                for _ in range(int(rng.uniform(1)[0] * 4)):
+                    x, y = rng.uniform(2) * 30
+                    gts.append(GroundTruthBox((x + shift, y, x + shift + 10, y + 10),
+                                              int(rng.uniform(1)[0] * 2)))
+                for _ in range(int(rng.uniform(1)[0] * 6)):
+                    x, y = rng.uniform(2) * 33
+                    # four confidence levels, so ties across images are common
+                    conf = 0.2 + 0.2 * int(rng.uniform(1)[0] * 4)
+                    dets.append(Detection((x + shift, y, x + shift + 10, y + 10),
+                                          int(rng.uniform(1)[0] * 2), conf))
+                images.append((dets, gts))
+            for cls in (0, 1):
+                for thr in (0.3, 0.5, 0.75):
+                    assert (average_precision(images, cls, thr)
+                            == brute_force_ap(images, cls, thr))
+
+    def test_detections_only_match_their_own_image(self):
+        box = (1.0e6, 0, 1.0e6 + 10, 10)
+        images = [([], [GroundTruthBox(box, 0)]),
+                  ([Detection((0, 0, 10, 10), 0, 0.9)], [])]
+        assert average_precision(images, 0, 0.5) == 0.0
+        images[1][0].append(Detection(box, 0, 0.8))
+        assert average_precision(images, 0, 0.5) == 0.0
+        images[0][0].append(Detection(box, 0, 0.95))
+        assert average_precision(images, 0, 0.5) == 1.0
+
+    def test_equal_overlaps_take_the_first_box(self):
+        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((10, 0, 20, 10), 0)]
+        # IoU 1/3 with both boxes; taking the first leaves the second detection none
+        dets = [Detection((5, 0, 15, 10), 0, 0.9), Detection((0, 0, 10, 10), 0, 0.8)]
+        value = average_precision([(dets, gts)], 0, 0.3)
+        assert value == 0.5
+        assert value == brute_force_ap([(dets, gts)], 0, 0.3)
 
     def test_confidence_rescaling_invariance(self):
         gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((20, 20, 30, 30), 0)]
         dets = [Detection((0, 0, 10, 10), 0, 0.9),
                 Detection((50, 50, 60, 60), 0, 0.6),
                 Detection((20, 20, 30, 30), 0, 0.3)]
-        base = average_precision(dets, gts, 0, 0.5)
+        base = average_precision([(dets, gts)], 0, 0.5)
         scaled = [Detection(d.box, d.class_id, d.confidence / 10.0) for d in dets]
-        assert average_precision(scaled, gts, 0, 0.5) == base
+        assert average_precision([(scaled, gts)], 0, 0.5) == base
 
     def test_empty_conventions(self):
-        assert average_precision([], [], 0, 0.5) == 1.0
-        assert average_precision([Detection((0, 0, 1, 1), 0, 0.5)], [], 0, 0.5) == 0.0
-        assert average_precision([], [GroundTruthBox((0, 0, 1, 1), 0)], 0, 0.5) == 0.0
+        assert average_precision([([], [])], 0, 0.5) == 1.0
+        assert average_precision([([Detection((0, 0, 1, 1), 0, 0.5)], [])], 0, 0.5) == 0.0
+        assert average_precision([([], [GroundTruthBox((0, 0, 1, 1), 0)])], 0, 0.5) == 0.0
 
     def test_duplicate_detection_is_false_positive(self):
         gts = [GroundTruthBox((0, 0, 10, 10), 0)]
         dets = [Detection((0, 0, 10, 10), 0, 0.9),
                 Detection((0, 0, 10, 10), 0, 0.8)]
-        flagsum = average_precision(dets, gts, 0, 0.5)
+        flagsum = average_precision([(dets, gts)], 0, 0.5)
         assert flagsum == 1.0  # the duplicate adds no recall, left rule unaffected
 
 
@@ -230,22 +297,43 @@ class TestMeanAp:
     def test_perfect_every_class(self):
         gts = [GroundTruthBox((0, 0, 5, 5), 0), GroundTruthBox((10, 10, 20, 20), 1)]
         dets = [Detection((0, 0, 5, 5), 0, 0.9), Detection((10, 10, 20, 20), 1, 0.8)]
-        res = mean_ap(dets, gts)
+        res = mean_ap([(dets, gts)])
         assert (res.map50, res.map75, res.map_mean) == (1.0, 1.0, 1.0)
 
     def test_no_detections(self):
         gts = [GroundTruthBox((0, 0, 5, 5), 0)]
-        res = mean_ap([], gts)
+        res = mean_ap([([], gts)])
         assert (res.map50, res.map75, res.map_mean) == (0.0, 0.0, 0.0)
 
     def test_threshold_sweep_fixture(self):
         # IoU exactly 0.6: thresholds 0.50, 0.55, 0.60 pass -> mAP = 3/10.
         gts = [GroundTruthBox((0, 0, 10, 10), 0)]
         dets = [Detection((0, 0, 10, 6), 0, 0.9)]
-        res = mean_ap(dets, gts)
+        res = mean_ap([(dets, gts)])
         assert res.map50 == 1.0
         assert res.map75 == 0.0
         assert res.map_mean == pytest.approx(0.3, abs=1e-15)
+
+    def test_each_distinct_threshold_matched_once(self, monkeypatch):
+        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((0, 0, 10, 10), 1)]
+        dets = [Detection((0, 0, 10, 6), 0, 0.9), Detection((0, 0, 10, 8), 1, 0.8)]
+        images = [(dets, gts), (dets[:1], gts[1:])]
+        seen = []
+        ap_at = metrics._ap_at
+        monkeypatch.setattr(metrics, "_ap_at", lambda *a: seen.append(a[-1]) or ap_at(*a))
+        full = mean_ap(images)
+        assert sorted(seen) == sorted(DEFAULT_MAP_THRESHOLDS * 2)
+        seen.clear()
+        # a grid without 0.5 and 0.75 still reports them, bit for bit
+        custom = mean_ap(images, thresholds=(0.6, 0.8, 0.6))
+        assert sorted(seen) == [0.5, 0.5, 0.6, 0.6, 0.75, 0.75, 0.8, 0.8]
+        assert (custom.map50, custom.map75) == (full.map50, full.map75)
+
+        def class_mean(thr):
+            return sum(average_precision(images, c, thr) for c in (0, 1)) / 2
+
+        assert custom.map_mean == (class_mean(0.6) + class_mean(0.8) + class_mean(0.6)) / 3
+        assert full.map_mean == sum(class_mean(t) for t in DEFAULT_MAP_THRESHOLDS) / 10
 
     def test_default_grid(self):
         assert DEFAULT_MAP_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75,
@@ -263,11 +351,11 @@ class TestMeanAp:
                 x, y = rng.uniform(2) * 45
                 dets.append(Detection((x, y, x + 8, y + 8), 0,
                                       round(float(rng.uniform(1)[0]), 3)))
-            base = mean_ap(dets, gts)
+            base = mean_ap([(dets, gts)])
             # find one false positive at the 0.5 threshold, if any
             for i, d in enumerate(dets):
                 if all(iou(d.box, g.box) < 0.5 for g in gts):
-                    reduced = mean_ap(dets[:i] + dets[i + 1:], gts)
+                    reduced = mean_ap([(dets[:i] + dets[i + 1:], gts)])
                     assert reduced.map50 >= base.map50 - 1e-12
                     assert reduced.map75 >= base.map75 - 1e-12
                     assert reduced.map_mean >= base.map_mean - 1e-12
@@ -287,6 +375,12 @@ class TestDetectionFiles:
             parse_detections("0 1 2 3 4\n")
         with pytest.raises(ValueError):
             parse_ground_truth("0 1 2 3 4 0.5\n")
+
+    def test_non_finite_boxes_rejected(self):
+        with pytest.raises(ValueError, match=r"\(0\.0, 0\.0, inf, 1\.0\)"):
+            parse_detections("0 0 0 inf 1 0.5\n")
+        with pytest.raises(ValueError, match=r"\(0\.0, nan, 1\.0, 1\.0\)"):
+            parse_ground_truth("0 0 nan 1 1\n")
 
     def test_comments_skipped(self):
         assert parse_detections("# header\n\n0 0 0 1 1 0.5\n") == [
