@@ -137,8 +137,8 @@ def read_pgm(path: str | Path) -> tuple[np.ndarray, int, list[str]]:
 
 def write_mask_pgm(path: str | Path, mask: np.ndarray) -> None:
     """Store a [0, 1] mask as 8-bit P5."""
-    mask = np.asarray(mask, dtype=np.float64)
-    write_pgm(path, mask * 255.0, maxval=255)
+    mask = check_finite(np.asarray(mask, dtype=np.float64), "mask")
+    write_pgm(path, np.clip(mask, 0.0, 1.0) * 255.0, maxval=255)
 
 
 def read_mask_pgm(path: str | Path) -> np.ndarray:
@@ -147,7 +147,7 @@ def read_mask_pgm(path: str | Path) -> np.ndarray:
 
 
 def write_depth_pgm(path: str | Path, depth: np.ndarray) -> None:
-    depth = np.asarray(depth, dtype=np.float64)
+    depth = check_finite(np.asarray(depth, dtype=np.float64), "depth")
     if np.any(depth < 0):
         raise ValueError("depth must be nonnegative")
     dmax = float(depth.max()) if depth.size else 0.0

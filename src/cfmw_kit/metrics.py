@@ -1,12 +1,12 @@
 """Restoration and detection metrics: PSNR, SSIM, IoU/GIoU, AP and mAP.
 
-Boxes are (x1, y1, x2, y2) with finite x1 < x2 and y1 < y2 in continuous
-pixel coordinates and a finite, nonzero area. Average precision takes one
-(detections, ground truth) pair per image, ranks all detections by
-confidence (ties keep image order, then input order), greedily matches each
-to the unmatched ground-truth box of highest overlap in its own image, and
-integrates the precision-recall curve over all recall increments using the
-precision attained before each increment.
+Boxes are (x1, y1, x2, y2) with x1 < x2 and y1 < y2 in continuous pixel
+coordinates, every |coordinate| <= 1e150, and a nonzero area. Average
+precision takes one (detections, ground truth) pair per image, ranks all
+detections by confidence (ties keep image order, then input order), greedily
+matches each to the unmatched ground-truth box of highest overlap in its own
+image, and integrates the precision-recall curve over all recall increments
+using the precision attained before each increment.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import check_finite
 
 __all__ = [
     "Detection",
@@ -36,6 +38,10 @@ __all__ = [
 
 PSNR_CAP_DB = 99.0
 
+# Bound on |box coordinate|: widths, areas, unions and hulls of any two
+# accepted boxes then stay finite (at most 8e300).
+BOX_COORD_LIMIT = 1e150
+
 DEFAULT_MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 
 # ITU BT.601 luminance weights for color -> gray reduction.
@@ -47,8 +53,10 @@ ImageBoxes = tuple[list["Detection"], list["GroundTruthBox"]]  # one image's box
 
 def _check_box(box, name: str = "box") -> Box:
     x1, y1, x2, y2 = (float(v) for v in box)
-    if not (x1 < x2 and y1 < y2 and 0.0 < (x2 - x1) * (y2 - y1) < math.inf):
-        raise ValueError(f"{name} is degenerate or not finite: {(x1, y1, x2, y2)}")
+    if not (all(abs(v) <= BOX_COORD_LIMIT for v in (x1, y1, x2, y2))
+            and x1 < x2 and y1 < y2 and (x2 - x1) * (y2 - y1) > 0.0):
+        raise ValueError(f"{name} is degenerate or not finite (|coordinates| <= "
+                         f"{BOX_COORD_LIMIT:g}): {(x1, y1, x2, y2)}")
     return (x1, y1, x2, y2)
 
 
@@ -89,6 +97,15 @@ class SsimParams:
     k1: float = 0.01
     k2: float = 0.03
 
+    def __post_init__(self):
+        w = self.window
+        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
+            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
+        for name in ("sigma", "alpha", "beta", "gamma", "dynamic_range", "k1", "k2"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
     @property
     def c1(self) -> float:
         return (self.k1 * self.dynamic_range) ** 2
@@ -102,8 +119,8 @@ class SsimParams:
         return self.c2 / 2.0
 
 
-def _to_gray(img: np.ndarray) -> np.ndarray:
-    img = np.asarray(img, dtype=np.float64)
+def _to_gray(img: np.ndarray, name: str) -> np.ndarray:
+    img = check_finite(np.asarray(img, dtype=np.float64), name)
     if img.ndim == 2:
         return img
     if img.ndim == 3 and img.shape[2] == 3:
@@ -115,8 +132,8 @@ def _to_gray(img: np.ndarray) -> np.ndarray:
 
 def psnr(x: np.ndarray, y: np.ndarray, bits: int = 8) -> float:
     """Peak signal-to-noise ratio in dB, capped at 99 for (near-)identical images."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
+    y = check_finite(np.asarray(y, dtype=np.float64), "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     mse = float(np.mean((x - y) ** 2))
@@ -126,21 +143,18 @@ def psnr(x: np.ndarray, y: np.ndarray, bits: int = 8) -> float:
     return min(10.0 * math.log10(peak_sq / mse), PSNR_CAP_DB)
 
 
-def _gaussian_kernel(size: int, sigma: float) -> np.ndarray:
-    half = (size - 1) / 2.0
-    ax = np.arange(size, dtype=np.float64) - half
+def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
+    """Normalised 1-D Gaussian taps; the 2-D window is their outer product."""
+    ax = np.arange(size, dtype=np.float64) - (size - 1) / 2.0
     g = np.exp(-(ax ** 2) / (2.0 * sigma ** 2))
-    k = np.outer(g, g)
-    return k / k.sum()
+    return g / g.sum()
 
 
-def _window_moments(img: np.ndarray, kern: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(weighted window mean, weighted window mean of squares)."""
-    size = kern.shape[0]
-    view = np.lib.stride_tricks.sliding_window_view(img, (size, size))
-    mu = np.tensordot(view, kern, axes=((2, 3), (0, 1)))
-    m2 = np.tensordot(view * view, kern, axes=((2, 3), (0, 1)))
-    return mu, m2
+def _filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Valid-mode filter with the window outer(g, g): one 1-D pass along
+    axis 0, then one along axis 1, each a window view times the taps."""
+    view = np.lib.stride_tricks.sliding_window_view
+    return view(view(img, g.size, axis=0) @ g, g.size, axis=1) @ g
 
 
 def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams | None = None) -> float:
@@ -148,33 +162,36 @@ def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams | None = None) -> floa
 
     Color images are reduced to the BT.601 luminance channel; the value is
     the mean over every full stride-1 window of the luminance / contrast /
-    structure product.
+    structure product. The Gaussian window is separable, so the window
+    moments are two 1-D passes: time and memory are linear in the pixel
+    count. Non-finite pixels, and a mean that is not finite (say, a
+    fractional exponent on a negative structure term), raise ``ValueError``.
     """
     p = params or SsimParams()
-    gx = _to_gray(x)
-    gy = _to_gray(y)
+    gx = _to_gray(x, "x")
+    gy = _to_gray(y, "y")
     if gx.shape != gy.shape:
         raise ValueError(f"shape mismatch: {gx.shape} vs {gy.shape}")
     if min(gx.shape) < p.window:
         raise ValueError(f"image must be at least {p.window} pixels on each side")
-    kern = _gaussian_kernel(p.window, p.sigma)
-    mu_x, m2_x = _window_moments(gx, kern)
-    mu_y, m2_y = _window_moments(gy, kern)
-    view_xy = (np.lib.stride_tricks.sliding_window_view(gx, kern.shape)
-               * np.lib.stride_tricks.sliding_window_view(gy, kern.shape))
-    m_xy = np.tensordot(view_xy, kern, axes=((2, 3), (0, 1)))
-    var_x = np.maximum(m2_x - mu_x ** 2, 0.0)
-    var_y = np.maximum(m2_y - mu_y ** 2, 0.0)
+    g = _gaussian_taps(p.window, p.sigma)
+    mu_x, mu_y = _filter(gx, g), _filter(gy, g)
+    var_x = np.maximum(_filter(gx * gx, g) - mu_x ** 2, 0.0)
+    var_y = np.maximum(_filter(gy * gy, g) - mu_y ** 2, 0.0)
+    cov = _filter(gx * gy, g) - mu_x * mu_y
     sig_x = np.sqrt(var_x)
     sig_y = np.sqrt(var_y)
-    cov = m_xy - mu_x * mu_y
     lum = (2.0 * mu_x * mu_y + p.c1) / (mu_x ** 2 + mu_y ** 2 + p.c1)
     con = (2.0 * sig_x * sig_y + p.c2) / (var_x + var_y + p.c2)
     stru = (cov + p.c3) / (sig_x * sig_y + p.c3)
-    for term, expo in ((lum, p.alpha), (con, p.beta), (stru, p.gamma)):
-        if expo != 1.0:
-            np.power(term, expo, out=term)
-    return float(np.mean(lum * con * stru))
+    with np.errstate(invalid="ignore"):  # a NaN power is refused below
+        for term, expo in ((lum, p.alpha), (con, p.beta), (stru, p.gamma)):
+            if expo != 1.0:
+                np.power(term, expo, out=term)
+    value = float(np.mean(lum * con * stru))
+    if not math.isfinite(value):
+        raise ValueError(f"SSIM is not finite ({value}) with {p}")
+    return value
 
 
 def _intersection(a: Box, b: Box) -> float:

@@ -311,6 +311,17 @@ class TestEval:
         assert "psnr,99.0\n" in text
         assert "ssim,1.0\n" in text
 
+    def test_image_eval_byte_identical_rerun(self, tmp_path, clean_ppm):
+        _run("synth", "--input", clean_ppm, "--weather", "rain",
+             "--density", 0.05, "--seed", 3, "--out", tmp_path / "w")
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            assert _run("eval", "--clean", clean_ppm, "--image",
+                        tmp_path / "w" / "clean_rain.ppm", "--out", out) == 0
+        text = (outs[0] / "metrics.csv").read_bytes()
+        assert text == (outs[1] / "metrics.csv").read_bytes()
+        assert 0.0 < float(text.decode().split("ssim,")[1]) < 1.0
+
     def test_perfect_detections(self, tmp_path):
         dets_dir = tmp_path / "dets"
         gts_dir = tmp_path / "gts"

@@ -1,5 +1,6 @@
 import hashlib
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -137,9 +138,23 @@ class TestPgm:
 def test_netpbm_writers_refuse_non_finite_pixels(tmp_path, write, shape, bad):
     pixels = np.full(shape, 0.5)
     pixels[1, 0] = bad
-    with pytest.raises(ValueError, match="non-finite|nonnegative"):
-        write(tmp_path / "x.pnm", pixels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(ValueError, match="non-finite"):
+            write(tmp_path / "x.pnm", pixels)
     assert not (tmp_path / "x.pnm").exists()
+
+
+def test_mask_writer_clips_before_scaling(tmp_path):
+    inside = np.linspace(0.0, 1.0, 12)
+    mask = np.concatenate([inside, [1e306, -1e306, 1.5, -0.25]]).reshape(4, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_mask_pgm(tmp_path / "m.pgm", mask)
+    gray, maxval, _ = read_pgm(tmp_path / "m.pgm")
+    assert maxval == 255
+    # in-range values keep the bytes of rint(mask * 255); the rest saturate
+    assert gray.ravel().tolist() == np.rint(inside * 255.0).tolist() + [255, 0, 255, 0]
 
 
 def _seeded_grid(rng):

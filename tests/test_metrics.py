@@ -1,5 +1,7 @@
 import json
 import math
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +89,33 @@ class TestPsnr:
             psnr(np.zeros((2, 2)), np.zeros((3, 2)))
 
 
+def brute_force_ssim(x, y, params=SsimParams()):
+    """Per-window SSIM oracle: the 2-D window outer(g, g), one window at a time."""
+    luma = np.array([0.299, 0.587, 0.114])
+    gx, gy = (np.asarray(im, dtype=np.float64) for im in (x, y))
+    if gx.ndim == 3:
+        gx, gy = gx @ luma, gy @ luma
+    n = params.window
+    ax = np.arange(n) - (n - 1) / 2.0
+    g = np.exp(-(ax ** 2) / (2.0 * params.sigma ** 2))
+    kern = np.outer(g, g)
+    kern /= kern.sum()
+    values = []
+    for i in range(gx.shape[0] - n + 1):
+        for j in range(gx.shape[1] - n + 1):
+            wx, wy = gx[i:i + n, j:j + n], gy[i:i + n, j:j + n]
+            mx, my = np.sum(kern * wx), np.sum(kern * wy)
+            vx = max(np.sum(kern * wx * wx) - mx * mx, 0.0)
+            vy = max(np.sum(kern * wy * wy) - my * my, 0.0)
+            cov = np.sum(kern * wx * wy) - mx * my
+            sx, sy = math.sqrt(vx), math.sqrt(vy)
+            lum = (2 * mx * my + params.c1) / (mx * mx + my * my + params.c1)
+            con = (2 * sx * sy + params.c2) / (vx + vy + params.c2)
+            stru = (cov + params.c3) / (sx * sy + params.c3)
+            values.append(lum ** params.alpha * con ** params.beta * stru ** params.gamma)
+    return float(np.mean(values))
+
+
 class TestSsim:
     def test_identical_is_one(self):
         rng = SeededRng(81)
@@ -96,6 +125,13 @@ class TestSsim:
     def test_constant_equal_images(self):
         img = np.full((12, 12), 128.0)
         assert abs(ssim(img, img.copy()) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(12, 12), (15, 13, 3)])
+    def test_constant_images_clamp_rounded_variance(self, shape):
+        # some constants give a window variance that rounds below zero
+        for c in (0.1, 3.3, 77.3, 251.9):
+            img = np.full(shape, c)
+            assert abs(ssim(img, img.copy()) - 1.0) < 1e-12
 
     def test_inverted_checkerboard_low(self):
         yy, xx = np.mgrid[0:16, 0:16]
@@ -134,6 +170,64 @@ class TestSsim:
         assert p.c1 == (0.01 * 255) ** 2
         assert p.c2 == (0.03 * 255) ** 2
         assert p.c3 == p.c2 / 2
+
+    @pytest.mark.parametrize("shape, params", [
+        ((11, 11), SsimParams()),  # exactly one window
+        ((13, 20), SsimParams()),
+        ((17, 12, 3), SsimParams()),
+        ((14, 9), SsimParams(window=7, sigma=1.0, alpha=2.0, beta=0.5, gamma=3.0)),
+        ((10, 12, 3), SsimParams(window=4, sigma=0.8, gamma=2.0, dynamic_range=100.0)),
+    ])
+    def test_matches_per_window_oracle(self, shape, params):
+        rng = SeededRng(86)
+        n = int(np.prod(shape))
+        for noise in (0.0, 5.0, 60.0, 255.0):  # noise 0: identical images
+            a = rng.uniform(n).reshape(shape) * 255
+            b = np.clip(a + rng.normal(n).reshape(shape) * noise, 0, 255)
+            want = brute_force_ssim(a, b, params)
+            assert abs(ssim(a, b, params) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_memory_linear_in_pixels(self):
+        rng = SeededRng(87)
+        a = rng.uniform(256 * 256 * 3).reshape(256, 256, 3) * 255
+        b = np.clip(a + rng.normal(a.size).reshape(a.shape) * 20, 0, 255)
+        tracemalloc.start()
+        try:
+            ssim(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 256 * 256 * 8  # 16 float64 luminance planes
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        img = np.full((12, 12, 3), 100.0)
+        odd = img.copy()
+        odd[3, 4, 1] = bad
+        for x, y in ((odd, img), (img, odd)):
+            with pytest.raises(ValueError, match="non-finite"):
+                ssim(x, y)
+            with pytest.raises(ValueError, match="non-finite"):
+                psnr(x, y)
+
+    def test_non_finite_mean_rejected(self):
+        yy, xx = np.mgrid[0:16, 0:16]
+        img = ((yy + xx) % 2) * 255.0  # negative structure term against its inverse
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="SSIM is not finite"):
+                ssim(img, 255.0 - img, SsimParams(gamma=0.5))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"window": 0}, {"window": -3}, {"window": 2.5}, {"window": 11.0}, {"window": True},
+        {"sigma": 0.0}, {"sigma": -1.5}, {"sigma": math.nan}, {"sigma": math.inf},
+        {"dynamic_range": 0.0}, {"dynamic_range": math.inf},
+        {"k1": 0.0}, {"k2": -0.03}, {"k2": math.nan},
+        {"alpha": 0.0}, {"beta": -1.0}, {"gamma": math.inf},
+    ], ids=lambda kw: "{}={}".format(*next(iter(kw.items()))))
+    def test_bad_params_rejected(self, kwargs):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            SsimParams(**kwargs)
 
 
 class TestBoxOverlap:
@@ -176,6 +270,19 @@ class TestBoxOverlap:
                 iou(box, (0, 0, 1, 1))
             with pytest.raises(ValueError, match="degenerate or not finite"):
                 GroundTruthBox(box, 0)
+
+    def test_coordinates_beyond_limit_rejected(self):
+        # unbounded, these pairs overflow: an infinite hull makes GIoU NaN, and
+        # an infinite union makes iou(b, b) 0 and giou(b, b) inf
+        big = (0.0, 0.0, 1e154, 1e154)
+        for a, b in (((-1e308, 0, -9.9e307, 1), (9.9e307, 0, 1e308, 1)), (big, big)):
+            for f in (iou, giou):
+                with pytest.raises(ValueError, match=r"a is degenerate or not finite.*1e\+150"):
+                    f(a, b)
+        edge = (-1e150, -1e150, 1e150, 1e150)
+        assert iou(edge, edge) == 1.0 and giou(edge, edge) == 1.0
+        assert GroundTruthBox(edge, 0).box == edge
+        assert giou((-1e150, 0, -0.9e150, 1), (0.9e150, 0, 1e150, 1)) == pytest.approx(-0.9)
 
     def test_iou_matrix_bit_identical_to_iou(self):
         rng = SeededRng(88)
