@@ -209,12 +209,14 @@ def cmd_restore(opts: _Options) -> int:
         raise ValueError(f"unknown predictor {predictor_kind!r}")
 
     residuals = []
-    state = {"prev": x_noise}
+    diff = np.empty(x_noise.shape)
 
-    def on_step(t, t_prev, x_new):
-        delta = float(np.sqrt(np.sum((x_new - state["prev"]) ** 2)))
-        residuals.append((t, t_prev, delta))
-        state["prev"] = x_new
+    def on_step(t, t_prev, x_t, x_prev):
+        # ||x_prev - x_t|| in one buffer; np.dot / np.linalg.norm would sum
+        # in another order and change the logged bits.
+        np.subtract(x_prev, x_t, out=diff)
+        np.square(diff, out=diff)
+        residuals.append((t, t_prev, float(np.sqrt(np.sum(diff)))))
 
     restored = diffusion.sample(x_noise, degraded, cfg, pred, on_step=on_step)
     dst = out / f"{degraded_path.stem}_restored.ppm"

@@ -44,6 +44,13 @@ DEFAULT_BETA_START = 0.001
 DEFAULT_BETA_END = 0.02
 
 
+def _step_index(t) -> int:
+    """``t`` as an int; refuses bools and non-integer types (never truncates)."""
+    if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
+        raise ValueError(f"step indices must be integers, got {t!r}")
+    return int(t)
+
+
 @dataclass(frozen=True)
 class NoiseSchedule:
     """Per-step noise fractions and their derived signal products.
@@ -79,7 +86,7 @@ class NoiseSchedule:
         return self.beta.size
 
     def _check_t(self, t: int) -> int:
-        t = int(t)
+        t = _step_index(t)
         if not 1 <= t <= self.t_count:
             raise ValueError(f"step index {t} outside 1..{self.t_count}")
         return t
@@ -202,13 +209,20 @@ class TinyMlpPredictor:
         if x_t.shape != x_tilde.shape:
             raise ValueError("x_t and x_tilde must share a shape")
         s1, s2 = math.sin(0.05 * t), math.cos(0.05 * t)
+        xs, cs = x_t / self.scale, x_tilde / self.scale
         out = np.full_like(x_t, self.b_out)
+        unit, term = np.empty_like(x_t), np.empty_like(x_t)
         for j in range(self.HIDDEN):
-            unit = np.tanh(self.w_xt[j] * (x_t / self.scale)
-                           + self.w_cond[j] * (x_tilde / self.scale)
-                           + self.w_sin[j] * s1 + self.w_cos[j] * s2
-                           + self.bias[j])
-            out += self.w_out[j] * unit
+            # tanh(w_xt xs + w_cond cs + w_sin s1 + w_cos s2 + bias), added
+            # left to right as written: folding the scalars first moves bits.
+            np.multiply(self.w_xt[j], xs, out=unit)
+            unit += np.multiply(self.w_cond[j], cs, out=term)
+            unit += self.w_sin[j] * s1
+            unit += self.w_cos[j] * s2
+            unit += self.bias[j]
+            np.tanh(unit, out=unit)
+            unit *= self.w_out[j]
+            out += unit
         return out
 
 
@@ -222,8 +236,22 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> n
     return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
 
 
+def _out_buffer(buf, name: str, shape, others) -> np.ndarray:
+    """``buf`` if it is a float64 array of ``shape`` sharing no memory with
+    ``others``; a fresh array when ``buf`` is None."""
+    if buf is None:
+        return np.empty(shape)
+    if not isinstance(buf, np.ndarray) or buf.dtype != np.float64 or buf.shape != shape:
+        raise ValueError(f"{name} must be a float64 array of shape {shape}")
+    if any(np.shares_memory(buf, o) for o in others):
+        raise ValueError(f"{name} must not share memory with the step's inputs "
+                         "or the other buffer")
+    return buf
+
+
 def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
-              pred, sched: NoiseSchedule) -> np.ndarray:
+              pred, sched: NoiseSchedule, *, out: np.ndarray | None = None,
+              scratch: np.ndarray | None = None) -> np.ndarray:
     """One deterministic implicit reverse step from ``t`` to ``t_prev``.
 
     The predicted noise first inverts the forward map to a clean-image
@@ -231,27 +259,47 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
 
         x0_hat = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t)
         x_prev = sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev) eps_hat
+
+    The result is written into ``out`` and ``scratch`` holds the second
+    noise term; each is a float64 array of ``x_t``'s shape, allocated when
+    None, and must share no memory with ``x_t``, the predicted noise or the
+    other buffer. Returns ``out``.
     """
-    if not (isinstance(t, int) or np.issubdtype(type(t), np.integer)):
-        raise ValueError("step indices must be integers")
+    t, t_prev = _step_index(t), _step_index(t_prev)
     if not t > t_prev >= 0:
         raise ValueError(f"need t > t_prev >= 0, got {t} -> {t_prev}")
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(pred(x_t, x_tilde, t), dtype=np.float64)
     if eps_hat.shape != x_t.shape:
         raise ValueError("predictor output shape must match x_t")
+    out = _out_buffer(out, "out", x_t.shape, (x_t, eps_hat))
+    scratch = _out_buffer(scratch, "scratch", x_t.shape, (x_t, eps_hat, out))
     abar_t = sched.alpha_bar_at(t)
     abar_p = sched.alpha_bar_at(t_prev)
-    x0_hat = (x_t - math.sqrt(1.0 - abar_t) * eps_hat) / math.sqrt(abar_t)
-    return math.sqrt(abar_p) * x0_hat + math.sqrt(1.0 - abar_p) * eps_hat
+    # The formulas' float operations in their written order, so passing
+    # buffers or not gives the same bits.
+    np.multiply(math.sqrt(1.0 - abar_t), eps_hat, out=out)
+    np.subtract(x_t, out, out=out)
+    out /= math.sqrt(abar_t)
+    out *= math.sqrt(abar_p)
+    out += np.multiply(math.sqrt(1.0 - abar_p), eps_hat, out=scratch)
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
            pred, on_step=None) -> np.ndarray:
     """Run the deterministic reverse chain from step T down to 0.
 
-    ``on_step(t, t_prev, x_prev)`` is invoked after each hop when given
-    (used by the CLI to log per-step residual norms).
+    The chain steps between two buffers allocated once and never writes into
+    ``x_noise``. ``on_step(t, t_prev, x_t, x_prev)`` is invoked after each hop
+    when given (the CLI logs per-step residual norms with it); ``x_t`` and
+    ``x_prev`` are read-only views that are valid only during the call.
     """
     x = np.asarray(x_noise, dtype=np.float64)
     x_tilde = np.asarray(x_tilde, dtype=np.float64)
@@ -259,10 +307,16 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
         raise ValueError("x_noise and x_tilde must share a shape")
     steps = cfg.step_sequence()
     targets = steps[1:] + [0]
-    for t, t_prev in zip(steps, targets):
-        x = ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule)
+    bufs = (np.empty(x.shape), np.empty(x.shape))
+    views = [_read_only(b) for b in bufs]
+    scratch = np.empty(x.shape)
+    x_view = _read_only(x)
+    for i, (t, t_prev) in enumerate(zip(steps, targets)):
+        ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule,
+                  out=bufs[i % 2], scratch=scratch)
         if on_step is not None:
-            on_step(t, t_prev, x)
+            on_step(t, t_prev, x_view, views[i % 2])
+        x, x_view = bufs[i % 2], views[i % 2]
     return x
 
 

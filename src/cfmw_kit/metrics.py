@@ -105,6 +105,18 @@ class SsimParams:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+        # Finite, positive inputs can still under- or overflow what ssim uses.
+        try:
+            with np.errstate(all="ignore"):
+                taps = _gaussian_taps(w, self.sigma)
+            derived = {"c1": self.c1, "c2": self.c2, "c3": self.c3}
+        except OverflowError as exc:
+            raise ValueError(f"SSIM constants overflow with {self}") from exc
+        if not np.all((taps > 0.0) & (taps < math.inf)):
+            raise ValueError(f"window taps are not finite and > 0 with {self}")
+        for name, value in derived.items():
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} = {value!r} is not finite and > 0 with {self}")
 
     @property
     def c1(self) -> float:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 
@@ -132,6 +133,27 @@ class TestRestore:
                         "--steps", 5, "--t-count", 50, "--out", out) == 0
         assert (a / "clean_restored.ppm").read_bytes() \
             == (b / "clean_restored.ppm").read_bytes()
+
+    # sha256 of the outputs of the allocating sampler (one fresh array per
+    # step): the in-place chain must keep every byte.
+    PINNED = {
+        "oracle": ("420260c3f31910724f7ca724ec7024defcc78d878f63ff372eb6f5e1b78f9dae",
+                   "3d81f238c702904884258bb525a028547626eaa8624ea2193ede14c83919a93b"),
+        "tinymlp": ("44a87cee85ab614cb7de384d5e17c508ed873026a17d9aee212266840b3296cb",
+                    "8433d122e2c455b64ed35c07ce5e1aa4b7c3f21c6b149f3d39607f1551e8ce81"),
+    }
+
+    @pytest.mark.parametrize("predictor", sorted(PINNED))
+    def test_pinned_output_digests(self, tmp_path, predictor):
+        clean = tmp_path / "clean.ppm"
+        write_ppm(clean, _clean_image(64, 64))
+        extra = ["--clean", clean] if predictor == "oracle" else []
+        out = tmp_path / "out"
+        assert _run("restore", "--input", clean, "--predictor", predictor,
+                    "--out", out, *extra) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("clean_restored.ppm", "clean_residuals.csv"))
+        assert got == self.PINNED[predictor]
 
     def test_oracle_requires_clean(self, tmp_path, clean_ppm, capsys):
         code = _run("restore", "--input", clean_ppm, "--predictor", "oracle",

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,15 @@ class TestQSample:
             with pytest.raises(ValueError):
                 q_sample(np.zeros(2), t, np.zeros(2), sched)
 
+    @pytest.mark.parametrize("t", [2.5, 2.0, True, np.bool_(True), "2"])
+    def test_non_integral_or_bool_t_refused(self, t):
+        # int(t) would quietly run 2.5 as step 2 and True as step 1
+        sched = make_schedule("linear", 10)
+        for call in (lambda: q_sample(np.zeros(2), t, np.zeros(2), sched),
+                     lambda: sched.alpha_bar_at(t), lambda: sched.beta_at(t)):
+            with pytest.raises(ValueError, match="integers"):
+                call()
+
 
 class TestDdimStep:
     def test_oracle_inverts_to_x0(self):
@@ -162,6 +172,55 @@ class TestDdimStep:
         with pytest.raises(ValueError):
             ddim_step(np.zeros(2), np.zeros(2), 3, -1, pred, sched)
 
+    @pytest.mark.parametrize("t, t_prev", [
+        (5, 2.5), (5.0, 2), (True, 0), (5, False), (np.float64(5), 2), (5, np.bool_(False)),
+    ])
+    def test_non_integral_or_bool_steps_refused(self, t, t_prev):
+        sched = make_schedule("linear", 10)
+        pred = OraclePredictor(np.zeros(2))
+        with pytest.raises(ValueError, match="integers"):
+            ddim_step(np.zeros(2), np.zeros(2), t, t_prev, pred, sched)
+
+    def test_numpy_integer_steps_accepted(self):
+        sched = make_schedule("linear", 10)
+        pred = OraclePredictor(np.ones(2))
+        got = ddim_step(np.ones(2), np.zeros(2), np.int64(5), np.int32(2), pred, sched)
+        assert np.array_equal(got, ddim_step(np.ones(2), np.zeros(2), 5, 2, pred, sched))
+
+    def test_buffers_give_the_allocating_result(self):
+        sched = make_schedule("linear", 1000)
+        rng = SeededRng(62)
+        x_t, cond = randn([5, 4, 3], rng), randn([5, 4, 3], rng)
+        for pred in (OraclePredictor(randn([5, 4, 3], rng)), TinyMlpPredictor(7)):
+            for t, t_prev in ((1000, 980), (417, 1), (20, 0)):
+                want = ddim_step(x_t, cond, t, t_prev, pred, sched)
+                out, scratch = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
+                got = ddim_step(x_t, cond, t, t_prev, pred, sched,
+                                out=out, scratch=scratch)
+                assert got is out
+                assert np.array_equal(got, want)
+
+    def test_bad_buffers_refused(self):
+        sched = make_schedule("linear", 10)
+        eps = np.ones((3, 2))
+        pred = OraclePredictor(eps)
+        x_t = np.zeros((3, 2))
+        pool = np.empty((2, 3, 2))
+        bad = {
+            "shape": dict(out=np.empty((2, 3))),
+            "dtype": dict(out=np.empty((3, 2), dtype=np.float32)),
+            "list": dict(scratch=[[0.0] * 2] * 3),
+            "out is x_t": dict(out=x_t),
+            "out is eps": dict(out=pred.eps),
+            "scratch views x_t": dict(scratch=x_t[:, :]),
+            "scratch is out": dict(out=pool[0], scratch=pool[0]),
+        }
+        for kwargs in bad.values():
+            with pytest.raises(ValueError, match="out|scratch"):
+                ddim_step(x_t, x_t, 5, 2, pred, sched, **kwargs)
+        # distinct slices of one array share no memory and are accepted
+        ddim_step(x_t, x_t, 5, 2, pred, sched, out=pool[0], scratch=pool[1])
+
 
 class TestSample:
     def test_oracle_chain_recovers_x0(self):
@@ -194,9 +253,68 @@ class TestSample:
         eps = randn([2], rng)
         x_t = q_sample(x0, 100, eps, sched)
         out = sample(x_t, np.zeros(2), cfg, OraclePredictor(eps),
-                     on_step=lambda t, tp, x: hops.append((t, tp)))
+                     on_step=lambda t, tp, x_t, x_prev: hops.append((t, tp)))
         assert hops == [(100, 0)]
         assert np.abs(out - x0).max() < 1e-12
+
+    def test_on_step_sees_each_hop_read_only(self):
+        sched = make_schedule("linear", 100)
+        cfg = DiffusionConfig(schedule=sched, n_sample_steps=4)
+        rng = SeededRng(63)
+        x_noise, cond = randn([3, 2], rng), randn([3, 2], rng)
+        pred = TinyMlpPredictor(5)
+        seen = []
+
+        def on_step(t, t_prev, x_t, x_prev):
+            assert not x_t.flags.writeable and not x_prev.flags.writeable
+            seen.append((t, t_prev, x_t.copy(), x_prev.copy()))
+
+        out = sample(x_noise, cond, cfg, pred, on_step=on_step)
+        x = x_noise
+        for (t, t_prev, x_t, x_prev), want in zip(seen, cfg.step_sequence()):
+            assert t == want
+            assert np.array_equal(x_t, x)
+            x = ddim_step(x, cond, t, t_prev, pred, sched)
+            assert np.array_equal(x_prev, x)
+        assert len(seen) == 4 and seen[-1][1] == 0
+        assert np.array_equal(out, x)
+
+    def test_x_noise_untouched(self):
+        sched = make_schedule("linear", 100)
+        cfg = DiffusionConfig(schedule=sched, n_sample_steps=10)
+        rng = SeededRng(64)
+        x_noise, eps = randn([4, 4], rng), randn([4, 4], rng)
+        before = x_noise.copy()
+        out = sample(x_noise, np.zeros_like(x_noise), cfg, OraclePredictor(eps))
+        assert np.array_equal(x_noise, before)
+        assert not np.shares_memory(out, x_noise)
+
+    def test_memory_does_not_grow_with_steps(self):
+        sched = make_schedule("linear", 1000)
+        rng = SeededRng(65)
+        x_noise, eps = randn([64, 64, 3], rng), randn([64, 64, 3], rng)
+        pred = OraclePredictor(eps)
+        cond = np.zeros_like(x_noise)
+        diff = np.empty_like(x_noise)
+
+        def on_step(t, t_prev, x_t, x_prev):  # the CLI's residual callback
+            np.subtract(x_prev, x_t, out=diff)
+            np.square(diff, out=diff)
+
+        peaks = {}
+        for steps in (5, 50):
+            cfg = DiffusionConfig(schedule=sched, n_sample_steps=steps)
+            tracemalloc.start()
+            try:
+                sample(x_noise, cond, cfg, pred, on_step=on_step)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # The chain holds two ping-pong buffers and one scratch buffer, at any
+        # step count; only the step list (a few bytes a step) grows with S.
+        slack = 8 * 1024
+        assert peaks[50] <= peaks[5] + slack
+        assert peaks[50] <= 3 * x_noise.nbytes + slack
 
     def test_conditioning_reaches_predictor(self):
         # A predictor biased by the conditioning image's mean must change the

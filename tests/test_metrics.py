@@ -229,6 +229,29 @@ class TestSsim:
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             SsimParams(**kwargs)
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"sigma": 1e-200}, "taps"),  # 2 sigma^2 underflows: NaN taps
+        ({"sigma": 0.1}, "taps"),  # the edge taps underflow to 0
+        ({"sigma": 1e200}, "overflow"),
+        ({"k1": 1e-200, "k2": 1e-200}, "c1"),  # c1 = c2 = 0: 0 / 0 on flat images
+        ({"k2": 1e-200}, "c2"),
+        ({"k1": 1e200}, "overflow"),
+        ({"dynamic_range": 1e300}, "overflow"),
+    ])
+    def test_degenerate_derived_constants_rejected(self, kwargs, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                SsimParams(**kwargs)
+
+    def test_tiny_but_sound_constants_accepted(self):
+        p = SsimParams(sigma=0.2, k1=1e-150, k2=1e-150)
+        assert p.c1 > 0.0 and p.c3 > 0.0
+        img = np.full((12, 12), 7.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert ssim(img, img, p) == 1.0
+
 
 class TestBoxOverlap:
     def test_identical_boxes(self):
