@@ -3,7 +3,7 @@
 Submodules:
     tensor    -- float64 array primitives and counter-based seeded randomness
     tensor_io -- TSR1 tensors, key=value manifests, parameter bundles
-    imageio   -- binary PPM (P6) / PGM (P5) image files
+    imageio   -- binary PPM (P6) color image files
     ssm       -- state-space discretization, scans, kernels, 2-D selective scan
     fusion    -- patch embedding, channel swap, gated scan fusion, attention
                  baseline, operation counts, scaling benchmark

@@ -101,6 +101,13 @@ def _out_dir(opts: _Options) -> Path:
     return Path(opts.get("out", ".", str))
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    """``value`` of option ``--name``, refused below ``low`` before any arithmetic."""
+    if value < low:
+        raise ValueError(f"--{name} must be >= {low}, got {value}")
+    return value
+
+
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(opts: _Options) -> int:
@@ -234,9 +241,9 @@ def cmd_fuse(opts: _Options) -> int:
     rgb_path = Path(opts.require("rgb", str))
     thermal_path = Path(opts.require("thermal", str))
     seed = opts.get("seed", DEFAULT_SEED, int)
-    patch = opts.get("patch", 8, int)
-    dim = opts.get("dim", 16, int)
-    d_state = opts.get("d-state", 8, int)
+    patch = _at_least("patch", opts.get("patch", 8, int), 1)
+    dim = _at_least("dim", opts.get("dim", 16, int), 2)
+    d_state = _at_least("d-state", opts.get("d-state", 8, int), 1)
     residual_mode = opts.get("residual-mode", "crossed", str)
     pure_swap = bool(opts.get("pure-swap", False, lambda v: v in ("1", "true")))
     params_dir = opts.get("params", None, str)
@@ -300,10 +307,10 @@ def cmd_fuse(opts: _Options) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(opts: _Options) -> int:
-    n_min = opts.get("n-min", 64, int)
+    n_min = _at_least("n-min", opts.get("n-min", 64, int), 1)
     n_max = opts.get("n-max", 8192, int)
-    c = opts.get("c", 32, int)
-    d_state = opts.get("d-state", 16, int)
+    c = _at_least("c", opts.get("c", 32, int), 2)
+    d_state = _at_least("d-state", opts.get("d-state", 16, int), 1)
     repeats = opts.get("repeats", 5, int)
     seed = opts.get("seed", DEFAULT_SEED, int)
     out = _out_dir(opts)

@@ -17,7 +17,6 @@ import numpy as np
 
 from .metrics import giou
 from .tensor import check_finite
-from .tensor_io import _rebuild, load_bundle, save_bundle
 
 __all__ = [
     "PredictionGrid",
@@ -27,8 +26,6 @@ __all__ = [
     "cls_loss",
     "conf_loss",
     "total_loss",
-    "save_grid",
-    "load_grid",
     "PROB_FLOOR",
 ]
 
@@ -155,49 +152,3 @@ def total_loss(pred: PredictionGrid, targets: GridTargets,
     return (weights.lambda_box * box_loss(pred, targets)
             + weights.lambda_cls * cls_loss(pred, targets)
             + weights.lambda_conf * (noobj + obj))
-
-
-def _grid_tensors(pred: PredictionGrid, targets: GridTargets) -> dict[str, np.ndarray]:
-    return {
-        "boxes": pred.boxes,
-        "confidence": pred.confidence,
-        "class_probs": pred.class_probs,
-        "obj_mask": pred.obj_mask.astype(np.float64),
-        "noobj_mask": pred.noobj_mask.astype(np.float64),
-        "target_boxes": targets.boxes,
-        "target_class_probs": targets.class_probs,
-    }
-
-
-def save_grid(pred: PredictionGrid, targets: GridTargets, directory) -> None:
-    """Store a grid and its targets as a bundle of TSR1 tensors plus a manifest.
-
-    The manifest declares the grid side, boxes per cell, and class count;
-    masks travel as 0/1 float tensors.
-    """
-    meta = {
-        "s_grid": str(pred.s_grid),
-        "n_boxes": str(pred.n_boxes),
-        "n_classes": str(pred.n_classes),
-    }
-    save_bundle(directory, meta, _grid_tensors(pred, targets))
-
-
-def load_grid(directory) -> tuple[PredictionGrid, GridTargets]:
-    meta, tensors = load_bundle(directory)
-
-    def from_tensors(t: dict[str, np.ndarray]) -> tuple[PredictionGrid, GridTargets]:
-        pred = PredictionGrid(
-            s_grid=int(meta["s_grid"]),
-            n_boxes=int(meta["n_boxes"]),
-            boxes=t["boxes"],
-            confidence=t["confidence"],
-            class_probs=t["class_probs"],
-            obj_mask=t["obj_mask"] != 0.0,
-            noobj_mask=t["noobj_mask"] != 0.0,
-        )
-        if pred.n_classes != int(meta["n_classes"]):
-            raise ValueError("manifest class count does not match the stored tensors")
-        return pred, GridTargets(boxes=t["target_boxes"], class_probs=t["target_class_probs"])
-
-    return _rebuild(tensors, from_tensors, lambda pair: _grid_tensors(*pair))

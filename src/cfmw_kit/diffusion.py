@@ -141,17 +141,14 @@ def make_schedule(kind: str, t_count: int,
 
 @dataclass(frozen=True)
 class DiffusionConfig:
-    """Sampling-time configuration: schedule, step budget, fixed eta = 0."""
+    """Sampling-time configuration: schedule and step budget (deterministic, eta = 0)."""
 
     schedule: NoiseSchedule
     n_sample_steps: int
-    eta: float = 0.0
 
     def __post_init__(self):
         if not 1 <= self.n_sample_steps <= self.schedule.t_count:
             raise ValueError("need 1 <= sample steps <= schedule length")
-        if self.eta != 0.0:
-            raise ValueError("only the deterministic eta = 0 sampler is supported")
 
     def step_sequence(self) -> list[int]:
         """Descending visited steps: uniform stride from T down to 1.

@@ -434,16 +434,12 @@ class AttentionFusionParams:
 
 def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
                               counter: OpCounter | None = None,
-                              block_rows: int = 2048,
-                              return_weights: bool = False):
+                              block_rows: int = 2048) -> ModalityFeatures:
     """Single-head scaled dot-product fusion over the concatenated streams.
 
     Both token sequences are stacked to length 2N, attended with shared
     Q/K/V projections, and split back. Row-blocked evaluation keeps memory
     at O(block_rows * N) while preserving the quadratic operation count.
-
-    With ``return_weights`` the full (B, 2N, 2N) attention matrix is also
-    returned (small inputs only).
     """
     b, n, c = m.shape
     if c != p.c:
@@ -451,7 +447,6 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     scale = 1.0 / math.sqrt(p.d_k)
     out_r = np.empty_like(m.f_r)
     out_t = np.empty_like(m.f_t)
-    weights = np.empty((b, 2 * n, 2 * n)) if return_weights else None
     for i in range(b):
         tokens = np.vstack([m.f_r[i], m.f_t[i]])          # (2N, C)
         q = tokens @ p.w_q
@@ -470,15 +465,12 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
                 rows = r1 - r0
                 # score matmul, scale, normalize products, row reciprocals
                 counter.add(rows * 2 * n * p.d_k + rows * 2 * n + rows * 2 * n + rows)
-            if weights is not None:
-                weights[i, r0:r1] = scores
             fused[r0:r1] = scores @ v
             if counter is not None:
                 counter.add((r1 - r0) * 2 * n * c)
         out_r[i] = fused[:n]
         out_t[i] = fused[n:]
-    result = ModalityFeatures(f_r=out_r, f_t=out_t)
-    return (result, weights) if return_weights else result
+    return ModalityFeatures(f_r=out_r, f_t=out_t)
 
 
 def count_ops(path: str, n_tokens: int, c: int, n_state: int,

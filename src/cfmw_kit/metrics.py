@@ -32,8 +32,6 @@ __all__ = [
     "DEFAULT_MAP_THRESHOLDS",
     "parse_detections",
     "parse_ground_truth",
-    "format_detections",
-    "format_ground_truth",
 ]
 
 PSNR_CAP_DB = 99.0
@@ -364,15 +362,3 @@ def parse_ground_truth(text: str) -> list[GroundTruthBox]:
         out.append(GroundTruthBox(box=(float(x1), float(y1), float(x2), float(y2)),
                                   class_id=int(cid)))
     return out
-
-
-def format_detections(dets: list[Detection]) -> str:
-    return "".join(
-        f"{d.class_id} {d.box[0]!r} {d.box[1]!r} {d.box[2]!r} {d.box[3]!r} "
-        f"{d.confidence!r}\n" for d in dets)
-
-
-def format_ground_truth(gts: list[GroundTruthBox]) -> str:
-    return "".join(
-        f"{g.class_id} {g.box[0]!r} {g.box[1]!r} {g.box[2]!r} {g.box[3]!r}\n"
-        for g in gts)

@@ -72,8 +72,11 @@ def apply_snow(j: np.ndarray, m_s: np.ndarray, s: np.ndarray) -> np.ndarray:
 def apply_fog(j: np.ndarray, d: np.ndarray, beta: float, l_inf: float) -> np.ndarray:
     """Atmospheric scattering with constant attenuation along each ray."""
     j = _check_image(j)
-    if beta < 0.0:
-        raise ValueError("attenuation coefficient must be nonnegative")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("attenuation coefficient must be finite and nonnegative, "
+                         f"got {beta!r}")
+    if not math.isfinite(l_inf):
+        raise ValueError(f"airlight must be finite, got {l_inf!r}")
     d = np.asarray(d, dtype=np.float64)
     if np.any(d < 0.0):
         raise ValueError("depth must be nonnegative")
@@ -106,6 +109,8 @@ def gen_rain(h: int, w: int, seed: int, density: float,
         raise ValueError("density must lie in (0, 1]")
     if streak_len_px < 1:
         raise ValueError("streak length must be >= 1")
+    if not math.isfinite(angle_deg):
+        raise ValueError(f"streak angle must be finite, got {angle_deg!r}")
     rng = SeededRng(seed)
     mask = np.zeros((h, w), dtype=np.float64)
     n = int(round(density * h * w))

@@ -100,6 +100,17 @@ class TestSynth:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("rain", "--angle", "nan"), ("rain", "--angle", "inf"),
+        ("fog", "--linf", "inf"), ("fog", "--beta", "nan"), ("fog", "--beta", "inf"),
+    ])
+    def test_non_finite_weather_parameters_rejected(self, tmp_path, clean_ppm, capsys, argv):
+        out = tmp_path / "out"
+        assert _run("synth", "--input", clean_ppm, "--weather", *argv, "--out", out) == 1
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRestore:
     def test_oracle_round_trip(self, tmp_path, clean_ppm):
@@ -250,6 +261,17 @@ class TestFuse:
                     "--dim", 4, "--params", tmp_path / "p", "--out", tmp_path / "out") == 0
         assert (tmp_path / "out" / "fuse_stats.csv").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("flag, value", [
+        ("--patch", 0), ("--patch", -8), ("--dim", 0), ("--d-state", 0),
+    ])
+    def test_bad_sizes_rejected(self, tmp_path, clean_ppm, capsys, flag, value):
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm,
+                    flag, value, "--out", out) == 1
+        assert f"{flag} must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_images_rejected(self, tmp_path, clean_ppm, capsys):
         small = tmp_path / "small.ppm"
         write_ppm(small, np.zeros((16, 16, 3)))
@@ -296,6 +318,18 @@ class TestBench:
         ratios = [ops[n]["attention_fusion"] / ops[n]["ss2d_fusion"]
                   for n in sorted(ops)]
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [
+        ("--n-min", 0, "--n-max", 64), ("--n-min", -8, "--n-max", -1),
+        ("--n-min", 8, "--n-max", 64, "--c", 0),
+        ("--n-min", 8, "--n-max", 64, "--d-state", 0),
+    ])
+    def test_bad_sizes_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert _run("bench", *argv, "--repeats", 1, "--out", out) == 1
+        assert "must be >= " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_small_grid_rejected(self, tmp_path, capsys):
         assert _run("bench", "--n-min", 8, "--n-max", 16, "--out", tmp_path) == 1

@@ -10,8 +10,6 @@ from cfmw_kit.detloss import (
     box_loss,
     cls_loss,
     conf_loss,
-    load_grid,
-    save_grid,
     total_loss,
 )
 from cfmw_kit.tensor import SeededRng
@@ -210,35 +208,3 @@ class TestValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_box=-0.1)
-
-
-class TestGridFiles:
-    def test_round_trip_preserves_losses(self, tmp_path):
-        boxes = np.tile(np.array([0.0, 0.0, 1.0, 1.0]), (4, 2, 1))
-        t_boxes = boxes.copy()
-        t_boxes[1, 0] = [0.5, 0.0, 1.5, 1.0]
-        probs = np.zeros((4, 2, 3))
-        probs[:, :, 0] = 1.0
-        lossy = probs.copy()
-        lossy[1, 0] = [0.7, 0.2, 0.1]
-        conf = np.zeros((4, 2))
-        conf[1, 0] = 0.9
-        conf[0, 1] = 0.2
-        pred, targets = _grid(obj=[(1, 0)], noobj=[(0, 1)], boxes=boxes,
-                              conf=conf, probs=lossy, t_boxes=t_boxes,
-                              t_probs=probs)
-        save_grid(pred, targets, tmp_path / "grid")
-        manifest = (tmp_path / "grid" / "manifest.txt").read_text()
-        assert "meta.s_grid=2" in manifest
-        assert "meta.n_boxes=2" in manifest
-        assert "meta.n_classes=3" in manifest
-        pred2, targets2 = load_grid(tmp_path / "grid")
-        assert total_loss(pred2, targets2) == total_loss(pred, targets)
-        assert np.array_equal(pred2.obj_mask, pred.obj_mask)
-
-    def test_missing_tensor_rejected(self, tmp_path):
-        pred, targets = _grid(obj=[(0, 0)])
-        save_grid(pred, targets, tmp_path / "grid")
-        (tmp_path / "grid" / "confidence.tsr").unlink()
-        with pytest.raises((ValueError, OSError)):
-            load_grid(tmp_path / "grid")

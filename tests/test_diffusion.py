@@ -83,8 +83,6 @@ class TestSchedules:
         sched = make_schedule("linear", 10)
         with pytest.raises(ValueError):
             DiffusionConfig(schedule=sched, n_sample_steps=11)
-        with pytest.raises(ValueError):
-            DiffusionConfig(schedule=sched, n_sample_steps=5, eta=0.5)
 
 
 class TestQSample:

@@ -350,12 +350,20 @@ class TestAttentionBaseline:
         assert np.abs(out.f_t[0, 0] - expected).max() < 1e-12
 
     def test_softmax_rows_sum_to_one(self):
+        # The row-blocked result must equal a dense oracle whose weight rows
+        # are normalised to sum to one.
         rng = SeededRng(46)
         feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4),
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
         p = AttentionFusionParams.random(4, 4, rng)
-        _, weights = attention_fusion_baseline(feats, p, return_weights=True)
-        assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-12
+        tokens = np.vstack([feats.f_r[0], feats.f_t[0]])
+        scores = (tokens @ p.w_q) @ (tokens @ p.w_k).T / math.sqrt(p.d_k)
+        weights = np.exp(scores - scores.max(axis=1, keepdims=True))
+        weights /= weights.sum(axis=1, keepdims=True)
+        want = weights @ (tokens @ p.w_v)
+        out = attention_fusion_baseline(feats, p, block_rows=3)
+        assert np.abs(out.f_r[0] - want[:5]).max() < 1e-12
+        assert np.abs(out.f_t[0] - want[5:]).max() < 1e-12
 
     def test_counted_ops_scale_quadratically(self):
         rng = SeededRng(47)

@@ -5,19 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmw_kit.detloss import GridTargets, PredictionGrid, load_grid, save_grid
 from cfmw_kit.fusion import FusionBlockParams, load_fusion_params, save_fusion_params
-from cfmw_kit.imageio import (
-    read_depth_pgm,
-    read_mask_pgm,
-    read_pgm,
-    read_ppm,
-    write_depth_pgm,
-    write_mask_pgm,
-    write_pgm,
-    write_ppm,
-)
-from cfmw_kit.ssm import SelectiveSsmParams, Ss2dParams, load_scan_params, save_scan_params
+from cfmw_kit.imageio import read_ppm, write_ppm
 from cfmw_kit.tensor import SeededRng, randn
 from cfmw_kit.tensor_io import (
     load_bundle,
@@ -109,31 +98,7 @@ class TestPpm:
             write_ppm(tmp_path / "b.ppm", np.zeros((4, 4)))
 
 
-class TestPgm:
-    def test_mask_round_trip(self, tmp_path):
-        mask = np.linspace(0, 1, 64).reshape(8, 8)
-        write_mask_pgm(tmp_path / "m.pgm", mask)
-        back = read_mask_pgm(tmp_path / "m.pgm")
-        assert np.abs(back - mask).max() <= 0.5 / 255.0
-
-    def test_depth_8bit_when_small(self, tmp_path):
-        depth = np.full((4, 4), 0.5)
-        write_depth_pgm(tmp_path / "d.pgm", depth)
-        _, maxval, _ = read_pgm(tmp_path / "d.pgm")
-        assert maxval == 255
-        assert np.abs(read_depth_pgm(tmp_path / "d.pgm") - depth).max() <= 0.5 / 255.0
-
-    def test_depth_16bit_when_large(self, tmp_path):
-        depth = np.linspace(0.0, 37.5, 30).reshape(5, 6)
-        write_depth_pgm(tmp_path / "d.pgm", depth)
-        _, maxval, _ = read_pgm(tmp_path / "d.pgm")
-        assert maxval == 65535
-        back = read_depth_pgm(tmp_path / "d.pgm")
-        assert np.abs(back - depth).max() <= 0.5 * 37.5 / 65535.0
-
-
-@pytest.mark.parametrize("write, shape", [(write_ppm, (2, 2, 3)), (write_pgm, (2, 2)),
-                                          (write_mask_pgm, (2, 2)), (write_depth_pgm, (2, 2))])
+@pytest.mark.parametrize("write, shape", [(write_ppm, (2, 2, 3))])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_netpbm_writers_refuse_non_finite_pixels(tmp_path, write, shape, bad):
     pixels = np.full(shape, 0.5)
@@ -143,34 +108,6 @@ def test_netpbm_writers_refuse_non_finite_pixels(tmp_path, write, shape, bad):
         with pytest.raises(ValueError, match="non-finite"):
             write(tmp_path / "x.pnm", pixels)
     assert not (tmp_path / "x.pnm").exists()
-
-
-def test_mask_writer_clips_before_scaling(tmp_path):
-    inside = np.linspace(0.0, 1.0, 12)
-    mask = np.concatenate([inside, [1e306, -1e306, 1.5, -0.25]]).reshape(4, 4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        write_mask_pgm(tmp_path / "m.pgm", mask)
-    gray, maxval, _ = read_pgm(tmp_path / "m.pgm")
-    assert maxval == 255
-    # in-range values keep the bytes of rint(mask * 255); the rest saturate
-    assert gray.ravel().tolist() == np.rint(inside * 255.0).tolist() + [255, 0, 255, 0]
-
-
-def _seeded_grid(rng):
-    cells, n, k = 4, 2, 3
-    u = rng.uniform(cells * n).reshape(cells, n)
-    probs = rng.uniform(cells * n * k).reshape(cells, n, k) + 0.1
-    pred = PredictionGrid(
-        s_grid=2, n_boxes=n,
-        boxes=rng.normal(cells * n * 4).reshape(cells, n, 4),
-        confidence=rng.uniform(cells * n).reshape(cells, n),
-        class_probs=probs / probs.sum(axis=2, keepdims=True),
-        obj_mask=u < 0.3, noobj_mask=u > 0.7)
-    targets = GridTargets(
-        boxes=rng.normal(cells * n * 4).reshape(cells, n, 4),
-        class_probs=np.eye(k)[np.arange(cells * n) % k].reshape(cells, n, k))
-    return pred, targets
 
 
 def _digest(directory):
@@ -201,26 +138,13 @@ class TestBundle:
     def test_savers_keep_their_bytes(self, tmp_path):
         # Bundles already on disk must keep loading and new ones must match
         # them, so the layout and bytes of every saver are pinned.
+        # The fusion bundle nests all eight Ss2dParams directions, so its
+        # digest also pins the scan-parameter tensors.
         save_fusion_params(FusionBlockParams.random(4, 2, 2, 2, SeededRng(31),
                                                     residual_mode="straight"),
                            tmp_path / "fusion")
-        save_scan_params(SelectiveSsmParams.random(2, 3, SeededRng(32)), tmp_path / "selective")
-        save_scan_params(Ss2dParams.random(2, 2, SeededRng(33)), tmp_path / "ss2d")
-        save_grid(*_seeded_grid(SeededRng(34)), tmp_path / "grid")
         assert _digest(tmp_path / "fusion") \
             == "0bb81980153b78ab2e8ea9ffcbf5f21bd9e1299ab5f9e13991e987d8b58cc979"
-        assert _digest(tmp_path / "selective") \
-            == "214ef2c98c2f758d90e50cc04ad69066012ba27f837c8c24266dda0a6d52ea48"
-        assert _digest(tmp_path / "ss2d") \
-            == "5b812fd800a20f415c2622edddace098383d2d06961c68a54f62626dff707078"
-        assert _digest(tmp_path / "grid") \
-            == "89ea2e40d22ee544cc118e1dc3dfa5d4774556d79bb9d1c0083a98469ad950b1"
-        assert (tmp_path / "grid" / "manifest.txt").read_text() == (
-            "meta.s_grid=2\nmeta.n_boxes=2\nmeta.n_classes=3\n"
-            "tensor.boxes=boxes.tsr\ntensor.confidence=confidence.tsr\n"
-            "tensor.class_probs=class_probs.tsr\ntensor.obj_mask=obj_mask.tsr\n"
-            "tensor.noobj_mask=noobj_mask.tsr\ntensor.target_boxes=target_boxes.tsr\n"
-            "tensor.target_class_probs=target_class_probs.tsr\n")
 
     @pytest.mark.parametrize("line, named", [
         ("tensor.a=../outside_a.tsr", "../outside_a.tsr"),
@@ -243,9 +167,6 @@ class TestBundle:
          load_fusion_params, "ss2d_t.col_bwd.u_c"),
         (lambda d: save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), d),
          load_fusion_params, "norm_scale_r"),
-        (lambda d: save_scan_params(Ss2dParams.random(2, 1, SeededRng(2)), d),
-         load_scan_params, "row_fwd.a"),
-        (lambda d: save_grid(*_seeded_grid(SeededRng(3)), d), load_grid, "target_boxes"),
     ])
     def test_load_names_a_missing_or_extra_tensor(self, tmp_path, save, load, name):
         directory = tmp_path / "b"
@@ -267,13 +188,6 @@ class TestBundle:
         with pytest.raises(ValueError, match="grid_w"):
             load_fusion_params(tmp_path / "b")
 
-    def test_scan_loader_names_a_missing_kind(self, tmp_path):
-        save_scan_params(SelectiveSsmParams.random(2, 1, SeededRng(4)), tmp_path / "p")
-        manifest = tmp_path / "p" / "manifest.txt"
-        manifest.write_text(manifest.read_text().replace("meta.kind=selective\n", ""))
-        with pytest.raises(ValueError, match="bundle is missing 'kind'"):
-            load_scan_params(tmp_path / "p")
-
     @pytest.mark.parametrize("meta, tensors", [
         ({}, {"a": np.zeros(2), "b": np.zeros((0, 2))}),
         ({"note": "x\ny"}, {"a": np.zeros(2)}),
@@ -285,10 +199,10 @@ class TestBundle:
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_save_refuses_a_non_empty_directory(self, tmp_path):
-        save_scan_params(SelectiveSsmParams.random(2, 1, SeededRng(4)), tmp_path / "p")
+        save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(4)), tmp_path / "p")
         before = {f.name: f.read_bytes() for f in (tmp_path / "p").iterdir()}
         with pytest.raises(ValueError, match="not empty"):
-            save_scan_params(Ss2dParams.random(2, 1, SeededRng(5)), tmp_path / "p")
+            save_bundle(tmp_path / "p", {"kind": "demo"}, {"a": np.zeros(2)})
         assert {f.name: f.read_bytes() for f in (tmp_path / "p").iterdir()} == before
 
     def test_save_into_an_empty_directory(self, tmp_path):

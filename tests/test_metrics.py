@@ -14,8 +14,6 @@ from cfmw_kit.metrics import (
     GroundTruthBox,
     SsimParams,
     average_precision,
-    format_detections,
-    format_ground_truth,
     giou,
     iou,
     mean_ap,
@@ -497,8 +495,11 @@ class TestDetectionFiles:
         dets = [Detection((1.5, 2.0, 3.25, 9.0), 2, 0.625),
                 Detection((0.0, 0.0, 4.0, 4.0), 0, 1.0)]
         gts = [GroundTruthBox((1.0, 1.0, 2.0, 2.0), 1)]
-        assert parse_detections(format_detections(dets)) == dets
-        assert parse_ground_truth(format_ground_truth(gts)) == gts
+        det_text = "".join(f"{d.class_id} {' '.join(map(repr, d.box))} {d.confidence!r}\n"
+                           for d in dets)
+        gt_text = "".join(f"{g.class_id} {' '.join(map(repr, g.box))}\n" for g in gts)
+        assert parse_detections(det_text) == dets
+        assert parse_ground_truth(gt_text) == gts
 
     def test_bad_lines(self):
         with pytest.raises(ValueError):

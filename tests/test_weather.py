@@ -121,6 +121,14 @@ class TestFog:
         with pytest.raises(ValueError):
             apply_fog(img, np.full((2, 2), 1.0), -0.5, 255.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("beta, l_inf", [
+        (math.nan, 255.0), (math.inf, 255.0), (0.5, math.inf), (0.5, math.nan),
+    ])
+    def test_non_finite_parameters_rejected(self, beta, l_inf):
+        with pytest.raises(ValueError, match="must be finite"):
+            apply_fog(np.zeros((2, 2, 3)), np.zeros((2, 2)), beta, l_inf)
+
 
 class TestRainGenerator:
     def test_deterministic(self):
@@ -164,6 +172,12 @@ class TestRainGenerator:
             gen_rain(8, 8, seed=1, density=0.0)
         with pytest.raises(ValueError):
             gen_rain(8, 8, seed=1, density=1.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            gen_rain(8, 8, seed=1, density=0.05, angle_deg=angle)
 
 
 class TestSnowGenerator:
