@@ -237,6 +237,38 @@ def cmd_restore(opts: _Options) -> int:
 
 # ----------------------------------------------------------------- fuse
 
+def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
+                rng: tensor.SeededRng) -> tuple[fusion.ModalityFeatures, int, int]:
+    """Patch-embed the two images; their float64 pixels are freed on return.
+
+    Draws the embedding weights from ``rng``. Returns the features and the
+    token grid's height and width.
+    """
+    rgb = imageio.read_ppm(rgb_path)
+    thermal = imageio.read_ppm(thermal_path)
+    if rgb.shape != thermal.shape:
+        raise ValueError("input images must have identical sizes")
+    h, w, _ = rgb.shape
+    if h % patch != 0 or w % patch != 0:
+        raise ValueError(f"image size {h}x{w} not divisible by patch {patch}")
+    grid_h, grid_w = h // patch, w // patch
+    # Zero positional table and zero offsets keep the pipeline zero-preserving:
+    # all-zero input images produce all-zero fused features and stats.
+    k = patch * patch * 3
+    pe = fusion.PatchEmbedding(
+        patch=patch,
+        w=rng.normal(k * dim).reshape(k, dim) / math.sqrt(k),
+        e_pos=np.zeros((grid_h * grid_w + 1, dim)),
+        cls_token=np.zeros(dim),
+        use_cls=False,
+    )
+    feats = fusion.ModalityFeatures(
+        f_r=fusion.patch_embed(rgb, pe)[None, :, :],
+        f_t=fusion.patch_embed(thermal, pe)[None, :, :],
+    )
+    return feats, grid_h, grid_w
+
+
 def cmd_fuse(opts: _Options) -> int:
     rgb_path = Path(opts.require("rgb", str))
     thermal_path = Path(opts.require("thermal", str))
@@ -251,27 +283,9 @@ def cmd_fuse(opts: _Options) -> int:
 
     if dim % 2 != 0:
         raise ValueError("--dim must be even (half-channel swap)")
-    rgb = imageio.read_ppm(rgb_path)
-    thermal = imageio.read_ppm(thermal_path)
-    if rgb.shape != thermal.shape:
-        raise ValueError("input images must have identical sizes")
-    h, w, _ = rgb.shape
-    if h % patch != 0 or w % patch != 0:
-        raise ValueError(f"image size {h}x{w} not divisible by patch {patch}")
-    grid_h, grid_w = h // patch, w // patch
-    n_tokens = grid_h * grid_w
-
     rng = tensor.SeededRng(seed)
-    # Zero positional table and zero offsets keep the pipeline zero-preserving:
-    # all-zero input images produce all-zero fused features and stats.
-    k = patch * patch * 3
-    pe = fusion.PatchEmbedding(
-        patch=patch,
-        w=rng.normal(k * dim).reshape(k, dim) / math.sqrt(k),
-        e_pos=np.zeros((n_tokens + 1, dim)),
-        cls_token=np.zeros(dim),
-        use_cls=False,
-    )
+    feats, grid_h, grid_w = _embed_pair(rgb_path, thermal_path, patch, dim, rng)
+    n_tokens = grid_h * grid_w
     if params_dir is not None:
         block = fusion.load_fusion_params(params_dir)
         if block.c != dim or block.n_tokens != n_tokens:
@@ -281,10 +295,6 @@ def cmd_fuse(opts: _Options) -> int:
                                                 residual_mode=residual_mode,
                                                 zero_offsets=True)
 
-    feats = fusion.ModalityFeatures(
-        f_r=fusion.patch_embed(rgb, pe)[None, :, :],
-        f_t=fusion.patch_embed(thermal, pe)[None, :, :],
-    )
     swapped = fusion.shallow_swap(feats, residual=not pure_swap)
     fused = fusion.fuse(swapped, block)
     for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):

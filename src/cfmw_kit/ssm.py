@@ -327,17 +327,28 @@ def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
     return y, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs
 
 
+def _decay(s: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(a * s) into ``out``: the product of the a_bar over steps whose deltas sum to s."""
+    # s >= 0 and a < 0, so where a * s overflows it is -inf, and exp(-inf) = 0
+    # is the exact decay: that overflow is harmless.
+    with np.errstate(over="ignore"):
+        np.multiply(s, a, out=out)
+    return np.exp(out, out=out)
+
+
 def _two_level_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
     """Forward-only selective scan, run as a two-level linear recurrence.
 
     The tokens are split into K chunks of T steps, T being the power of two
     >= sqrt(L), with the last chunk zero-padded. All chunks advance together
-    through T steps from a zero state. Each step builds that step's a_bar and
-    b_bar * x for every chunk in place, and keeps the in-chunk cumulative
-    product of a_bar. A carry pass over the K chunks then gives the state
-    entering each chunk, h_in, and every output gains <C_t, cumprod_t * h_in>.
-    Only the cumulative products are held at full (L, D, N) size. They stay
-    in (0, 1] because a < 0, so the carry is bounded.
+    through T steps from a zero state; each step builds that step's a_bar
+    and b_bar * x for every chunk in (K, D, N) buffers that the next step
+    reuses. As a is diagonal, the product of a chunk's a_bar up to step t is
+    exp(a * S_t), S_t being the in-chunk sum of delta (the chunk decay of
+    Mamba-2's SSD scan). A carry pass over the chunks gives the state h_in
+    entering each one from the chunk-end decays, and every output of a later
+    chunk then gains <C_t, exp(a * S_t) * h_in>, a few steps at a time. No
+    array is (L, D, N) in size: working memory is O(L (D + N) + sqrt(L) D N).
     """
     length, d = x.shape
     n = p.n_state
@@ -350,19 +361,17 @@ def _two_level_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
         # (K*T, m) -> (T, K, m), so step j of every chunk is one contiguous slab.
         return np.ascontiguousarray(v.reshape(k, t_len, -1).swapaxes(0, 1))
 
-    delta = softplus(xp @ p.w_delta.T + p.u_delta)
-    delta_s = by_step(delta)
+    delta_s = by_step(softplus(xp @ p.w_delta.T + p.u_delta))
     x_s = by_step(xp)
     b_s = by_step(xp @ p.w_b.T + p.u_b)
     c_s = by_step(xp @ p.w_c.T + p.u_c)[..., None]
 
-    cum = np.empty((t_len, k, d, n))
     y = np.empty((t_len, k, d, 1))
     z = np.empty((k, d, n))
     u = np.empty((k, d, n))
+    a_bar = np.empty((k, d, n))
     h = np.zeros((k, d, n))
     for j in range(t_len):
-        a_bar = cum[j]
         np.multiply(delta_s[j][:, :, None], p.a, out=z)
         np.expm1(z, out=u)
         np.add(u, 1.0, out=a_bar)                # exp(z) without a second exponential
@@ -372,15 +381,18 @@ def _two_level_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
         h *= a_bar
         h += u
         np.matmul(h, c_s[j], out=y[j])
-        if j:
-            a_bar *= cum[j - 1]
 
-    h_in = np.zeros((k, d, n))
-    for i in range(1, k):
-        h_in[i] = cum[-1, i - 1] * h_in[i - 1] + h[i - 1]
-    carried = cum[:, 1:]
-    carried *= h_in[1:]
-    y[:, 1:] += carried @ c_s[:, 1:]
+    s_cum = np.cumsum(delta_s, axis=0, out=delta_s)[..., None]
+    block = min(8, t_len)                        # t_len is a power of two
+    decay = np.empty((block, k - 1, d, n))
+    end = _decay(s_cum[-1, 1:-1], p.a, decay[0, :-1])
+    for i in range(1, k - 1):                    # h[i]: the state entering chunk i + 1
+        h[i] += end[i - 1] * h[i - 1]
+    h_in = h[:-1]
+    for j in range(0, t_len, block):
+        _decay(s_cum[j:j + block, 1:], p.a, decay)
+        decay *= h_in
+        y[j:j + block, 1:] += decay @ c_s[j:j + block, 1:]
     return y[..., 0].swapaxes(0, 1).reshape(-1, d)[:length]
 
 
@@ -400,9 +412,10 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
     series branch; :class:`SelectiveSsmParams` keeps |a| >= 1e-300 so the
     division stays finite.
 
-    The result comes from a forward-only two-level scan; the per-token loop
-    behind :func:`selective_scan_input_grad` is the reference it is tested
-    against. ``counter`` receives :func:`selective_scan_mac_count`, the
+    The result comes from a forward-only two-level scan whose working memory
+    is O(L (D + N) + sqrt(L) D N), with no (L, D, N) array; the per-token
+    loop behind :func:`selective_scan_input_grad` is the reference it is
+    tested against. ``counter`` receives :func:`selective_scan_mac_count`, the
     reference recurrence's multiplies, not the two-level scan's carry work.
     """
     x = np.asarray(x, dtype=np.float64)
@@ -531,7 +544,7 @@ def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
     """Exact multiply count of the reference selective-scan recurrence.
 
     This is what :func:`selective_scan` adds to its counter. The two-level
-    scan's cumulative-product and carry multiplies are not included.
+    scan's decay and carry multiplies are not included.
 
     Per token: D^2 (step projection) + 2 N D (input/output projections)
     + 4 N D (discretization: z, phi, delta*B, b_bar) + 3 N D (recurrence

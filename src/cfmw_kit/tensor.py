@@ -116,19 +116,21 @@ def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)), as 1 / (1 + e) or e / (1 + e) with e = exp(-|t|) <= 1."""
     t = np.asarray(t, dtype=np.float64)
-    out = np.empty_like(t)
-    pos = t >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-    e = np.exp(t[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
+    e = np.abs(t, out=np.empty_like(t))
+    np.exp(np.negative(e, out=e), out=e)
+    num = np.where(t >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num)
 
 
 def silu(t: np.ndarray) -> np.ndarray:
     """SiLU activation: z * sigmoid(z)."""
     t = np.asarray(t, dtype=np.float64)
-    return t * sigmoid(t)
+    out = sigmoid(t)
+    out *= t
+    return out
 
 
 def softplus(t: np.ndarray) -> np.ndarray:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensor import SeededRng
+from .tensor import SeededRng, check_finite
 
 __all__ = [
     "apply_rain",
@@ -77,7 +77,7 @@ def apply_fog(j: np.ndarray, d: np.ndarray, beta: float, l_inf: float) -> np.nda
                          f"got {beta!r}")
     if not math.isfinite(l_inf):
         raise ValueError(f"airlight must be finite, got {l_inf!r}")
-    d = np.asarray(d, dtype=np.float64)
+    d = check_finite(np.asarray(d, dtype=np.float64), "depth")
     if np.any(d < 0.0):
         raise ValueError("depth must be nonnegative")
     trans = _per_pixel(np.exp(-beta * d), j)
@@ -157,8 +157,9 @@ def gen_snow(h: int, w: int, seed: int, density: float,
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
-    if not 0.0 < r_lo <= r_hi:
-        raise ValueError("radius range must satisfy 0 < lo <= hi")
+    if not 0.0 < r_lo <= r_hi < math.inf:
+        raise ValueError("flake radius range must be finite with 0 < lo <= hi, "
+                         f"got {radius_range!r}")
     rng = SeededRng(seed)
     mask = np.zeros((h, w), dtype=np.float64)
     n = int(round(density * h * w))
@@ -190,11 +191,11 @@ def gen_depth(mode: str, h: int, w: int, value: float = 1.0,
     if h < 1 or w < 1:
         raise ValueError("image extents must be >= 1")
     if mode == "constant":
-        if value < 0.0:
-            raise ValueError("constant depth must be nonnegative")
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"depth value must be finite and nonnegative, got {value!r}")
         return np.full((h, w), float(value), dtype=np.float64)
-    if max_depth < 0.0:
-        raise ValueError("max depth must be nonnegative")
+    if not 0.0 <= max_depth < math.inf:
+        raise ValueError(f"max depth must be finite and nonnegative, got {max_depth!r}")
     if mode == "vertical_gradient":
         ramp = np.zeros(h) if h == 1 else np.arange(h, dtype=np.float64) / (h - 1)
         return np.repeat((ramp * max_depth)[:, None], w, axis=1)

@@ -104,6 +104,8 @@ class TestSynth:
     @pytest.mark.parametrize("argv", [
         ("rain", "--angle", "nan"), ("rain", "--angle", "inf"),
         ("fog", "--linf", "inf"), ("fog", "--beta", "nan"), ("fog", "--beta", "inf"),
+        ("fog", "--depth-mode", "constant", "--depth-value", "nan"),
+        ("fog", "--max-depth", "inf"), ("snow", "--radius-max", "inf"),
     ])
     def test_non_finite_weather_parameters_rejected(self, tmp_path, clean_ppm, capsys, argv):
         out = tmp_path / "out"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -297,6 +298,33 @@ class TestFastScanOracle:
         p = SelectiveSsmParams(**{**p.to_tensors(), "a": a})
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _assert_matches_reference(rng.normal(40 * 2).reshape(40, 2) * 10.0, p)
+
+    def test_overflowing_decay_exponent(self):
+        # Row 1's a is -1e307, so a times the in-chunk sum of delta overflows
+        # to -inf well inside a 128-step chunk; the decay it stands for is 0.
+        rng = SeededRng(33)
+        p = SelectiveSsmParams.random(3, 2, rng)
+        a = p.a.copy()
+        a[1] = -1e307
+        p = SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            _assert_matches_reference(rng.normal(4099 * 3).reshape(4099, 3), p)
+
+
+class TestScanMemory:
+    @pytest.mark.parametrize("length, d_ch, n", [(8192, 32, 16), (16384, 8, 32)])
+    def test_no_length_by_channels_by_states_buffer(self, length, d_ch, n):
+        rng = SeededRng(34)
+        p = SelectiveSsmParams.random(d_ch, n, rng)
+        x = rng.normal(length * d_ch).reshape(length, d_ch)
+        tracemalloc.start()
+        try:
+            selective_scan(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Below 3/4 of one float64 (L, D, N) array, so a scan that holds one fails.
+        assert peak < 0.75 * length * d_ch * n * 8
 
 
 class TestOpCounts:

@@ -51,6 +51,17 @@ class TestElementwise:
     def test_sigmoid_zero(self):
         assert sigmoid(np.array(0.0)) == 0.5
 
+    @pytest.mark.filterwarnings("error")
+    def test_sigmoid_bits_match_the_masked_form(self):
+        z = np.concatenate([randn([4096], SeededRng(7)) * 30.0,
+                            [np.inf, -np.inf, 0.0, -0.0, np.nan]])
+        want = np.empty_like(z)
+        pos = z >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        e = np.exp(z[~pos])
+        want[~pos] = e / (1.0 + e)
+        assert np.array_equal(sigmoid(z), want, equal_nan=True)
+
     def test_silu_matches_definition(self):
         z = randn([100], SeededRng(6))
         assert np.allclose(silu(z), z * sigmoid(z), rtol=0, atol=0)

@@ -129,6 +129,12 @@ class TestFog:
         with pytest.raises(ValueError, match="must be finite"):
             apply_fog(np.zeros((2, 2, 3)), np.zeros((2, 2)), beta, l_inf)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("depth", [math.nan, math.inf])
+    def test_non_finite_depth_rejected(self, depth):
+        with pytest.raises(ValueError, match="depth contains non-finite"):
+            apply_fog(np.zeros((2, 2, 3)), np.full((2, 2), depth), 0.5, 255.0)
+
 
 class TestRainGenerator:
     def test_deterministic(self):
@@ -212,6 +218,13 @@ class TestSnowGenerator:
         with pytest.raises(ValueError):
             gen_snow(8, 8, seed=1, density=0.1, radius_range=(2.0, 1.0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("radius_range", [(1.0, math.inf), (math.inf, math.inf),
+                                              (1.0, math.nan)])
+    def test_non_finite_radius_rejected(self, radius_range):
+        with pytest.raises(ValueError, match="radius range must be finite"):
+            gen_snow(64, 64, seed=1, density=0.01, radius_range=radius_range)
+
 
 class TestDepth:
     def test_constant_zero_gives_fog_identity(self):
@@ -234,3 +247,14 @@ class TestDepth:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             gen_depth("diagonal", 4, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode, kwargs, name", [
+        ("constant", {"value": math.nan}, "depth value"),
+        ("constant", {"value": math.inf}, "depth value"),
+        ("vertical_gradient", {"max_depth": math.inf}, "max depth"),
+        ("radial", {"max_depth": math.nan}, "max depth"),
+    ])
+    def test_non_finite_depth_parameters_rejected(self, mode, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            gen_depth(mode, 4, 4, **kwargs)
