@@ -71,6 +71,10 @@ class _Options:
         self.config: dict[str, str] = {}
         if args.config is not None:
             self.config = tensor_io.read_manifest(args.config)
+        known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
+        for key in self.config:
+            if key not in known:
+                raise ValueError(f"unknown option {key!r} in config file {args.config}")
 
     def get(self, name: str, default, cast):
         value = getattr(self.args, name.replace("-", "_"), None)
@@ -119,6 +123,13 @@ def cmd_synth(opts: _Options) -> int:
     seed = opts.get("seed", DEFAULT_SEED, int)
     out = _out_dir(opts)
     threads = _resolve_threads(opts)
+    targets: dict[Path, Path] = {}
+    for src in paths:
+        dst = out / f"{src.stem}_{kind}.ppm"
+        if dst in targets:
+            raise ValueError(f"inputs {targets[dst]} and {src} would both be "
+                             f"written as {dst.name}")
+        targets[dst] = src
 
     params: dict[str, str] = {}
     if kind == "rain":
@@ -144,7 +155,7 @@ def cmd_synth(opts: _Options) -> int:
                   "max_depth": repr(max_depth)}
 
     def degrade(item):
-        index, src = item
+        index, (dst, src) = item
         img = imageio.read_ppm(src)
         h, w, _ = img.shape
         img_seed = seed + index
@@ -158,11 +169,10 @@ def cmd_synth(opts: _Options) -> int:
             depth = weather.gen_depth(depth_mode, h, w, value=depth_value,
                                       max_depth=max_depth)
             degraded = weather.apply_fog(img, depth, beta, l_inf)
-        dst = out / f"{src.stem}_{kind}.ppm"
         _atomic_file(dst, lambda p: imageio.write_ppm(p, degraded))
         return src, dst, img_seed
 
-    results = _parallel_map(degrade, list(enumerate(paths)), threads)
+    results = _parallel_map(degrade, list(enumerate(targets.items())), threads)
     lines = []
     for src, dst, img_seed in results:
         # degraded paths are manifest-relative so reruns into different
@@ -239,16 +249,14 @@ def cmd_restore(opts: _Options) -> int:
 
 def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
                 rng: tensor.SeededRng) -> tuple[fusion.ModalityFeatures, int, int]:
-    """Patch-embed the two images; their float64 pixels are freed on return.
+    """Patch-embed the two images, each as soon as it is read, so at most one
+    image's float64 pixels are alive at a time.
 
     Draws the embedding weights from ``rng``. Returns the features and the
     token grid's height and width.
     """
     rgb = imageio.read_ppm(rgb_path)
-    thermal = imageio.read_ppm(thermal_path)
-    if rgb.shape != thermal.shape:
-        raise ValueError("input images must have identical sizes")
-    h, w, _ = rgb.shape
+    h, w, _ = shape = rgb.shape
     if h % patch != 0 or w % patch != 0:
         raise ValueError(f"image size {h}x{w} not divisible by patch {patch}")
     grid_h, grid_w = h // patch, w // patch
@@ -262,10 +270,12 @@ def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
         cls_token=np.zeros(dim),
         use_cls=False,
     )
-    feats = fusion.ModalityFeatures(
-        f_r=fusion.patch_embed(rgb, pe)[None, :, :],
-        f_t=fusion.patch_embed(thermal, pe)[None, :, :],
-    )
+    f_r = fusion.patch_embed(rgb, pe)[None, :, :]
+    del rgb
+    thermal = imageio.read_ppm(thermal_path)
+    if thermal.shape != shape:
+        raise ValueError("input images must have identical sizes")
+    feats = fusion.ModalityFeatures(f_r=f_r, f_t=fusion.patch_embed(thermal, pe)[None, :, :])
     return feats, grid_h, grid_w
 
 
@@ -333,7 +343,7 @@ def cmd_bench(opts: _Options) -> int:
     if len(sizes) < 4:
         raise ValueError("benchmark grid needs at least 4 doubling sizes")
 
-    # Timing is defined single-threaded; --threads is ignored here.
+    # Timing is defined single-threaded.
     rows, slopes = fusion.scaling_benchmark(sizes, c, d_state, repeats, seed)
     csv = "path,N,C,ops,wall_ns\n" + "".join(
         f"{r.path},{r.n_tokens},{r.c},{r.ops},{r.wall_ns}\n" for r in rows)
@@ -441,12 +451,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="key=value option file (flags win)")
         p.add_argument("--out", type=str, default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help=f"worker threads (falls back to ${ENV_THREADS})")
 
     p = sub.add_parser("synth", help="degrade clean images with weather")
     common(p)
     p.add_argument("--input", nargs="+", default=None, help="clean PPM image(s)")
+    p.add_argument("--threads", type=int, default=None,
+                   help=f"worker threads (falls back to ${ENV_THREADS})")
     p.add_argument("--weather", choices=("rain", "snow", "fog"), default=None)
     p.add_argument("--density", type=float, default=None)
     p.add_argument("--angle", type=float, default=None)

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .tensor import SeededRng, check_finite, silu
-from .tensor_io import _from_prefixed, _rebuild, load_bundle, save_bundle
+from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
 __all__ = [
@@ -101,19 +101,15 @@ class PatchEmbedding:
         object.__setattr__(self, "e_pos", e_pos)
         object.__setattr__(self, "cls_token", cls_token)
 
-    @property
-    def d_model(self) -> int:
-        return self.w.shape[1]
-
     @classmethod
-    def random(cls, patch: int, c_in: int, d_model: int, n_patches: int,
+    def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
                rng: SeededRng, use_cls: bool = False) -> "PatchEmbedding":
         k = patch * patch * c_in
         return cls(
             patch=patch,
-            w=rng.normal(k * d_model).reshape(k, d_model) / math.sqrt(k),
-            e_pos=rng.normal((n_patches + 1) * d_model).reshape(n_patches + 1, d_model) * 0.02,
-            cls_token=rng.normal(d_model) * 0.02,
+            w=rng.normal(k * dim).reshape(k, dim) / math.sqrt(k),
+            e_pos=rng.normal((n_patches + 1) * dim).reshape(n_patches + 1, dim) * 0.02,
+            cls_token=rng.normal(dim) * 0.02,
             use_cls=use_cls,
         )
 
@@ -207,17 +203,8 @@ class Mlp3:
         return cls(w1=np.zeros((c, h)), b1=np.zeros(h), w2=np.zeros((h, h)),
                    b2=np.zeros(h), w3=np.zeros((h, c)), b3=np.zeros(c))
 
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        return {k: getattr(self, k) for k in ("w1", "b1", "w2", "b2", "w3", "b3")}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "Mlp3":
-        return cls(**{k: tensors[k] for k in ("w1", "b1", "w2", "b2", "w3", "b3")})
-
 
 _NORMS = ("norm_scale_r", "norm_offset_r", "norm_scale_t", "norm_offset_t")
-_NESTED = {"gate_r": Mlp3, "gate_t": Mlp3, "out_mlp": Mlp3,
-           "ss2d_r": Ss2dParams, "ss2d_t": Ss2dParams}
 
 
 @dataclass(frozen=True)
@@ -297,27 +284,6 @@ class FusionBlockParams:
             out_mlp=mlp(),
             ss2d_r=Ss2dParams.random(c, n_state, rng),
             ss2d_t=Ss2dParams.random(c, n_state, rng),
-            residual_mode=residual_mode,
-        )
-
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        """Every weight tensor by role; a nested weight is named ``<field>.<key>``."""
-        out = {name: getattr(self, name) for name in _NORMS}
-        for name in _NESTED:
-            for key, arr in getattr(self, name).to_tensors().items():
-                out[f"{name}.{key}"] = arr
-        return out
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], grid_h: int, grid_w: int,
-                     residual_mode: str) -> "FusionBlockParams":
-        """Inverse of :meth:`to_tensors`; the grid and residual mode are not tensors."""
-        return cls(
-            grid_h=grid_h,
-            grid_w=grid_w,
-            **{name: tensors[name] for name in _NORMS},
-            **{name: _from_prefixed(kind.from_tensors, tensors, name)
-               for name, kind in _NESTED.items()},
             residual_mode=residual_mode,
         )
 
@@ -578,14 +544,12 @@ def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
 
 
 def save_fusion_params(p: FusionBlockParams, directory: str | Path) -> None:
-    """Store every weight tensor as a bundle, with the grid and residual mode as meta."""
-    meta = {"grid_h": str(p.grid_h), "grid_w": str(p.grid_w),
-            "residual_mode": p.residual_mode}
-    save_bundle(directory, meta, p.to_tensors())
+    """Store every weight tensor as a bundle, with the grid and residual mode as meta.
+
+    A nested weight is named ``<field>.<key>``, e.g. ``ss2d_t.col_bwd.u_c``.
+    """
+    save_bundle(directory, *_flatten(p))
 
 
 def load_fusion_params(directory: str | Path) -> FusionBlockParams:
-    meta, tensors = load_bundle(directory)
-    return _rebuild(tensors, lambda t: FusionBlockParams.from_tensors(
-        t, int(meta["grid_h"]), int(meta["grid_w"]), meta["residual_mode"]),
-        FusionBlockParams.to_tensors)
+    return _build(FusionBlockParams, *load_bundle(directory))

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tensor import SeededRng, check_finite, sigmoid, softplus
-from .tensor_io import _from_prefixed
 
 __all__ = [
     "OpCounter",
@@ -285,22 +284,6 @@ class SelectiveSsmParams:
             u_c=m.c.copy(),
         )
 
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        return {
-            "a": self.a,
-            "w_delta": self.w_delta,
-            "u_delta": self.u_delta,
-            "w_b": self.w_b,
-            "u_b": self.u_b,
-            "w_c": self.w_c,
-            "u_c": self.u_c,
-        }
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "SelectiveSsmParams":
-        return cls(**{k: tensors[k] for k in
-                      ("a", "w_delta", "u_delta", "w_b", "u_b", "w_c", "u_c")})
-
 
 def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
     """Reference per-token scan; returns the intermediates the backward pass needs.
@@ -492,20 +475,6 @@ class Ss2dParams:
     def random(cls, d_channels: int, n_state: int, rng: SeededRng) -> "Ss2dParams":
         return cls(*(SelectiveSsmParams.random(d_channels, n_state, rng)
                      for _ in range(4)))
-
-    def to_tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for name in ("row_fwd", "row_bwd", "col_fwd", "col_bwd"):
-            for key, arr in getattr(self, name).to_tensors().items():
-                out[f"{name}.{key}"] = arr
-        return out
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "Ss2dParams":
-        parts = {}
-        for name in ("row_fwd", "row_bwd", "col_fwd", "col_bwd"):
-            parts[name] = _from_prefixed(SelectiveSsmParams.from_tensors, tensors, name)
-        return cls(**parts)
 
 
 def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> np.ndarray:

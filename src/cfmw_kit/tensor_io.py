@@ -12,13 +12,17 @@ Round-trips are bit-exact.
 A bundle is a directory holding one TSR1 file per named tensor plus
 ``manifest.txt``: ``meta.<key>=<value>`` lines, then one
 ``tensor.<name>=<name>.tsr`` line per tensor, each group in insertion order.
+A parameter dataclass is stored field by field, in field order: arrays as
+tensors, nested dataclasses as ``<field>.<key>`` entries, anything else as meta.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import shutil
 import struct
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -161,23 +165,51 @@ def load_bundle(directory: str | Path) -> tuple[dict[str, str], dict[str, np.nda
     return meta, tensors
 
 
-def _from_prefixed(from_tensors, tensors: dict[str, np.ndarray], prefix: str):
-    """``from_tensors`` of the entries ``<prefix>.<rest>``, keyed by ``<rest>``."""
-    cut = len(prefix) + 1
-    try:
-        return from_tensors({k[cut:]: v for k, v in tensors.items()
-                             if k.startswith(prefix + ".")})
-    except KeyError as exc:  # name the missing entry in full
-        raise KeyError(f"{prefix}.{exc.args[0]}") from None
+def _flatten(obj) -> tuple[dict[str, str], dict[str, np.ndarray]]:
+    """A parameter dataclass as bundle ``meta`` entries and tensors, in field order.
+
+    An array field is a tensor under its own name, a nested dataclass adds
+    its own entries as ``<field>.<key>``, and any other field is a meta entry
+    written with ``str``.
+    """
+    meta: dict[str, str] = {}
+    tensors: dict[str, np.ndarray] = {}
+    for field in dataclasses.fields(obj):
+        value = getattr(obj, field.name)
+        if isinstance(value, np.ndarray):
+            tensors[field.name] = value
+        elif dataclasses.is_dataclass(value):
+            sub_meta, sub_tensors = _flatten(value)
+            meta.update((f"{field.name}.{k}", v) for k, v in sub_meta.items())
+            tensors.update((f"{field.name}.{k}", v) for k, v in sub_tensors.items())
+        else:
+            meta[field.name] = str(value)
+    return meta, tensors
 
 
-def _rebuild(tensors: dict[str, np.ndarray], from_tensors, to_tensors):
-    """``from_tensors(tensors)``; a missing entry or an extra tensor is a ValueError."""
-    try:
-        built = from_tensors(tensors)
-    except KeyError as exc:
-        raise ValueError(f"bundle is missing {exc.args[0]!r}") from None
-    extra = sorted(tensors.keys() - to_tensors(built).keys())
-    if extra:
-        raise ValueError(f"bundle has unexpected tensor {extra[0]!r}")
+def _build(cls, meta: dict[str, str], tensors: dict[str, np.ndarray]):
+    """Inverse of :func:`_flatten`: ``cls`` from bundle entries, each used once.
+
+    Meta values are cast with their field's type hint. An entry ``cls`` needs
+    but the bundle lacks, or one left over, is a ValueError naming it in full.
+    """
+    meta, tensors = dict(meta), dict(tensors)
+
+    def take(cls, prefix: str):
+        fields = {}
+        for name, hint in typing.get_type_hints(cls).items():
+            key = prefix + name
+            pool = tensors if hint is np.ndarray else meta
+            if dataclasses.is_dataclass(hint):
+                fields[name] = take(hint, key + ".")
+            elif key not in pool:
+                raise ValueError(f"bundle is missing {key!r}")
+            else:
+                fields[name] = pool.pop(key) if pool is tensors else hint(pool.pop(key))
+        return cls(**fields)
+
+    built = take(cls, "")
+    for kind, left in (("tensor", tensors), ("meta entry", meta)):
+        if left:
+            raise ValueError(f"bundle has unexpected {kind} {min(left)!r}")
     return built

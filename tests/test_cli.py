@@ -1,13 +1,15 @@
 import hashlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cfmw_kit.cli import main
+from cfmw_kit.cli import _embed_pair, main
 from cfmw_kit.fusion import count_ops
 from cfmw_kit.imageio import write_ppm
+from cfmw_kit.tensor import SeededRng
 
 
 def _clean_image(h=32, w=32):
@@ -93,6 +95,19 @@ class TestSynth:
         _run("synth", "--input", clean_ppm, "--weather", "fog", "--beta", 0.8,
              "--depth-mode", "radial", "--max-depth", 3.0, "--out", out)
         assert (out / "clean_fog.ppm").read_bytes() != clean_ppm.read_bytes()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_colliding_output_names_rejected(self, tmp_path, capsys, threads):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+            write_ppm(tmp_path / d / "x.ppm", _clean_image(16, 16))
+        out = tmp_path / "out"
+        assert _run("synth", "--input", tmp_path / "a" / "x.ppm", tmp_path / "b" / "x.ppm",
+                    "--weather", "rain", "--threads", threads, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert f"inputs {tmp_path / 'a' / 'x.ppm'} and {tmp_path / 'b' / 'x.ppm'}" in err
+        assert "x_rain.ppm" in err
+        assert not out.exists()
 
     def test_unreadable_input(self, tmp_path, capsys):
         code = _run("synth", "--input", tmp_path / "missing.ppm",
@@ -273,6 +288,22 @@ class TestFuse:
                     flag, value, "--out", out) == 1
         assert f"{flag} must be >= " in capsys.readouterr().err
         assert not out.exists()
+
+    def test_image_stage_holds_one_image_at_a_time(self, tmp_path):
+        # A 1024x512 float64 image is 12 MiB; reading both before embedding
+        # either one peaks near four of them, embedding each as it is read
+        # stays below three.
+        for name in ("rgb.ppm", "thermal.ppm"):
+            write_ppm(tmp_path / name, _clean_image(512, 1024))
+        tracemalloc.start()
+        try:
+            feats, grid_h, grid_w = _embed_pair(tmp_path / "rgb.ppm", tmp_path / "thermal.ppm",
+                                                8, 32, SeededRng(5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (grid_h, grid_w) == (64, 128) and feats.shape == (1, 64 * 128, 32)
+        assert peak < 3 * 512 * 1024 * 3 * 8
 
     def test_mismatched_images_rejected(self, tmp_path, clean_ppm, capsys):
         small = tmp_path / "small.ppm"
@@ -508,6 +539,20 @@ class TestCliPlumbing:
         out_b = tmp_path / "b"
         _run("schedule", "--config", cfg, "--t-count", 10, "--out", out_b)
         assert len((out_b / "schedule.csv").read_text().splitlines()) == 11
+
+    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("t_count=30\n")
+        out = tmp_path / "out"
+        assert _run("schedule", "--config", cfg, "--out", out) == 1
+        assert "'t_count'" in capsys.readouterr().err
+        assert not (out / "schedule.csv").exists()
+
+    @pytest.mark.parametrize("command", ["restore", "fuse", "bench", "eval", "schedule"])
+    def test_threads_is_a_synth_option_only(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit):
+            _run(command, "--threads", 2, "--out", tmp_path)
+        assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
     def test_threads_env_fallback(self, tmp_path, clean_ppm, monkeypatch):
         monkeypatch.setenv("CFMW_KIT_THREADS", "2")

@@ -188,6 +188,13 @@ class TestBundle:
         with pytest.raises(ValueError, match="grid_w"):
             load_fusion_params(tmp_path / "b")
 
+    def test_load_names_an_extra_meta_entry(self, tmp_path):
+        save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), tmp_path / "b")
+        manifest = tmp_path / "b" / "manifest.txt"
+        manifest.write_text("meta.stray=1\n" + manifest.read_text())
+        with pytest.raises(ValueError, match="unexpected meta entry 'stray'"):
+            load_fusion_params(tmp_path / "b")
+
     @pytest.mark.parametrize("meta, tensors", [
         ({}, {"a": np.zeros(2), "b": np.zeros((0, 2))}),
         ({"note": "x\ny"}, {"a": np.zeros(2)}),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -24,7 +25,9 @@ from cfmw_kit.ssm import (
     ss2d_mac_count,
     _selective_forward,
 )
+from cfmw_kit.fusion import FusionBlockParams, Mlp3
 from cfmw_kit.tensor import SeededRng, softplus
+from cfmw_kit.tensor_io import _build, _flatten
 
 
 def simpson(f, a, b, n=2048):
@@ -237,13 +240,13 @@ class TestSelectiveScan:
             a = p.a.copy()
             a[1, 2] = bad
             with pytest.raises(ValueError, match="^a must be strictly negative"):
-                SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+                dataclasses.replace(p, a=a)
 
     @pytest.mark.parametrize("d_ch, n", [(0, 3), (2, 0)])
     def test_rejects_zero_extent_evolution(self, d_ch, n):
         p = SelectiveSsmParams.random(2, 3, SeededRng(28))
         with pytest.raises(ValueError, match="nonempty"):
-            SelectiveSsmParams(**{**p.to_tensors(), "a": np.full((d_ch, n), -1.0)})
+            dataclasses.replace(p, a=np.full((d_ch, n), -1.0))
 
 
 def _assert_matches_reference(x, p):
@@ -278,8 +281,7 @@ class TestFastScanOracle:
         a = p.a.copy()
         a[3] = -1e-300
         a[4] = -1e-200
-        p = SelectiveSsmParams(**{**p.to_tensors(), "w_delta": w_delta,
-                                  "u_delta": u_delta, "a": a})
+        p = dataclasses.replace(p, w_delta=w_delta, u_delta=u_delta, a=a)
         x = rng.normal(65 * 6).reshape(65, 6) * 10.0
         z = _selective_forward(x, p)[5]
         small = np.abs(z) < ZOH_SERIES_EPS
@@ -293,9 +295,9 @@ class TestFastScanOracle:
         a = p.a.copy()
         a[1, 1] = -1e-301
         with pytest.raises(ValueError, match="^a must be strictly negative.*-1e-300"):
-            SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+            dataclasses.replace(p, a=a)
         a[1, 1] = -1e-300
-        p = SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+        p = dataclasses.replace(p, a=a)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _assert_matches_reference(rng.normal(40 * 2).reshape(40, 2) * 10.0, p)
 
@@ -306,7 +308,7 @@ class TestFastScanOracle:
         p = SelectiveSsmParams.random(3, 2, rng)
         a = p.a.copy()
         a[1] = -1e307
-        p = SelectiveSsmParams(**{**p.to_tensors(), "a": a})
+        p = dataclasses.replace(p, a=a)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _assert_matches_reference(rng.normal(4099 * 3).reshape(4099, 3), p)
 
@@ -398,16 +400,42 @@ class TestSs2d:
                        col_bwd=SelectiveSsmParams.random(2, 2, rng))
 
 
+def _assert_round_trip(p):
+    meta, tensors = _flatten(p)
+    q = _build(type(p), meta, tensors)
+    q_meta, q_tensors = _flatten(q)
+    assert q_meta == meta
+    assert list(q_tensors) == list(tensors)
+    for name, arr in tensors.items():
+        assert np.array_equal(arr, q_tensors[name])
+    return meta, tensors, q
+
+
 class TestParamsSerialization:
     def test_selective_round_trip(self):
         p = SelectiveSsmParams.random(3, 4, SeededRng(23))
-        q = SelectiveSsmParams.from_tensors(p.to_tensors())
-        for name, arr in p.to_tensors().items():
-            assert np.array_equal(arr, q.to_tensors()[name])
+        meta, tensors, _ = _assert_round_trip(p)
+        assert meta == {}
+        assert list(tensors) == ["a", "w_delta", "u_delta", "w_b", "u_b", "w_c", "u_c"]
 
     def test_ss2d_round_trip(self):
         rng = SeededRng(24)
         p = Ss2dParams.random(2, 3, rng)
-        q = Ss2dParams.from_tensors(p.to_tensors())
+        _, tensors, q = _assert_round_trip(p)
+        assert len(tensors) == 4 * 7 and tensors["col_bwd.u_c"] is p.col_bwd.u_c
         x = rng.normal(2 * 3 * 2).reshape(2, 3, 2)
         assert np.array_equal(ss2d(x, p), ss2d(x, q))
+
+    def test_mlp_round_trip(self):
+        p = Mlp3.random(3, SeededRng(25))
+        meta, tensors, _ = _assert_round_trip(p)
+        assert meta == {}
+        assert list(tensors) == ["w1", "b1", "w2", "b2", "w3", "b3"]
+
+    def test_fusion_round_trip(self):
+        p = FusionBlockParams.random(2, 3, 2, 3, SeededRng(26), residual_mode="straight")
+        meta, tensors, q = _assert_round_trip(p)
+        assert meta == {"grid_h": "2", "grid_w": "3", "residual_mode": "straight"}
+        assert (q.grid_h, q.grid_w, q.residual_mode) == (2, 3, "straight")
+        assert len(tensors) == 4 + 3 * 6 + 2 * 4 * 7
+        assert tensors["ss2d_t.col_bwd.u_c"] is p.ss2d_t.col_bwd.u_c
