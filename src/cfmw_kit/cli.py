@@ -279,6 +279,13 @@ def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
     return feats, grid_h, grid_w
 
 
+def _pure_swap_value(value: str) -> bool:
+    """``pure-swap`` from a config file: ``1``/``true`` is on, ``0``/``false`` off."""
+    if value not in ("0", "1", "true", "false"):
+        raise ValueError(f"pure-swap must be 0, 1, true or false, got {value!r}")
+    return value in ("1", "true")
+
+
 def cmd_fuse(opts: _Options) -> int:
     rgb_path = Path(opts.require("rgb", str))
     thermal_path = Path(opts.require("thermal", str))
@@ -287,7 +294,7 @@ def cmd_fuse(opts: _Options) -> int:
     dim = _at_least("dim", opts.get("dim", 16, int), 2)
     d_state = _at_least("d-state", opts.get("d-state", 8, int), 1)
     residual_mode = opts.get("residual-mode", "crossed", str)
-    pure_swap = bool(opts.get("pure-swap", False, lambda v: v in ("1", "true")))
+    pure_swap = opts.get("pure-swap", False, _pure_swap_value)
     params_dir = opts.get("params", None, str)
     out = _out_dir(opts)
 

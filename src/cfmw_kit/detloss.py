@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import giou
-from .tensor import check_finite
+from .tensor import freeze_arrays
 
 __all__ = [
     "PredictionGrid",
@@ -41,17 +41,16 @@ class PredictionGrid:
     boxes: np.ndarray        # (S*S, N, 4)
     confidence: np.ndarray   # (S*S, N) in [0, 1]
     class_probs: np.ndarray  # (S*S, N, K), rows sum to 1
-    obj_mask: np.ndarray     # (S*S, N) bool
+    obj_mask: np.ndarray     # (S*S, N) bool: nonzero is True
     noobj_mask: np.ndarray   # (S*S, N) bool
 
     def __post_init__(self):
         cells = self.s_grid * self.s_grid
         slots = (cells, self.n_boxes)
-        boxes = check_finite(np.asarray(self.boxes, dtype=np.float64), "boxes")
-        conf = check_finite(np.asarray(self.confidence, dtype=np.float64), "confidence")
-        probs = check_finite(np.asarray(self.class_probs, dtype=np.float64), "class_probs")
-        obj = np.asarray(self.obj_mask, dtype=bool)
-        noobj = np.asarray(self.noobj_mask, dtype=bool)
+        freeze_arrays(self)
+        boxes, conf, probs = self.boxes, self.confidence, self.class_probs
+        obj = self.obj_mask.astype(bool)
+        noobj = self.noobj_mask.astype(bool)
         if boxes.shape != slots + (4,):
             raise ValueError(f"boxes must have shape {slots + (4,)}")
         if conf.shape != slots or obj.shape != slots or noobj.shape != slots:
@@ -64,10 +63,8 @@ class PredictionGrid:
             raise ValueError("obj and noobj masks must be disjoint")
         if np.any(probs < 0.0) or np.any(np.abs(probs.sum(axis=2) - 1.0) > 1e-9):
             raise ValueError("class probabilities must be nonnegative and sum to 1")
-        for name, arr in (("boxes", boxes), ("confidence", conf),
-                          ("class_probs", probs), ("obj_mask", obj),
-                          ("noobj_mask", noobj)):
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "obj_mask", obj)
+        object.__setattr__(self, "noobj_mask", noobj)
 
     @property
     def n_classes(self) -> int:
@@ -82,12 +79,10 @@ class GridTargets:
     class_probs: np.ndarray  # (S*S, N, K), one-hot or soft
 
     def __post_init__(self):
-        boxes = check_finite(np.asarray(self.boxes, dtype=np.float64), "boxes")
-        probs = check_finite(np.asarray(self.class_probs, dtype=np.float64), "class_probs")
+        freeze_arrays(self)
+        boxes, probs = self.boxes, self.class_probs
         if boxes.ndim != 3 or boxes.shape[2] != 4 or probs.ndim != 3:
             raise ValueError("targets must be (S*S, N, 4) boxes and (S*S, N, K) probs")
-        object.__setattr__(self, "boxes", boxes)
-        object.__setattr__(self, "class_probs", probs)
 
 
 @dataclass(frozen=True)

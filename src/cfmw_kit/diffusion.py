@@ -15,16 +15,15 @@ return the clean-image estimate itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite
+from .tensor import SeededRng, check_finite, freeze_arrays
 
 __all__ = [
     "NoiseSchedule",
     "make_schedule",
-    "schedule_from_betas",
     "DiffusionConfig",
     "OraclePredictor",
     "TinyMlpPredictor",
@@ -55,29 +54,28 @@ def _step_index(t) -> int:
 class NoiseSchedule:
     """Per-step noise fractions and their derived signal products.
 
-    ``alpha_bar`` is the running product of ``1 - beta`` and is strictly
-    decreasing; step indices are 1-based and :meth:`alpha_bar_at` extends the
-    product to step 0 with the exact value 1.
+    Built from ``beta`` alone: ``alpha = 1 - beta`` and ``alpha_bar``, its
+    running product, which must be strictly decreasing. Step indices are
+    1-based and :meth:`alpha_bar_at` extends the product to step 0 with the
+    exact value 1.
     """
 
     kind: str
     beta: np.ndarray
-    alpha: np.ndarray
-    alpha_bar: np.ndarray
+    alpha: np.ndarray = field(init=False)
+    alpha_bar: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        beta = check_finite(np.asarray(self.beta, dtype=np.float64), "beta")
+        freeze_arrays(self)
+        beta = self.beta
         if beta.ndim != 1 or beta.size < 1:
             raise ValueError("beta must be a nonempty 1-D array")
         if np.any(beta <= 0.0) or np.any(beta >= 1.0):
             raise ValueError("beta entries must lie in (0, 1)")
-        alpha = np.asarray(self.alpha, dtype=np.float64)
-        alpha_bar = np.asarray(self.alpha_bar, dtype=np.float64)
-        if alpha.shape != beta.shape or alpha_bar.shape != beta.shape:
-            raise ValueError("alpha and alpha_bar must match beta's length")
+        alpha = 1.0 - beta
+        alpha_bar = np.cumprod(alpha)
         if np.any(np.diff(alpha_bar) >= 0.0):
             raise ValueError("alpha_bar must be strictly decreasing")
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "alpha_bar", alpha_bar)
 
@@ -98,12 +96,6 @@ class NoiseSchedule:
         if t == 0:
             return 1.0
         return float(self.alpha_bar[self._check_t(t) - 1])
-
-
-def schedule_from_betas(beta: np.ndarray, kind: str = "custom") -> NoiseSchedule:
-    beta = np.asarray(beta, dtype=np.float64)
-    alpha = 1.0 - beta
-    return NoiseSchedule(kind=kind, beta=beta, alpha=alpha, alpha_bar=np.cumprod(alpha))
 
 
 def make_schedule(kind: str, t_count: int,
@@ -136,7 +128,7 @@ def make_schedule(kind: str, t_count: int,
             min(1.0 - bar((i + 1) / t_count) / bar(i / t_count), 0.999)
             for i in range(t_count)
         ])
-    return schedule_from_betas(beta, kind=kind)
+    return NoiseSchedule(kind, beta)
 
 
 @dataclass(frozen=True)
@@ -182,13 +174,15 @@ class OraclePredictor:
 class TinyMlpPredictor:
     """Fixed-random-weight pixelwise predictor, for smoke tests only.
 
-    Eight tanh units mix the noisy pixel, the conditioning pixel, and two
-    sinusoidal step features; weights are drawn once from the seed.
+    Eight tanh units mix the noisy pixel, the conditioning pixel (both
+    divided by ``SCALE``), and two sinusoidal step features; weights are
+    drawn once from the seed.
     """
 
     HIDDEN = 8
+    SCALE = 255.0
 
-    def __init__(self, seed: int, scale: float = 255.0):
+    def __init__(self, seed: int):
         rng = SeededRng(seed)
         h = self.HIDDEN
         self.w_xt = rng.normal(h)
@@ -198,7 +192,6 @@ class TinyMlpPredictor:
         self.bias = rng.normal(h)
         self.w_out = rng.normal(h) / math.sqrt(h)
         self.b_out = float(rng.normal(1)[0]) * 0.1
-        self.scale = float(scale)
 
     def __call__(self, x_t: np.ndarray, x_tilde: np.ndarray, t: int) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)
@@ -206,7 +199,7 @@ class TinyMlpPredictor:
         if x_t.shape != x_tilde.shape:
             raise ValueError("x_t and x_tilde must share a shape")
         s1, s2 = math.sin(0.05 * t), math.cos(0.05 * t)
-        xs, cs = x_t / self.scale, x_tilde / self.scale
+        xs, cs = x_t / self.SCALE, x_tilde / self.SCALE
         out = np.full_like(x_t, self.b_out)
         unit, term = np.empty_like(x_t), np.empty_like(x_t)
         for j in range(self.HIDDEN):

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, silu
+from .tensor import SeededRng, freeze_arrays, silu
 from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
@@ -56,16 +56,14 @@ class ModalityFeatures:
     f_t: np.ndarray
 
     def __post_init__(self):
-        f_r = check_finite(np.asarray(self.f_r, dtype=np.float64), "f_r")
-        f_t = check_finite(np.asarray(self.f_t, dtype=np.float64), "f_t")
+        freeze_arrays(self)
+        f_r, f_t = self.f_r, self.f_t
         if f_r.ndim != 3 or f_t.ndim != 3:
             raise ValueError("features must be (B, N, C) arrays")
         if f_r.shape != f_t.shape:
             raise ValueError(f"modality shapes differ: {f_r.shape} vs {f_t.shape}")
         if f_r.shape[2] % 2 != 0:
             raise ValueError("channel count must be even")
-        object.__setattr__(self, "f_r", f_r)
-        object.__setattr__(self, "f_t", f_t)
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -90,16 +88,12 @@ class PatchEmbedding:
     def __post_init__(self):
         if self.patch < 1:
             raise ValueError("patch size must be >= 1")
-        w = check_finite(np.asarray(self.w, dtype=np.float64), "w")
-        e_pos = check_finite(np.asarray(self.e_pos, dtype=np.float64), "e_pos")
-        cls_token = check_finite(np.asarray(self.cls_token, dtype=np.float64), "cls_token")
+        freeze_arrays(self)
+        w, e_pos, cls_token = self.w, self.e_pos, self.cls_token
         if w.ndim != 2 or e_pos.ndim != 2 or cls_token.ndim != 1:
             raise ValueError("w must be 2-D, e_pos 2-D, cls_token 1-D")
         if e_pos.shape[1] != w.shape[1] or cls_token.size != w.shape[1]:
             raise ValueError("projection width D must match e_pos and cls_token")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "e_pos", e_pos)
-        object.__setattr__(self, "cls_token", cls_token)
 
     @classmethod
     def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
@@ -172,9 +166,7 @@ class Mlp3:
     b3: np.ndarray
 
     def __post_init__(self):
-        for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
-            arr = check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
-            object.__setattr__(self, name, arr)
+        freeze_arrays(self)
         c, h = self.w1.shape
         if (self.b1.shape != (h,) or self.w2.shape != (h, h) or self.b2.shape != (h,)
                 or self.w3.shape != (h, c) or self.b3.shape != (c,)):
@@ -235,12 +227,11 @@ class FusionBlockParams:
             raise ValueError("grid extents must be >= 1")
         if self.residual_mode not in ("crossed", "straight"):
             raise ValueError(f"unknown residual mode {self.residual_mode!r}")
+        freeze_arrays(self)
         c = self.ss2d_r.d_channels
         for name in _NORMS:
-            arr = check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
-            if arr.shape != (c,):
+            if getattr(self, name).shape != (c,):
                 raise ValueError(f"{name} must have shape ({c},)")
-            object.__setattr__(self, name, arr)
         if self.ss2d_t.d_channels != c or self.gate_r.w1.shape[0] != c \
                 or self.gate_t.w1.shape[0] != c or self.out_mlp.w1.shape[0] != c:
             raise ValueError("all block weights must share the channel count C")
@@ -370,16 +361,12 @@ class AttentionFusionParams:
     w_v: np.ndarray
 
     def __post_init__(self):
-        w_q = check_finite(np.asarray(self.w_q, dtype=np.float64), "w_q")
-        w_k = check_finite(np.asarray(self.w_k, dtype=np.float64), "w_k")
-        w_v = check_finite(np.asarray(self.w_v, dtype=np.float64), "w_v")
+        freeze_arrays(self)
+        w_q, w_k, w_v = self.w_q, self.w_k, self.w_v
         if w_q.ndim != 2 or w_q.shape != w_k.shape:
             raise ValueError("w_q and w_k must be equal-shape (C, d_k)")
         if w_v.ndim != 2 or w_v.shape[0] != w_q.shape[0] or w_v.shape[0] != w_v.shape[1]:
             raise ValueError("w_v must be (C, C) matching the channel count")
-        object.__setattr__(self, "w_q", w_q)
-        object.__setattr__(self, "w_k", w_k)
-        object.__setattr__(self, "w_v", w_v)
 
     @property
     def c(self) -> int:
@@ -501,21 +488,19 @@ def _median_ns(fn, repeats: int) -> int:
 
 
 def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
-                      seed: int, d_k: int | None = None
-                      ) -> tuple[list[BenchRow], dict[str, float]]:
+                      seed: int) -> tuple[list[BenchRow], dict[str, float]]:
     """Time both fusion paths over a token-count grid, single-threaded.
 
     For every N the same random (1, N, C) feature pair feeds a gated-scan
-    fusion block and the attention baseline; wall time is the median of
-    ``repeats`` runs after one discarded warmup. Returns the rows plus
-    fitted log-log slopes of ops and wall time per path.
+    fusion block and the attention baseline (d_k = C); wall time is the
+    median of ``repeats`` runs after one discarded warmup. Returns the rows
+    plus fitted log-log slopes of ops and wall time per path.
     """
     n_values = [int(n) for n in n_values]
     if len(n_values) < 4:
         raise ValueError("benchmark grid needs at least 4 sizes")
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    d_k = c if d_k is None else d_k
     rng = SeededRng(seed)
     rows: list[BenchRow] = []
     for n in n_values:
@@ -525,13 +510,13 @@ def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
             f_t=rng.normal(n * c).reshape(1, n, c),
         )
         block = FusionBlockParams.random(c, n_state, gh, gw, rng)
-        attn = AttentionFusionParams.random(c, d_k, rng)
+        attn = AttentionFusionParams.random(c, c, rng)
         wall_ss2d = _median_ns(lambda: fuse(feats, block), repeats)
         wall_attn = _median_ns(lambda: attention_fusion_baseline(feats, attn), repeats)
         rows.append(BenchRow("ss2d_fusion", n, c,
                              count_ops("ss2d_fusion", n, c, n_state), wall_ss2d))
         rows.append(BenchRow("attention_fusion", n, c,
-                             count_ops("attention_fusion", n, c, n_state, d_k=d_k),
+                             count_ops("attention_fusion", n, c, n_state),
                              wall_attn))
     slopes: dict[str, float] = {}
     for path in ("ss2d_fusion", "attention_fusion"):

@@ -140,8 +140,9 @@ def _to_gray(img: np.ndarray, name: str) -> np.ndarray:
     raise ValueError(f"expected gray or 3-channel image, got shape {img.shape}")
 
 
-def psnr(x: np.ndarray, y: np.ndarray, bits: int = 8) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 99 for (near-)identical images."""
+def psnr(x: np.ndarray, y: np.ndarray) -> float:
+    """Peak signal-to-noise ratio in dB for 8-bit images (peak 255), capped at
+    99 for (near-)identical images."""
     x = check_finite(np.asarray(x, dtype=np.float64), "x")
     y = check_finite(np.asarray(y, dtype=np.float64), "y")
     if x.shape != y.shape:
@@ -149,8 +150,7 @@ def psnr(x: np.ndarray, y: np.ndarray, bits: int = 8) -> float:
     mse = float(np.mean((x - y) ** 2))
     if mse == 0.0:
         return PSNR_CAP_DB
-    peak_sq = float((2 ** bits - 1) ** 2)
-    return min(10.0 * math.log10(peak_sq / mse), PSNR_CAP_DB)
+    return min(10.0 * math.log10(255.0 ** 2 / mse), PSNR_CAP_DB)
 
 
 def _gaussian_taps(size: int, sigma: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, sigmoid, softplus
+from .tensor import SeededRng, freeze_arrays, sigmoid, softplus
 
 __all__ = [
     "OpCounter",
@@ -85,11 +85,10 @@ def softplus_inverse(y: float) -> float:
     return float(y) if y > 30.0 else float(np.log(np.expm1(y)))
 
 
-def _vector(v, n_name: str) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"{n_name} must be a nonempty 1-D array")
-    return check_finite(v, n_name)
+def _check_state_vectors(names: str, *vectors: np.ndarray) -> None:
+    shape = vectors[0].shape
+    if len(shape) != 1 or shape[0] < 1 or any(v.shape != shape for v in vectors):
+        raise ValueError(f"{names} must be nonempty 1-D arrays of one state size")
 
 
 @dataclass(frozen=True)
@@ -101,14 +100,8 @@ class ContinuousSsm:
     c: np.ndarray
 
     def __post_init__(self):
-        a = _vector(self.a, "a")
-        b = _vector(self.b, "b")
-        c = _vector(self.c, "c")
-        if not (a.size == b.size == c.size):
-            raise ValueError("a, b, c must share the state size")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        freeze_arrays(self)
+        _check_state_vectors("a, b, c", self.a, self.b, self.c)
 
     @property
     def n_state(self) -> int:
@@ -131,19 +124,13 @@ class DiscreteSsm:
     delta: float
 
     def __post_init__(self):
-        a_bar = _vector(self.a_bar, "a_bar")
-        b_bar = _vector(self.b_bar, "b_bar")
-        c = _vector(self.c, "c")
-        if not (a_bar.size == b_bar.size == c.size):
-            raise ValueError("a_bar, b_bar, c must share the state size")
-        if np.any(a_bar <= 0.0):
+        freeze_arrays(self)
+        _check_state_vectors("a_bar, b_bar, c", self.a_bar, self.b_bar, self.c)
+        if np.any(self.a_bar <= 0.0):
             # exp(delta * a) of a real diagonal is always positive.
             raise ValueError("a_bar entries must be positive")
         if not self.delta > 0.0:
             raise ValueError("delta must be positive")
-        object.__setattr__(self, "a_bar", a_bar)
-        object.__setattr__(self, "b_bar", b_bar)
-        object.__setattr__(self, "c", c)
         object.__setattr__(self, "delta", float(self.delta))
 
     @property
@@ -223,7 +210,8 @@ class SelectiveSsmParams:
     u_c: np.ndarray
 
     def __post_init__(self):
-        a = check_finite(np.asarray(self.a, dtype=np.float64), "a")
+        freeze_arrays(self)
+        a = self.a
         if a.ndim != 2 or a.size == 0:
             raise ValueError("a must be a nonempty (channels, states) array")
         if np.any(a > -1e-300):
@@ -240,11 +228,9 @@ class SelectiveSsmParams:
             "u_c": (n,),
         }
         for name, shape in expect.items():
-            arr = check_finite(np.asarray(getattr(self, name), dtype=np.float64), name)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "a", a)
+            got = getattr(self, name).shape
+            if got != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {got}")
 
     @property
     def d_channels(self) -> int:

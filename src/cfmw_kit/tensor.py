@@ -4,6 +4,12 @@ Every other module consumes plain ``numpy`` arrays of dtype float64 created
 and validated through this one. All operations are pure: equal inputs give
 bit-identical outputs on repeated calls, and no operation mutates its inputs.
 
+Array-field contract: every frozen parameter container in the kit calls
+:func:`freeze_arrays` in ``__post_init__`` before it reads an array, so each
+``init`` field hinted ``np.ndarray`` is stored as a float64 array, and a NaN
+or infinite entry is a ValueError naming the field. The containers check
+only their own shapes and signs.
+
 Randomness is counter-based (SplitMix64 over a 64-bit counter) with normals
 produced by the Box-Muller transform, so a seed fully determines the stream
 on any platform with IEEE-754 doubles.
@@ -11,6 +17,9 @@ on any platform with IEEE-754 doubles.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import typing
 from typing import Sequence
 
 import numpy as np
@@ -22,6 +31,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "check_finite",
+    "freeze_arrays",
 ]
 
 _U64 = np.uint64
@@ -104,6 +114,22 @@ def check_finite(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{name} contains non-finite values")
     return t
+
+
+@functools.cache
+def _array_fields(cls) -> tuple[str, ...]:
+    hints = typing.get_type_hints(cls)
+    return tuple(f.name for f in dataclasses.fields(cls)
+                 if f.init and hints[f.name] is np.ndarray)
+
+
+def freeze_arrays(obj) -> None:
+    """Store each ``np.ndarray``-hinted init field of the frozen dataclass
+    ``obj`` as a finite float64 array; a non-finite entry is a ValueError
+    naming its field."""
+    for name in _array_fields(type(obj)):
+        arr = np.asarray(getattr(obj, name), dtype=np.float64)
+        object.__setattr__(obj, name, check_finite(arr, name))
 
 
 def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:

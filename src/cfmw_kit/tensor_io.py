@@ -191,7 +191,8 @@ def _build(cls, meta: dict[str, str], tensors: dict[str, np.ndarray]):
     """Inverse of :func:`_flatten`: ``cls`` from bundle entries, each used once.
 
     Meta values are cast with their field's type hint. An entry ``cls`` needs
-    but the bundle lacks, or one left over, is a ValueError naming it in full.
+    but the bundle lacks, one left over, or a meta value the cast refuses is
+    a ValueError naming it in full.
     """
     meta, tensors = dict(meta), dict(tensors)
 
@@ -204,8 +205,15 @@ def _build(cls, meta: dict[str, str], tensors: dict[str, np.ndarray]):
                 fields[name] = take(hint, key + ".")
             elif key not in pool:
                 raise ValueError(f"bundle is missing {key!r}")
+            elif pool is tensors:
+                fields[name] = pool.pop(key)
             else:
-                fields[name] = pool.pop(key) if pool is tensors else hint(pool.pop(key))
+                value = pool.pop(key)
+                try:
+                    fields[name] = hint(value)
+                except ValueError:
+                    raise ValueError(f"bundle meta entry {key!r} is not a valid "
+                                     f"{hint.__name__}: {value!r}") from None
         return cls(**fields)
 
     built = take(cls, "")

@@ -84,20 +84,10 @@ def apply_fog(j: np.ndarray, d: np.ndarray, beta: float, l_inf: float) -> np.nda
     return np.clip(j * trans + l_inf * (1.0 - trans), 0.0, 255.0)
 
 
-def _overlay_from_base(base: np.ndarray, channels: int,
-                       tint: tuple[float, ...] | None) -> np.ndarray:
-    if channels == 1:
-        return base.copy()
-    out = np.repeat(base[..., None], channels, axis=2)
-    if tint is not None and channels == len(tint):
-        out = out * np.asarray(tint, dtype=np.float64)
-    return np.clip(out, 0.0, 255.0)
-
-
 def gen_rain(h: int, w: int, seed: int, density: float,
-             angle_deg: float = 75.0, streak_len_px: int = 12,
-             channels: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Procedural rain: anti-aliased streak mask plus a bright overlay map.
+             angle_deg: float = 75.0, streak_len_px: int = 12
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Procedural rain: anti-aliased streak mask plus a bright gray RGB overlay.
 
     ``density * h * w`` streak seed points are placed uniformly; each is
     drawn as a bilinearly splatted segment of ``streak_len_px`` steps at
@@ -124,9 +114,8 @@ def gen_rain(h: int, w: int, seed: int, density: float,
             taper = 1.0 - 0.5 * k / streak_len_px
             _splat_bilinear(mask, xs + k * dx, ys + k * dy, strength * taper)
         np.clip(mask, 0.0, 1.0, out=mask)
-    base = 230.0 + 25.0 * rng.uniform(h * w).reshape(h, w)
-    overlay = _overlay_from_base(base, channels, tint=None)
-    return mask, overlay
+    base = 230.0 + 25.0 * rng.uniform(h * w).reshape(h, w)  # in [230, 255]: no clip
+    return mask, np.repeat(base[..., None], 3, axis=2)
 
 
 def _splat_bilinear(mask: np.ndarray, px: np.ndarray, py: np.ndarray,
@@ -149,9 +138,9 @@ def _splat_bilinear(mask: np.ndarray, px: np.ndarray, py: np.ndarray,
 
 
 def gen_snow(h: int, w: int, seed: int, density: float,
-             radius_range: tuple[float, float] = (1.0, 3.0),
-             channels: int = 3) -> tuple[np.ndarray, np.ndarray]:
-    """Procedural snow: soft-disc flakes plus a bright, slightly blue overlay."""
+             radius_range: tuple[float, float] = (1.0, 3.0)
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Procedural snow: soft-disc flakes plus a bright, slightly blue RGB overlay."""
     if h < 1 or w < 1:
         raise ValueError("image extents must be >= 1")
     if not 0.0 < density <= 1.0:
@@ -180,9 +169,8 @@ def gen_snow(h: int, w: int, seed: int, density: float,
             np.maximum(mask[y_lo:y_hi, x_lo:x_hi], patch,
                        out=mask[y_lo:y_hi, x_lo:x_hi])
     base = 232.0 + 18.0 * rng.uniform(h * w).reshape(h, w)
-    tint = (0.96, 0.99, 1.04) if channels == 3 else None  # slight blue cast
-    overlay = _overlay_from_base(base, channels, tint)
-    return mask, overlay
+    tint = np.array([0.96, 0.99, 1.04])  # slight blue cast
+    return mask, np.clip(base[..., None] * tint, 0.0, 255.0)
 
 
 def gen_depth(mode: str, h: int, w: int, value: float = 1.0,

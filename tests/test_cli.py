@@ -255,6 +255,7 @@ class TestFuse:
     @pytest.mark.parametrize("edit, named", [
         (lambda m: m.replace("tensor.norm_scale_r=norm_scale_r.tsr\n", ""), "norm_scale_r"),
         (lambda m: m.replace("=norm_scale_r.tsr", "=../norm_scale_r.tsr"), "../norm_scale_r.tsr"),
+        (lambda m: m.replace("meta.grid_h=4\n", "meta.grid_h=abc\n"), "meta entry 'grid_h'"),
     ])
     def test_bad_params_bundle_writes_nothing(self, tmp_path, clean_ppm, capsys, edit, named):
         from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
@@ -269,6 +270,31 @@ class TestFuse:
                     "--dim", 4, "--params", params, "--out", out) == 1
         assert named in capsys.readouterr().err
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_pure_swap_config_values(self, tmp_path, clean_ppm):
+        cfg = tmp_path / "fuse.cfg"
+
+        def fused(*extra):
+            out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+            assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                        "--dim", 4, *extra, "--out", out) == 0
+            return (out / "fused_rgb.tsr").read_bytes()
+
+        on, off = fused("--pure-swap"), fused()
+        assert on != off
+        for value, want in (("1", on), ("true", on), ("0", off), ("false", off)):
+            cfg.write_text(f"pure-swap={value}\n")
+            assert fused("--config", cfg) == want
+
+    @pytest.mark.parametrize("value", ["yes", "True", "on", ""])
+    def test_pure_swap_config_refuses_other_values(self, tmp_path, clean_ppm, capsys, value):
+        cfg = tmp_path / "fuse.cfg"
+        cfg.write_text(f"pure-swap={value}\n")
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                    "--dim", 4, "--config", cfg, "--out", out) == 1
+        assert f"pure-swap must be 0, 1, true or false, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_params_bundle_round_trip(self, tmp_path, clean_ppm):
         from cfmw_kit.fusion import FusionBlockParams, save_fusion_params

@@ -1,0 +1,93 @@
+"""The array-field contract shared by every parameter container.
+
+Each frozen dataclass in the kit whose fields include an ``np.ndarray``
+stores those fields as float64 arrays and refuses a non-finite entry with a
+ValueError naming the field (``tensor.freeze_arrays``).
+"""
+
+import dataclasses
+import importlib
+import typing
+
+import numpy as np
+import pytest
+
+import cfmw_kit
+from cfmw_kit.detloss import GridTargets, PredictionGrid
+from cfmw_kit.diffusion import NoiseSchedule, make_schedule
+from cfmw_kit.fusion import (
+    AttentionFusionParams,
+    FusionBlockParams,
+    ModalityFeatures,
+    Mlp3,
+    PatchEmbedding,
+)
+from cfmw_kit.ssm import ContinuousSsm, SelectiveSsmParams, discretize
+from cfmw_kit.tensor import SeededRng
+
+
+def _samples():
+    """One valid instance of every container that holds arrays."""
+    rng = SeededRng(3)
+    m = ContinuousSsm.random(2, rng)
+    return [
+        m,
+        discretize(m, 0.1),
+        SelectiveSsmParams.random(2, 3, rng),
+        ModalityFeatures(f_r=np.ones((1, 2, 2)), f_t=np.zeros((1, 2, 2))),
+        PatchEmbedding.random(1, 1, 2, 1, rng),
+        Mlp3.random(2, rng),
+        FusionBlockParams.random(2, 1, 1, 1, rng),
+        AttentionFusionParams.random(2, 2, rng),
+        make_schedule("linear", 3),
+        PredictionGrid(s_grid=1, n_boxes=2, boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]],
+                       confidence=[[1.0, 0.0]], class_probs=[[[1.0], [1.0]]],
+                       obj_mask=[[True, False]], noobj_mask=[[False, True]]),
+        GridTargets(boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]], class_probs=[[[1.0], [1.0]]]),
+    ]
+
+
+def _init_values(obj) -> dict:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+
+
+_CASES = [(obj, f.name) for obj in _samples() for f in dataclasses.fields(obj)
+          if f.init and typing.get_type_hints(type(obj))[f.name] is np.ndarray]
+
+
+@pytest.mark.parametrize("obj, name", _CASES,
+                         ids=[f"{type(o).__name__}.{n}" for o, n in _CASES])
+def test_array_field_is_float64_and_finite(obj, name):
+    values = _init_values(obj)
+    rebuilt = type(obj)(**{**values, name: np.asarray(values[name]).tolist()})
+    want = bool if name.endswith("_mask") else np.float64
+    assert getattr(rebuilt, name).dtype == want
+    assert np.array_equal(getattr(rebuilt, name), values[name])
+    for bad in (np.nan, np.inf):
+        arr = np.array(values[name], dtype=np.float64)
+        arr.flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite values"):
+            type(obj)(**{**values, name: arr})
+
+
+def test_every_array_container_is_covered():
+    # A container added later must join the table above, so it cannot skip
+    # the contract unnoticed.
+    found = set()
+    for module in cfmw_kit._SUBMODULES:
+        mod = importlib.import_module(f"cfmw_kit.{module}")
+        for name in getattr(mod, "__all__", ()):
+            obj = getattr(mod, name)
+            if (isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                    and np.ndarray in typing.get_type_hints(obj).values()):
+                found.add(obj)
+    assert found == {type(obj) for obj in _samples()}
+
+
+def test_noise_schedule_derives_its_products():
+    beta = np.array([0.1, 0.2, 0.05])
+    sched = NoiseSchedule("custom", beta)
+    assert np.array_equal(sched.alpha, 1.0 - beta)
+    assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
+    with pytest.raises(TypeError):
+        NoiseSchedule("custom", beta, alpha=[5.0, -3.0, 1.0])

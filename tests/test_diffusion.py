@@ -8,6 +8,7 @@ import pytest
 
 from cfmw_kit.diffusion import (
     DiffusionConfig,
+    NoiseSchedule,
     OraclePredictor,
     TinyMlpPredictor,
     ddim_step,
@@ -17,7 +18,6 @@ from cfmw_kit.diffusion import (
     posterior_mean,
     q_sample,
     sample,
-    schedule_from_betas,
     variational_bound,
     variational_bound_terms,
 )
@@ -142,7 +142,7 @@ class TestDdimStep:
 
     def test_equal_alpha_bar_is_fixed_point(self):
         # Nearly-equal products across the step leave the state unchanged.
-        sched = schedule_from_betas(np.array([0.3, 1e-16]))
+        sched = NoiseSchedule("custom", np.array([0.3, 1e-16]))
         rng = SeededRng(53)
         x0 = randn([4], rng)
         eps = randn([4], rng)
