@@ -291,8 +291,8 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
     when given (the CLI logs per-step residual norms with it); ``x_t`` and
     ``x_prev`` are read-only views that are valid only during the call.
     """
-    x = np.asarray(x_noise, dtype=np.float64)
-    x_tilde = np.asarray(x_tilde, dtype=np.float64)
+    x = check_finite(np.asarray(x_noise, dtype=np.float64), "x_noise")
+    x_tilde = check_finite(np.asarray(x_tilde, dtype=np.float64), "x_tilde")
     if x.shape != x_tilde.shape:
         raise ValueError("x_noise and x_tilde must share a shape")
     steps = cfg.step_sequence()

@@ -3,15 +3,16 @@
 Boxes are (x1, y1, x2, y2) with x1 < x2 and y1 < y2 in continuous pixel
 coordinates, every |coordinate| <= 1e150, and a nonzero area. Average
 precision takes one (detections, ground truth) pair per image, ranks all
-detections by confidence (ties keep image order, then input order), greedily
-matches each to the unmatched ground-truth box of highest overlap in its own
-image, and integrates the precision-recall curve over all recall increments
-using the precision attained before each increment.
+detections by confidence (ties keep image order, then input order), in one
+sweep greedily matches each, at every IoU threshold, to the unmatched
+same-class box of highest overlap in its own image, and integrates the
+precision-recall curve: each recall increment times the precision before it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -243,35 +244,36 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (_area(a.T)[:, None] + _area(b.T)[None, :] - inter)
 
 
-def _ranked_ious(images: list[ImageBoxes],
-                 class_id: int) -> tuple[list[np.ndarray], list[tuple[int, int, float]]]:
-    """One class's IoU matrix per image (detections x ground truth), and the
-    (image, row, confidence) of each of its detections in confidence order."""
-    matrices, ranked = [], []
-    for k, (dets, gts) in enumerate(images):
-        cls_dets = [d for d in dets if d.class_id == class_id]
-        cls_gts = [g.box for g in gts if g.class_id == class_id]
-        matrices.append(_iou_matrix(np.reshape([d.box for d in cls_dets], (-1, 4)),
-                                    np.reshape(cls_gts, (-1, 4))))
-        ranked += [(k, r, d.confidence) for r, d in enumerate(cls_dets)]
-    ranked.sort(key=lambda row: -row[2])  # stable: ties keep image, then input order
-    return matrices, ranked
-
-
-def _ap_at(matrices: list[np.ndarray], ranked: list[tuple[int, int, float]],
-           iou_thr: float) -> float:
-    """AP of one class at one threshold from :func:`_ranked_ious` output."""
-    if not 0.0 < iou_thr <= 1.0:
+def _greedy_sweep(images: list[ImageBoxes], classes: list[int],
+                  grid: tuple[float, ...]) -> dict[float, list[float]]:
+    """AP of each of ``classes`` at each threshold of ``grid``, from one pass
+    over their detections in rank order with a taken mask per threshold."""
+    if not all(0.0 < thr <= 1.0 for thr in grid):
         raise ValueError("IoU threshold must lie in (0, 1]")
-    free = [m.copy() for m in matrices]  # a matched column is set to -1
-    flags: list[bool] = []
-    for k, r, _ in ranked:
-        row = free[k][r]
-        hit = bool(row.max(initial=0.0) >= iou_thr)  # iou_thr > 0 skips IoU 0
-        if hit:
-            free[k][:, np.argmax(row)] = -1.0
-        flags.append(hit)
-    return _ap_from_flags(flags, sum(m.shape[1] for m in matrices))
+    lanes, grid_arr = np.arange(len(grid)), np.array(grid, dtype=np.float64)
+    n_gt = Counter(g.class_id for _, gts in images for g in gts)
+    wanted = set(classes)
+    matrices, taken, ranked = [], [], []
+    for k, (dets, gts) in enumerate(images):
+        # -1 (other class, or the last column that keeps argmax defined) never hits
+        m = np.full((len(dets), len(gts) + 1), -1.0)
+        np.copyto(m[:, :-1], _iou_matrix(np.reshape([d.box for d in dets], (-1, 4)),
+                                         np.reshape([g.box for g in gts], (-1, 4))),
+                  where=np.equal.outer([d.class_id for d in dets], [g.class_id for g in gts]))
+        matrices.append(m)
+        taken.append(np.zeros((len(grid), len(gts) + 1), dtype=bool))
+        ranked += [(k, r, d) for r, d in enumerate(dets) if d.class_id in wanted]
+    ranked.sort(key=lambda row: -row[2].confidence)  # stable: image, then input order
+    hits = np.zeros((len(ranked), len(grid)), dtype=bool)
+    for i, (k, r, _) in enumerate(ranked):
+        row = np.where(taken[k], -1.0, matrices[k][r])
+        j = row.argmax(axis=1)  # the first maximum
+        np.greater_equal(row[lanes, j], grid_arr, out=hits[i])
+        taken[k][lanes, j] |= hits[i]
+    ranked_cls = np.array([d.class_id for _, _, d in ranked], dtype=np.int64)
+    columns = {c: hits[ranked_cls == c].T for c in classes}
+    return {thr: [_ap_from_flags(columns[c][t].tolist(), n_gt[c]) for c in classes]
+            for t, thr in enumerate(grid)}
 
 
 def _ap_from_flags(flags: list[bool], n_gt: int) -> float:
@@ -299,7 +301,7 @@ def average_precision(images: list[ImageBoxes], class_id: int, iou_thr: float) -
     ``images`` holds one ``(detections, ground_truth)`` pair per image.
     Empty ground truth yields 1 with no detections and 0 otherwise.
     """
-    return _ap_at(*_ranked_ious(images, class_id), iou_thr)
+    return _greedy_sweep(images, [class_id], (iou_thr,))[iou_thr][0]
 
 
 @dataclass(frozen=True)
@@ -315,21 +317,19 @@ def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> Mean
     ``images`` holds one ``(detections, ground_truth)`` pair per image. The
     class set is inferred from the ground truth; with no ground truth at all
     the result mirrors the per-class convention (1 with no detections, 0
-    otherwise). Each distinct threshold is matched once.
+    otherwise). One sweep matches every distinct threshold; a bad grid raises.
     """
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("threshold grid must be nonempty")
     classes = sorted({g.class_id for _, gts in images for g in gts})
+    aps = _greedy_sweep(images, classes, tuple(dict.fromkeys(thresholds + (0.50, 0.75))))
     if not classes:
         value = 0.0 if any(dets for dets, _ in images) else 1.0
         return MeanApResult(value, value, value)
-    per_class = [_ranked_ious(images, c) for c in classes]
-    class_mean = {thr: sum(_ap_at(*m, thr) for m in per_class) / len(classes)
-                  for thr in dict.fromkeys(thresholds + (0.50, 0.75))}
-    grid_mean = sum(class_mean[t] for t in thresholds) / len(thresholds)
+    class_mean = {thr: sum(ap) / len(classes) for thr, ap in aps.items()}
     return MeanApResult(map50=class_mean[0.50], map75=class_mean[0.75],
-                        map_mean=grid_mean)
+                        map_mean=sum(class_mean[t] for t in thresholds) / len(thresholds))
 
 
 def parse_detections(text: str) -> list[Detection]:

@@ -42,10 +42,17 @@ _TWO_NEG53 = 2.0 ** -53
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z = (z ^ (z >> _U64(30))) * _MIX1
-    z = (z ^ (z >> _U64(27))) * _MIX2
-    return z ^ (z >> _U64(31))
+    """SplitMix64 finalizer: bijective avalanche mix of 64-bit words, in place.
+
+    Every step reuses ``z`` and one shift buffer, so a large draw touches no
+    fresh word-sized array per step (first touches cost page faults)."""
+    t = np.empty_like(z)
+    z ^= np.right_shift(z, _U64(30), out=t)
+    z *= _MIX1
+    z ^= np.right_shift(z, _U64(27), out=t)
+    z *= _MIX2
+    z ^= np.right_shift(z, _U64(31), out=t)
+    return z
 
 
 class SeededRng:
@@ -53,9 +60,9 @@ class SeededRng:
 
     Output word ``i`` is ``mix64(seed + (i + 1) * GOLDEN)`` where ``mix64`` is
     the SplitMix64 finalizer; the instance only tracks how many words have
-    been consumed. Uniform doubles take the top 53 bits of a word; normal
-    variates are Box-Muller pairs over consecutive uniforms (the radius
-    uniform is drawn first, then the angle uniform).
+    been consumed. Uniform doubles take the top 53 bits of a word; a draw of n
+    normal variates is m = ceil(n / 2) Box-Muller pairs over 2m words: m
+    radius uniforms in (0, 1], then m angle uniforms in [0, 1).
     """
 
     def __init__(self, seed: int):
@@ -69,7 +76,9 @@ class SeededRng:
     def _raw(self, n: int) -> np.ndarray:
         idx = np.arange(self._consumed + 1, self._consumed + n + 1, dtype=np.uint64)
         self._consumed += n
-        return _mix64(self._base + idx * _GOLDEN)
+        idx *= _GOLDEN
+        idx += self._base
+        return _mix64(idx)
 
     def uniform(self, n: int) -> np.ndarray:
         """n i.i.d. doubles in [0, 1)."""
@@ -90,10 +99,10 @@ class SeededRng:
         if n == 0:
             return np.empty(0, dtype=np.float64)
         m = (n + 1) // 2
-        u1 = self.uniform_open(m)
-        u2 = self.uniform(m)
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = (2.0 * np.pi) * u2
+        top = self._raw(2 * m)  # m radius words, then m angle words
+        top >>= _U64(11)
+        r = np.sqrt(-2.0 * np.log((top[:m] + _U64(1)).astype(np.float64) * _TWO_NEG53))
+        theta = (2.0 * np.pi) * (top[m:].astype(np.float64) * _TWO_NEG53)
         out = np.empty(2 * m, dtype=np.float64)
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)

@@ -7,8 +7,8 @@ integral form to
 
     out = j * exp(-beta * d) + l_inf * (1 - exp(-beta * d)).
 
-Every compositor clamps to the 8-bit [0, 255] image range. Generators are
-pure functions of their seeds.
+Every compositor refuses a NaN or infinite input, naming it, and clamps to
+the 8-bit [0, 255] image range. Generators are pure functions of their seeds.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ def _check_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
     if img.ndim not in (2, 3):
         raise ValueError("image must be (H, W) or (H, W, C)")
-    return img
+    return check_finite(img, "image")
 
 
 def _per_pixel(field: np.ndarray, img: np.ndarray) -> np.ndarray:
@@ -49,12 +49,12 @@ def _per_pixel(field: np.ndarray, img: np.ndarray) -> np.ndarray:
 
 def _blend(j: np.ndarray, mask: np.ndarray, overlay: np.ndarray) -> np.ndarray:
     j = _check_image(j)
-    overlay = np.asarray(overlay, dtype=np.float64)
+    overlay = check_finite(np.asarray(overlay, dtype=np.float64), "overlay")
     if overlay.shape != j.shape:
         raise ValueError(f"overlay shape {overlay.shape} does not match image {j.shape}")
     mask = np.asarray(mask, dtype=np.float64)
-    if np.any(mask < 0.0) or np.any(mask > 1.0):
-        raise ValueError("mask values must lie in [0, 1]")
+    if not np.all((mask >= 0.0) & (mask <= 1.0)):  # False for NaN too
+        raise ValueError("mask values must be finite and lie in [0, 1]")
     m = _per_pixel(mask, j)
     return np.clip(j * (1.0 - m) + overlay * m, 0.0, 255.0)
 

@@ -277,6 +277,22 @@ class TestSample:
         assert len(seen) == 4 and seen[-1][1] == 0
         assert np.array_equal(out, x)
 
+    @pytest.mark.parametrize("which", ["x_noise", "x_tilde"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_refused_before_first_step(self, which, bad):
+        cfg = DiffusionConfig(schedule=make_schedule("linear", 10), n_sample_steps=3)
+        arrays = {"x_noise": np.zeros((2, 2)), "x_tilde": np.zeros((2, 2))}
+        arrays[which][0, 1] = bad
+        calls = []
+
+        def pred(x, cond, t):
+            calls.append(t)
+            return np.zeros_like(x)
+
+        with pytest.raises(ValueError, match=which):
+            sample(arrays["x_noise"], arrays["x_tilde"], cfg, pred)
+        assert calls == []
+
     def test_x_noise_untouched(self):
         sched = make_schedule("linear", 100)
         cfg = DiffusionConfig(schedule=sched, n_sample_steps=10)

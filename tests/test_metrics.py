@@ -447,14 +447,15 @@ class TestMeanAp:
         dets = [Detection((0, 0, 10, 6), 0, 0.9), Detection((0, 0, 10, 8), 1, 0.8)]
         images = [(dets, gts), (dets[:1], gts[1:])]
         seen = []
-        ap_at = metrics._ap_at
-        monkeypatch.setattr(metrics, "_ap_at", lambda *a: seen.append(a[-1]) or ap_at(*a))
+        sweep = metrics._greedy_sweep
+        monkeypatch.setattr(metrics, "_greedy_sweep",
+                            lambda imgs, classes, grid: seen.append(grid) or sweep(imgs, classes, grid))
         full = mean_ap(images)
-        assert sorted(seen) == sorted(DEFAULT_MAP_THRESHOLDS * 2)
+        assert seen == [DEFAULT_MAP_THRESHOLDS]  # one sweep, every class, each threshold once
         seen.clear()
         # a grid without 0.5 and 0.75 still reports them, bit for bit
         custom = mean_ap(images, thresholds=(0.6, 0.8, 0.6))
-        assert sorted(seen) == [0.5, 0.5, 0.6, 0.6, 0.75, 0.75, 0.8, 0.8]
+        assert seen == [(0.6, 0.8, 0.5, 0.75)]
         assert (custom.map50, custom.map75) == (full.map50, full.map75)
 
         def class_mean(thr):
@@ -462,6 +463,17 @@ class TestMeanAp:
 
         assert custom.map_mean == (class_mean(0.6) + class_mean(0.8) + class_mean(0.6)) / 3
         assert full.map_mean == sum(class_mean(t) for t in DEFAULT_MAP_THRESHOLDS) / 10
+
+    @pytest.mark.parametrize("gts", [[], [GroundTruthBox((0, 0, 5, 5), 0)]])
+    def test_bad_grid_refused(self, gts):
+        images = [([Detection((0, 0, 5, 5), 0, 0.9)], gts)]
+        with pytest.raises(ValueError, match="nonempty"):
+            mean_ap(images, thresholds=())
+        for thr in (0.0, -0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="threshold"):
+                mean_ap(images, thresholds=(0.5, thr))
+            with pytest.raises(ValueError, match="threshold"):
+                average_precision(images, 0, thr)
 
     def test_default_grid(self):
         assert DEFAULT_MAP_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75,

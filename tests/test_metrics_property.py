@@ -1,13 +1,23 @@
-"""Property tests for box overlap over the whole accepted coordinate range."""
+"""Property tests: box overlap over the whole accepted coordinate range, and
+AP/mAP against a per-class, per-threshold greedy oracle."""
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from cfmw_kit import metrics  # noqa: E402
-from cfmw_kit.metrics import BOX_COORD_LIMIT, GroundTruthBox, giou, iou  # noqa: E402
+from cfmw_kit.metrics import (  # noqa: E402
+    BOX_COORD_LIMIT,
+    DEFAULT_MAP_THRESHOLDS,
+    Detection,
+    GroundTruthBox,
+    average_precision,
+    giou,
+    iou,
+    mean_ap,
+)
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
@@ -38,3 +48,84 @@ def test_accepted_boxes_keep_their_bits(a, b):
     m = metrics._iou_matrix(np.array([a, b]), np.array([b, a]))
     want = np.array([[iou(a, b), iou(a, a)], [iou(b, b), iou(b, a)]])
     assert m.tobytes() == want.tobytes()
+
+
+def greedy_ap(images, class_id, thr):
+    """AP of one class at one threshold, matched on its own: rank the class's
+    detections (stable, by confidence), give each the free same-image box of
+    highest IoU (the first on ties) if it reaches ``thr``, then add each
+    recall increment times the precision before it."""
+    ranked = sorted(((k, d) for k, (dets, _) in enumerate(images) for d in dets
+                     if d.class_id == class_id), key=lambda kd: -kd[1].confidence)
+    boxes = [[g.box for g in gts if g.class_id == class_id] for _, gts in images]
+    n_gt = sum(len(b) for b in boxes)
+    if n_gt == 0:
+        return 1.0 if not ranked else 0.0
+    taken, tp, ap, recall, precision = set(), 0, 0.0, 0.0, 1.0
+    for n, (k, det) in enumerate(ranked, start=1):
+        free = [(iou(det.box, b), j) for j, b in enumerate(boxes[k]) if (k, j) not in taken]
+        best, j = max(free, key=lambda c: (c[0], -c[1]), default=(0.0, None))
+        if best >= thr:
+            taken.add((k, j))
+            tp += 1
+        ap += (tp / n_gt - recall) * precision
+        recall, precision = tp / n_gt, tp / n
+    return ap
+
+
+def greedy_map(images, thresholds):
+    classes = sorted({g.class_id for _, gts in images for g in gts})
+    if not classes:
+        value = 0.0 if any(dets for dets, _ in images) else 1.0
+        return value, value, value
+
+    def class_mean(thr):
+        return sum(greedy_ap(images, c, thr) for c in classes) / len(classes)
+
+    return (class_mean(0.5), class_mean(0.75),
+            sum(class_mean(t) for t in thresholds) / len(thresholds))
+
+
+@st.composite
+def grid_boxes(draw):
+    """Small integer boxes: equal IoUs, and IoUs exactly on a threshold, are common."""
+    x, y = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    return (x, y, x + draw(st.integers(1, 4)), y + draw(st.integers(1, 4)))
+
+
+# Ground truth holds classes 0 and 1 only, so class 2 detections have none;
+# four confidence levels make ties within and across images common.
+_images = st.lists(st.tuples(
+    st.lists(st.builds(Detection, grid_boxes(), st.integers(0, 2),
+                       st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=6),
+    st.lists(st.builds(GroundTruthBox, grid_boxes(), st.integers(0, 1)), max_size=5),
+), max_size=4)
+_grids = st.one_of(st.just(DEFAULT_MAP_THRESHOLDS),
+                   st.lists(st.sampled_from([1 / 3, 0.5, 0.6, 0.75, 1.0]),
+                            min_size=1, max_size=5).map(tuple))
+
+
+@SETTINGS
+@given(_images, _grids)
+# IoU 1/3 with both boxes: the first one is taken, so the second detection misses
+@example([([Detection((1, 0, 3, 2), 0, 0.9), Detection((0, 0, 2, 2), 0, 0.8)],
+           [GroundTruthBox((0, 0, 2, 2), 0), GroundTruthBox((2, 0, 4, 2), 0)])], (1 / 3,))
+def test_one_sweep_equals_per_class_per_threshold_matching(images, grid):
+    got = mean_ap(images, thresholds=grid)
+    assert (got.map50, got.map75, got.map_mean) == greedy_map(images, grid)
+    for class_id in (0, 1, 2):
+        for thr in grid:
+            assert average_precision(images, class_id, thr) == greedy_ap(images, class_id, thr)
+
+
+@SETTINGS
+@given(_images, st.data())
+def test_mean_ap_ignores_image_order_with_distinct_confidences(images, data):
+    n_dets = sum(len(dets) for dets, _ in images)
+    ranks = iter(data.draw(st.permutations(range(n_dets))))
+    images = [([Detection(d.box, d.class_id, (next(ranks) + 1) / (n_dets + 1)) for d in dets],
+               gts) for dets, gts in images]
+    order = data.draw(st.permutations(range(len(images))))
+    want = mean_ap(images)
+    got = mean_ap([images[k] for k in order])
+    assert (got.map50, got.map75, got.map_mean) == (want.map50, want.map75, want.map_mean)

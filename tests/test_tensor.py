@@ -38,6 +38,21 @@ class TestSeededRng:
         assert abs(sample.mean()) < 0.05
         assert abs(sample.var() - 1.0) < 0.1
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 16, 256, 786_432])
+    def test_normal_keeps_the_two_draw_stream(self, n):
+        # Box-Muller over m radius uniforms in (0, 1], then m angle uniforms.
+        two, one = SeededRng(31), SeededRng(31)
+        two.uniform(3)
+        one.uniform(3)
+        m = (n + 1) // 2
+        r = np.sqrt(-2.0 * np.log(two.uniform_open(m)))
+        theta = (2.0 * np.pi) * two.uniform(m)
+        want = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1).reshape(-1)[:n]
+        got = one.normal(n)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert one.words_consumed == two.words_consumed == 3 + 2 * m
+        assert one.uniform(5).tobytes() == two.uniform(5).tobytes()
+
     @pytest.mark.parametrize("shape", [[], [2, 0], [-1]])
     def test_randn_rejects_bad_shapes(self, shape):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,8 +82,26 @@ class TestBlendCompositors:
         with pytest.raises(ValueError):
             apply_rain(np.zeros((2, 2, 3)), np.zeros((3, 2)), np.zeros((2, 2, 3)))
 
+    @pytest.mark.parametrize("apply", [apply_rain, apply_snow])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("which, match", [(0, "image"), (1, "mask"), (2, "overlay")])
+    def test_non_finite_input_refused_by_name(self, apply, bad, which, match):
+        args = [np.full((4, 4, 3), 100.0), np.full((4, 4), 0.5), np.full((4, 4, 3), 200.0)]
+        args[which][1, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                apply(*args)
+
 
 class TestFog:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_image_refused(self, bad):
+        img = np.full((4, 4, 3), 100.0)
+        img[2, 1, 0] = bad
+        with pytest.raises(ValueError, match="image"):
+            apply_fog(img, np.ones((4, 4)), 1.0, 200.0)
+
     def test_beta_zero_identity(self):
         rng = SeededRng(74)
         img = _image(rng)
