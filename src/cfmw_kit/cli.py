@@ -27,6 +27,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 import argparse
+import functools
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -81,7 +82,14 @@ class _Options:
         if value is not None:
             return value
         if name in self.config:
-            return cast(self.config[name])
+            raw = self.config[name]
+            try:
+                return cast(raw)
+            except ValueError:
+                if cast not in (int, float):
+                    raise  # _pure_swap_value names its key itself
+                raise ValueError(f"config entry {name!r} is not a valid "
+                                 f"{cast.__name__}: {raw!r}") from None
         return default
 
     def require(self, name: str, cast=str):
@@ -226,16 +234,8 @@ def cmd_restore(opts: _Options) -> int:
         raise ValueError(f"unknown predictor {predictor_kind!r}")
 
     residuals = []
-    diff = np.empty(x_noise.shape)
-
-    def on_step(t, t_prev, x_t, x_prev):
-        # ||x_prev - x_t|| in one buffer; np.dot / np.linalg.norm would sum
-        # in another order and change the logged bits.
-        np.subtract(x_prev, x_t, out=diff)
-        np.square(diff, out=diff)
-        residuals.append((t, t_prev, float(np.sqrt(np.sum(diff)))))
-
-    restored = diffusion.sample(x_noise, degraded, cfg, pred, on_step=on_step)
+    restored = diffusion.sample(x_noise, degraded, cfg, pred,
+                                on_step=lambda *hop: residuals.append(hop))
     dst = out / f"{degraded_path.stem}_restored.ppm"
     _atomic_file(dst, lambda p: imageio.write_ppm(p, restored))
     csv = "t,t_prev,update_l2\n" + "".join(
@@ -445,6 +445,7 @@ def cmd_schedule(opts: _Options) -> int:
 
 # ----------------------------------------------------------------- main
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cfmw-kit",
@@ -529,6 +530,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     return parser
 
+
+# Build the one parser at import, among the other long-lived objects. Built
+# inside the first command, it shares small-object pages with that command's
+# temporaries and keeps them from being freed (fuse_long peak RSS +1.6 MB).
+_build_parser()
 
 _COMMANDS = {
     "synth": cmd_synth,

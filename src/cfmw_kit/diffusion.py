@@ -239,9 +239,15 @@ def _out_buffer(buf, name: str, shape, others) -> np.ndarray:
     return buf
 
 
+# Bytes of one row tile of the step: a few tiles (x_t, the noise, out, the
+# second noise term, sq_diff) stay resident in a 2 MiB L2 while all the
+# passes of the step run over them.
+_TILE_BYTES = 256 * 1024
+
+
 def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
               pred, sched: NoiseSchedule, *, out: np.ndarray | None = None,
-              scratch: np.ndarray | None = None) -> np.ndarray:
+              sq_diff: np.ndarray | None = None) -> np.ndarray:
     """One deterministic implicit reverse step from ``t`` to ``t_prev``.
 
     The predicted noise first inverts the forward map to a clean-image
@@ -250,10 +256,14 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
         x0_hat = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t)
         x_prev = sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev) eps_hat
 
-    The result is written into ``out`` and ``scratch`` holds the second
-    noise term; each is a float64 array of ``x_t``'s shape, allocated when
-    None, and must share no memory with ``x_t``, the predicted noise or the
-    other buffer. Returns ``out``.
+    The predictor is called once on the whole ``x_t``; the arithmetic then
+    runs over blocks of leading-axis rows of about ``_TILE_BYTES`` each, so
+    every pass of the step finds its block still in cache. The result is
+    written into ``out`` (allocated when None). When ``sq_diff`` is given it
+    receives ``(x_prev - x_t) ** 2`` per element, computed on the same
+    block. Each buffer is a float64 array of ``x_t``'s shape that shares no
+    memory with ``x_t``, the predicted noise or the other buffer. Returns
+    ``out``.
     """
     t, t_prev = _step_index(t), _step_index(t_prev)
     if not t > t_prev >= 0:
@@ -263,23 +273,33 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
     if eps_hat.shape != x_t.shape:
         raise ValueError("predictor output shape must match x_t")
     out = _out_buffer(out, "out", x_t.shape, (x_t, eps_hat))
-    scratch = _out_buffer(scratch, "scratch", x_t.shape, (x_t, eps_hat, out))
+    if sq_diff is not None:
+        sq_diff = _out_buffer(sq_diff, "sq_diff", x_t.shape, (x_t, eps_hat, out))
     abar_t = sched.alpha_bar_at(t)
     abar_p = sched.alpha_bar_at(t_prev)
-    # The formulas' float operations in their written order, so passing
-    # buffers or not gives the same bits.
-    np.multiply(math.sqrt(1.0 - abar_t), eps_hat, out=out)
-    np.subtract(x_t, out, out=out)
-    out /= math.sqrt(abar_t)
-    out *= math.sqrt(abar_p)
-    out += np.multiply(math.sqrt(1.0 - abar_p), eps_hat, out=scratch)
+    c_eps_t, c_x0_t = math.sqrt(1.0 - abar_t), math.sqrt(abar_t)
+    c_x0_p, c_eps_p = math.sqrt(abar_p), math.sqrt(1.0 - abar_p)
+    # Leading-axis row views; a 0-d step runs as one row of one element.
+    x_rows, eps_rows, out_rows = np.atleast_1d(x_t, eps_hat, out)
+    sq_rows = None if sq_diff is None else np.atleast_1d(sq_diff)
+    n = x_rows.shape[0]
+    rows = max(1, _TILE_BYTES // max(8 * math.prod(x_rows.shape[1:]), 1))
+    noise = np.empty((min(rows, n),) + x_rows.shape[1:])
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        x, eps, o = x_rows[lo:hi], eps_rows[lo:hi], out_rows[lo:hi]
+        # The formulas' float operations in their written order, so every
+        # element has the bits of the untiled step.
+        np.multiply(c_eps_t, eps, out=o)
+        np.subtract(x, o, out=o)
+        o /= c_x0_t
+        o *= c_x0_p
+        o += np.multiply(c_eps_p, eps, out=noise[:hi - lo])
+        if sq_rows is not None:
+            d = sq_rows[lo:hi]
+            np.subtract(o, x, out=d)
+            np.square(d, out=d)
     return out
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    view = a.view()
-    view.flags.writeable = False
-    return view
 
 
 def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
@@ -287,9 +307,14 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
     """Run the deterministic reverse chain from step T down to 0.
 
     The chain steps between two buffers allocated once and never writes into
-    ``x_noise``. ``on_step(t, t_prev, x_t, x_prev)`` is invoked after each hop
-    when given (the CLI logs per-step residual norms with it); ``x_t`` and
-    ``x_prev`` are read-only views that are valid only during the call.
+    ``x_noise``. When ``on_step`` is given, each hop also fills a third
+    buffer with its squared update, and ``on_step(t, t_prev, update_l2)``
+    is called after the hop with ``update_l2 = sqrt(sum((x_prev - x_t)**2))``
+    (the CLI logs these residual norms).
+
+    A non-finite result is refused once, after the last hop: the step only
+    subtracts, adds, and scales by positive coefficients, so a NaN or
+    infinity from the predictor, or an overflow, is still there at the end.
     """
     x = check_finite(np.asarray(x_noise, dtype=np.float64), "x_noise")
     x_tilde = check_finite(np.asarray(x_tilde, dtype=np.float64), "x_tilde")
@@ -298,15 +323,22 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
     steps = cfg.step_sequence()
     targets = steps[1:] + [0]
     bufs = (np.empty(x.shape), np.empty(x.shape))
-    views = [_read_only(b) for b in bufs]
-    scratch = np.empty(x.shape)
-    x_view = _read_only(x)
+    sq_diff = None if on_step is None else np.empty(x.shape)
     for i, (t, t_prev) in enumerate(zip(steps, targets)):
-        ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule,
-                  out=bufs[i % 2], scratch=scratch)
+        # inf - inf and 0 * inf arise only from values that are already
+        # non-finite, which the check after the chain reports; an overflow
+        # still warns where it happens.
+        with np.errstate(invalid="ignore"):
+            x = ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule,
+                          out=bufs[i % 2], sq_diff=sq_diff)
         if on_step is not None:
-            on_step(t, t_prev, x_view, views[i % 2])
-        x, x_view = bufs[i % 2], views[i % 2]
+            # One sum over the whole contiguous buffer: np.dot or a per-tile
+            # sum would add in another order and change the logged bits.
+            on_step(t, t_prev, float(np.sqrt(np.sum(sq_diff))))
+    del bufs, sq_diff  # only the result is alive for the finiteness pass
+    if not np.all(np.isfinite(x)):
+        raise ValueError("sampled image contains non-finite values: the predictor "
+                         "returned NaN or infinity, or a step overflowed")
     return x
 
 

@@ -80,7 +80,10 @@ def apply_fog(j: np.ndarray, d: np.ndarray, beta: float, l_inf: float) -> np.nda
     d = check_finite(np.asarray(d, dtype=np.float64), "depth")
     if np.any(d < 0.0):
         raise ValueError("depth must be nonnegative")
-    trans = _per_pixel(np.exp(-beta * d), j)
+    # Where beta * d passes the float range the product is -inf and the
+    # transmission underflows to exactly 0: pure airlight, not a warning.
+    with np.errstate(over="ignore"):
+        trans = _per_pixel(np.exp(-beta * d), j)
     return np.clip(j * trans + l_inf * (1.0 - trans), 0.0, 255.0)
 
 

@@ -574,6 +574,34 @@ class TestCliPlumbing:
         assert "'t_count'" in capsys.readouterr().err
         assert not (out / "schedule.csv").exists()
 
+    @pytest.mark.parametrize("command, entry, kind", [
+        ("fuse", "patch=abc", "int"), ("synth", "density=lots", "float"),
+    ])
+    def test_bad_config_value_names_its_key(self, tmp_path, clean_ppm, capsys,
+                                            command, entry, kind):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        key, value = entry.split("=")
+        out = tmp_path / "out"
+        argv = {"fuse": ("--rgb", clean_ppm, "--thermal", clean_ppm),
+                "synth": ("--input", clean_ppm, "--weather", "rain")}[command]
+        assert _run(command, *argv, "--config", cfg, "--out", out) == 1
+        want = f"config entry {key!r} is not a valid {kind}: {value!r}"
+        assert want in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_back_to_back_runs_share_no_values(self, tmp_path, clean_ppm, capsys):
+        # The parser is built once per process; each run must still start
+        # from the defaults, not from the previous run's values.
+        out = tmp_path / "out"
+        other = tmp_path / "other.ppm"
+        other.write_bytes(clean_ppm.read_bytes())
+        assert _run("synth", "--input", clean_ppm, other, "--weather", "fog",
+                    "--out", out) == 0
+        capsys.readouterr()
+        assert _run("synth") == 1
+        assert "missing required option --input" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["restore", "fuse", "bench", "eval", "schedule"])
     def test_threads_is_a_synth_option_only(self, tmp_path, capsys, command):
         with pytest.raises(SystemExit):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cfmw_kit.diffusion import (
+    _TILE_BYTES,
     DiffusionConfig,
     NoiseSchedule,
     OraclePredictor,
@@ -192,11 +193,12 @@ class TestDdimStep:
         for pred in (OraclePredictor(randn([5, 4, 3], rng)), TinyMlpPredictor(7)):
             for t, t_prev in ((1000, 980), (417, 1), (20, 0)):
                 want = ddim_step(x_t, cond, t, t_prev, pred, sched)
-                out, scratch = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
+                out, sq_diff = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
                 got = ddim_step(x_t, cond, t, t_prev, pred, sched,
-                                out=out, scratch=scratch)
+                                out=out, sq_diff=sq_diff)
                 assert got is out
                 assert np.array_equal(got, want)
+                assert np.array_equal(sq_diff, np.square(want - x_t))
 
     def test_bad_buffers_refused(self):
         sched = make_schedule("linear", 10)
@@ -207,17 +209,63 @@ class TestDdimStep:
         bad = {
             "shape": dict(out=np.empty((2, 3))),
             "dtype": dict(out=np.empty((3, 2), dtype=np.float32)),
-            "list": dict(scratch=[[0.0] * 2] * 3),
+            "sq_diff shape": dict(sq_diff=np.empty((3, 2, 1))),
+            "sq_diff dtype": dict(sq_diff=np.empty((3, 2), dtype=np.float32)),
+            "list": dict(sq_diff=[[0.0] * 2] * 3),
             "out is x_t": dict(out=x_t),
             "out is eps": dict(out=pred.eps),
-            "scratch views x_t": dict(scratch=x_t[:, :]),
-            "scratch is out": dict(out=pool[0], scratch=pool[0]),
+            "sq_diff views x_t": dict(sq_diff=x_t[:, :]),
+            "sq_diff is eps": dict(sq_diff=pred.eps),
+            "sq_diff is out": dict(out=pool[0], sq_diff=pool[0]),
+            "sq_diff overlaps out": dict(out=pool[0],
+                                         sq_diff=pool.reshape(-1)[3:9].reshape(3, 2)),
         }
         for kwargs in bad.values():
-            with pytest.raises(ValueError, match="out|scratch"):
+            with pytest.raises(ValueError, match="out|sq_diff"):
                 ddim_step(x_t, x_t, 5, 2, pred, sched, **kwargs)
         # distinct slices of one array share no memory and are accepted
-        ddim_step(x_t, x_t, 5, 2, pred, sched, out=pool[0], scratch=pool[1])
+        ddim_step(x_t, x_t, 5, 2, pred, sched, out=pool[0], sq_diff=pool[1])
+
+    TILE_CASES = [
+        ((), "contiguous"), ((5,), "contiguous"), ((1, 7), "contiguous"),
+        ((37, 513, 3), "contiguous"), ((600, 600, 3), "contiguous"),
+        ((3, 40000), "contiguous"),  # rows wider than a tile: one row per tile
+        ((5,), "strided x_t"), ((37, 513, 3), "strided x_t"),
+        ((5,), "strided out"), ((600, 600, 3), "strided out"),
+    ]
+
+    @pytest.mark.parametrize("shape, layout", TILE_CASES, ids=[
+        f"{'x'.join(map(str, shape)) or '0d'}-{layout.replace(' ', '_')}"
+        for shape, layout in TILE_CASES])
+    def test_tiles_give_the_untiled_bits(self, shape, layout):
+        sched = make_schedule("linear", 1000)
+        rng = SeededRng(66)
+        n = math.prod(shape)
+
+        def strided():  # every other leading row of a twice-as-long array
+            return np.empty((2 * shape[0],) + shape[1:])[::2]
+
+        x_t = randn([n], rng).reshape(shape) * 40.0
+        if layout == "strided x_t":
+            view = strided()
+            view[...] = x_t
+            x_t = view
+        eps = randn([n], rng).reshape(shape)
+        out = strided() if layout == "strided out" else None
+        for t, t_prev in ((1000, 980), (417, 3), (20, 0)):
+            # The six ops over whole arrays, in the step's written order.
+            abar_t, abar_p = sched.alpha_bar_at(t), sched.alpha_bar_at(t_prev)
+            want = np.multiply(math.sqrt(1.0 - abar_t), eps)
+            want = np.subtract(x_t, want)
+            want /= math.sqrt(abar_t)
+            want *= math.sqrt(abar_p)
+            want += np.multiply(math.sqrt(1.0 - abar_p), eps)
+            sq_diff = np.empty(shape)
+            got = ddim_step(x_t, x_t, t, t_prev, OraclePredictor(eps), sched,
+                            out=out, sq_diff=sq_diff)
+            assert got.shape == shape
+            assert np.array_equal(got, want)
+            assert np.array_equal(sq_diff, np.square(got - x_t))
 
 
 class TestSample:
@@ -251,31 +299,60 @@ class TestSample:
         eps = randn([2], rng)
         x_t = q_sample(x0, 100, eps, sched)
         out = sample(x_t, np.zeros(2), cfg, OraclePredictor(eps),
-                     on_step=lambda t, tp, x_t, x_prev: hops.append((t, tp)))
-        assert hops == [(100, 0)]
+                     on_step=lambda *hop: hops.append(hop))
+        assert hops == [(100, 0, float(np.sqrt(np.sum(np.square(out - x_t)))))]
         assert np.abs(out - x0).max() < 1e-12
 
-    def test_on_step_sees_each_hop_read_only(self):
+    def test_on_step_gets_each_hop_update_norm(self):
         sched = make_schedule("linear", 100)
         cfg = DiffusionConfig(schedule=sched, n_sample_steps=4)
         rng = SeededRng(63)
-        x_noise, cond = randn([3, 2], rng), randn([3, 2], rng)
+        shape = [300, 200, 3]  # several row tiles per step
+        x_noise, cond = randn(shape, rng), randn(shape, rng)
         pred = TinyMlpPredictor(5)
         seen = []
-
-        def on_step(t, t_prev, x_t, x_prev):
-            assert not x_t.flags.writeable and not x_prev.flags.writeable
-            seen.append((t, t_prev, x_t.copy(), x_prev.copy()))
-
-        out = sample(x_noise, cond, cfg, pred, on_step=on_step)
+        out = sample(x_noise, cond, cfg, pred, on_step=lambda *hop: seen.append(hop))
         x = x_noise
-        for (t, t_prev, x_t, x_prev), want in zip(seen, cfg.step_sequence()):
+        for (t, t_prev, update_l2), want in zip(seen, cfg.step_sequence()):
             assert t == want
-            assert np.array_equal(x_t, x)
-            x = ddim_step(x, cond, t, t_prev, pred, sched)
-            assert np.array_equal(x_prev, x)
+            x_prev = ddim_step(x, cond, t, t_prev, pred, sched)
+            assert update_l2 == float(np.sqrt(np.sum(np.square(x_prev - x))))
+            x = x_prev
         assert len(seen) == 4 and seen[-1][1] == 0
         assert np.array_equal(out, x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("with_callback", [False, True])
+    def test_non_finite_chain_refused_after_last_hop(self, bad, with_callback):
+        sched = make_schedule("linear", 100)
+        cfg = DiffusionConfig(schedule=sched, n_sample_steps=6)
+        rng = SeededRng(67)
+        x_noise, eps = randn([4, 3], rng), randn([4, 3], rng)
+        middle = cfg.step_sequence()[2]
+        calls = []
+
+        def pred(x, cond, t):
+            calls.append(t)
+            if t != middle:
+                return eps
+            spoiled = eps.copy()
+            spoiled[1, 2] = bad
+            return spoiled
+
+        on_step = (lambda *hop: None) if with_callback else None
+        with pytest.raises(ValueError, match="non-finite.*predictor.*overflow"):
+            sample(x_noise, np.zeros_like(x_noise), cfg, pred, on_step=on_step)
+        assert calls == cfg.step_sequence()  # refused once, after the last hop
+
+    def test_overflowing_chain_warns_then_is_refused(self):
+        # Finite inputs whose first division by sqrt(abar_t) leaves the
+        # float range: NumPy warns at the overflow, the chain end refuses.
+        cfg = DiffusionConfig(schedule=make_schedule("linear", 100), n_sample_steps=4)
+        x_noise = np.full((2, 2), 1.5e308)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="non-finite.*overflow"):
+            sample(x_noise, np.zeros((2, 2)), cfg, OraclePredictor(np.zeros((2, 2))),
+                   on_step=lambda *hop: None)
 
     @pytest.mark.parametrize("which", ["x_noise", "x_tilde"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -306,28 +383,24 @@ class TestSample:
     def test_memory_does_not_grow_with_steps(self):
         sched = make_schedule("linear", 1000)
         rng = SeededRng(65)
-        x_noise, eps = randn([64, 64, 3], rng), randn([64, 64, 3], rng)
+        shape = [256, 256, 3]  # six row tiles per step
+        x_noise, eps = randn(shape, rng), randn(shape, rng)
         pred = OraclePredictor(eps)
         cond = np.zeros_like(x_noise)
-        diff = np.empty_like(x_noise)
-
-        def on_step(t, t_prev, x_t, x_prev):  # the CLI's residual callback
-            np.subtract(x_prev, x_t, out=diff)
-            np.square(diff, out=diff)
-
         peaks = {}
         for steps in (5, 50):
             cfg = DiffusionConfig(schedule=sched, n_sample_steps=steps)
             tracemalloc.start()
             try:
-                sample(x_noise, cond, cfg, pred, on_step=on_step)
+                sample(x_noise, cond, cfg, pred, on_step=lambda *hop: None)
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # The chain holds two ping-pong buffers and one scratch buffer, at any
-        # step count; only the step list (a few bytes a step) grows with S.
-        slack = 8 * 1024
-        assert peaks[50] <= peaks[5] + slack
+        # The chain holds two ping-pong buffers and the squared-update buffer,
+        # plus one tile of the step's second noise term, at any step count;
+        # only the step list (a few bytes a step) grows with S.
+        slack = _TILE_BYTES + 8 * 1024
+        assert peaks[50] <= peaks[5] + 8 * 1024
         assert peaks[50] <= 3 * x_noise.nbytes + slack
 
     def test_conditioning_reaches_predictor(self):

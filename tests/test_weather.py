@@ -113,6 +113,12 @@ class TestFog:
         out = apply_fog(img, np.full((3, 3), 80.0), 0.5, 210.0)  # beta d = 40
         assert np.abs(out - 210.0).max() < 1e-12
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_attenuation_gives_airlight(self):
+        # beta * d is past the float range: the transmission is exactly 0
+        out = apply_fog(np.full((2, 2, 3), 100.0), np.full((2, 2), 1e200), 1e200, 200.0)
+        assert np.array_equal(out, np.full((2, 2, 3), 200.0))
+
     def test_hand_value(self):
         out = apply_fog(np.zeros((1, 1, 3)), np.full((1, 1), 2.0), 0.5, 255.0)
         expected = 255.0 * (1.0 - math.exp(-1.0))  # ~161.19
