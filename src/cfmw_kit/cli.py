@@ -12,8 +12,10 @@ Subcommands:
 Every command is deterministic given its flags, config file, and seed;
 reruns produce byte-identical primary outputs (benchmark wall times exempt).
 Outputs are written to a temporary file and renamed on success, so failed
-runs leave nothing partial behind. Option precedence: command-line flags,
-then ``key=value`` lines from ``--config``, then built-in defaults.
+runs leave nothing partial behind. Each ``key=value`` line of ``--config``
+is parsed as the flag ``--key=value``, placed before the command-line flags:
+it gets the flag's type, choices and error message, and a flag given on the
+command line wins over it. Options given neither way take their defaults.
 """
 
 from __future__ import annotations
@@ -36,9 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from . import diffusion, fusion, imageio, metrics, tensor, tensor_io, weather
-
-ENV_THREADS = "CFMW_KIT_THREADS"
-DEFAULT_SEED = 42
 
 
 def _atomic_file(path: Path, writer) -> None:
@@ -64,53 +63,12 @@ def _parallel_map(fn, items, threads: int):
         return list(pool.map(fn, items))
 
 
-class _Options:
-    """Flags > config-file entries > defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config: dict[str, str] = {}
-        if args.config is not None:
-            self.config = tensor_io.read_manifest(args.config)
-        known = {dest.replace("_", "-") for dest in vars(args)} - {"command", "config"}
-        for key in self.config:
-            if key not in known:
-                raise ValueError(f"unknown option {key!r} in config file {args.config}")
-
-    def get(self, name: str, default, cast):
-        value = getattr(self.args, name.replace("-", "_"), None)
-        if value is not None:
-            return value
-        if name in self.config:
-            raw = self.config[name]
-            try:
-                return cast(raw)
-            except ValueError:
-                if cast not in (int, float):
-                    raise  # _pure_swap_value names its key itself
-                raise ValueError(f"config entry {name!r} is not a valid "
-                                 f"{cast.__name__}: {raw!r}") from None
-        return default
-
-    def require(self, name: str, cast=str):
-        value = self.get(name, None, cast)
-        if value is None:
-            raise ValueError(f"missing required option --{name}")
-        return value
-
-
-def _resolve_threads(opts: _Options) -> int:
-    value = opts.get("threads", None, int)
+def _require(args: argparse.Namespace, name: str):
+    """``args.<name>``, refused when neither a flag nor the config file gave it."""
+    value = getattr(args, name)
     if value is None:
-        env = os.environ.get(ENV_THREADS)
-        value = int(env) if env else 1
-    if value < 1:
-        raise ValueError("--threads must be >= 1")
+        raise ValueError(f"missing required option --{name}")
     return value
-
-
-def _out_dir(opts: _Options) -> Path:
-    return Path(opts.get("out", ".", str))
 
 
 def _at_least(name: str, value: int, low: int) -> int:
@@ -122,15 +80,11 @@ def _at_least(name: str, value: int, low: int) -> int:
 
 # ---------------------------------------------------------------- synth
 
-def cmd_synth(opts: _Options) -> int:
-    inputs = opts.require("input", str)
-    paths = [Path(p) for p in (inputs if isinstance(inputs, list) else [inputs])]
-    kind = opts.require("weather", str)
-    if kind not in ("rain", "snow", "fog"):
-        raise ValueError(f"unknown weather kind {kind!r}")
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    out = _out_dir(opts)
-    threads = _resolve_threads(opts)
+def cmd_synth(args: argparse.Namespace) -> int:
+    paths = _require(args, "input")
+    kind = _require(args, "weather")
+    out = args.out
+    threads = _at_least("threads", args.threads, 1)
     targets: dict[Path, Path] = {}
     for src in paths:
         dst = out / f"{src.stem}_{kind}.ppm"
@@ -139,44 +93,36 @@ def cmd_synth(opts: _Options) -> int:
                              f"written as {dst.name}")
         targets[dst] = src
 
-    params: dict[str, str] = {}
     if kind == "rain":
-        density = opts.get("density", 0.002, float)
-        angle = opts.get("angle", 75.0, float)
-        streak = opts.get("streak-len", 12, int)
-        params = {"density": repr(density), "angle": repr(angle),
-                  "streak_len": str(streak)}
+        density = 0.002 if args.density is None else args.density
+        params = {"density": repr(density), "angle": repr(args.angle),
+                  "streak_len": str(args.streak_len)}
     elif kind == "snow":
-        density = opts.get("density", 0.004, float)
-        r_lo = opts.get("radius-min", 1.0, float)
-        r_hi = opts.get("radius-max", 3.0, float)
-        params = {"density": repr(density), "radius_min": repr(r_lo),
-                  "radius_max": repr(r_hi)}
+        density = 0.004 if args.density is None else args.density
+        params = {"density": repr(density), "radius_min": repr(args.radius_min),
+                  "radius_max": repr(args.radius_max)}
     else:
-        beta = opts.get("beta", 0.5, float)
-        l_inf = opts.get("linf", 235.0, float)
-        depth_mode = opts.get("depth-mode", "vertical_gradient", str)
-        depth_value = opts.get("depth-value", 1.0, float)
-        max_depth = opts.get("max-depth", 1.0, float)
-        params = {"beta": repr(beta), "linf": repr(l_inf),
-                  "depth_mode": depth_mode, "depth_value": repr(depth_value),
-                  "max_depth": repr(max_depth)}
+        params = {"beta": repr(args.beta), "linf": repr(args.linf),
+                  "depth_mode": args.depth_mode, "depth_value": repr(args.depth_value),
+                  "max_depth": repr(args.max_depth)}
 
     def degrade(item):
         index, (dst, src) = item
         img = imageio.read_ppm(src)
         h, w, _ = img.shape
-        img_seed = seed + index
+        img_seed = args.seed + index
         if kind == "rain":
-            mask, overlay = weather.gen_rain(h, w, img_seed, density, angle, streak)
+            mask, overlay = weather.gen_rain(h, w, img_seed, density, args.angle,
+                                             args.streak_len)
             degraded = weather.apply_rain(img, mask, overlay)
         elif kind == "snow":
-            mask, overlay = weather.gen_snow(h, w, img_seed, density, (r_lo, r_hi))
+            mask, overlay = weather.gen_snow(h, w, img_seed, density,
+                                             (args.radius_min, args.radius_max))
             degraded = weather.apply_snow(img, mask, overlay)
         else:
-            depth = weather.gen_depth(depth_mode, h, w, value=depth_value,
-                                      max_depth=max_depth)
-            degraded = weather.apply_fog(img, depth, beta, l_inf)
+            depth = weather.gen_depth(args.depth_mode, h, w, value=args.depth_value,
+                                      max_depth=args.max_depth)
+            degraded = weather.apply_fog(img, depth, args.beta, args.linf)
         _atomic_file(dst, lambda p: imageio.write_ppm(p, degraded))
         return src, dst, img_seed
 
@@ -195,43 +141,34 @@ def cmd_synth(opts: _Options) -> int:
 
 # -------------------------------------------------------------- restore
 
-def cmd_restore(opts: _Options) -> int:
-    degraded_path = Path(opts.require("input", str))
-    predictor_kind = opts.require("predictor", str)
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    n_steps = opts.get("steps", 50, int)
-    t_count = opts.get("t-count", 1000, int)
-    kind = opts.get("schedule", "linear", str)
-    beta_start = opts.get("beta-start", diffusion.DEFAULT_BETA_START, float)
-    beta_end = opts.get("beta-end", diffusion.DEFAULT_BETA_END, float)
-    out = _out_dir(opts)
+def cmd_restore(args: argparse.Namespace) -> int:
+    degraded_path = _require(args, "input")
+    predictor_kind = _require(args, "predictor")
+    out = args.out
 
     degraded = imageio.read_ppm(degraded_path)
-    sched = diffusion.make_schedule(kind, t_count, beta_start, beta_end)
-    cfg = diffusion.DiffusionConfig(schedule=sched, n_sample_steps=n_steps)
-    rng = tensor.SeededRng(seed)
+    sched = diffusion.make_schedule(args.schedule, args.t_count, args.beta_start,
+                                    args.beta_end)
+    cfg = diffusion.DiffusionConfig(schedule=sched, n_sample_steps=args.steps)
+    rng = tensor.SeededRng(args.seed)
 
     if predictor_kind == "oracle":
-        clean_path = opts.get("clean", None, str)
-        if clean_path is None:
+        if args.clean is None:
             raise ValueError("--predictor oracle needs --clean (the inversion target)")
-        clean = imageio.read_ppm(clean_path)
+        clean = imageio.read_ppm(args.clean)
         if clean.shape != degraded.shape:
             raise ValueError("clean and degraded image sizes differ")
-        eps_file = opts.get("eps-file", None, str)
-        if eps_file is not None:
-            eps = tensor_io.read_tensor(eps_file)
+        if args.eps_file is not None:
+            eps = tensor_io.read_tensor(args.eps_file)
             if eps.shape != clean.shape:
                 raise ValueError("stored noise shape does not match the images")
         else:
             eps = tensor.randn(clean.shape, rng)
-        x_noise = diffusion.q_sample(clean, t_count, eps, sched)
+        x_noise = diffusion.q_sample(clean, args.t_count, eps, sched)
         pred = diffusion.OraclePredictor(eps)
-    elif predictor_kind == "tinymlp":
-        x_noise = tensor.randn(degraded.shape, rng) * 127.5 + 127.5
-        pred = diffusion.TinyMlpPredictor(seed)
     else:
-        raise ValueError(f"unknown predictor {predictor_kind!r}")
+        x_noise = tensor.randn(degraded.shape, rng) * 127.5 + 127.5
+        pred = diffusion.TinyMlpPredictor(args.seed)
 
     residuals = []
     restored = diffusion.sample(x_noise, degraded, cfg, pred,
@@ -279,40 +216,29 @@ def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
     return feats, grid_h, grid_w
 
 
-def _pure_swap_value(value: str) -> bool:
-    """``pure-swap`` from a config file: ``1``/``true`` is on, ``0``/``false`` off."""
-    if value not in ("0", "1", "true", "false"):
-        raise ValueError(f"pure-swap must be 0, 1, true or false, got {value!r}")
-    return value in ("1", "true")
-
-
-def cmd_fuse(opts: _Options) -> int:
-    rgb_path = Path(opts.require("rgb", str))
-    thermal_path = Path(opts.require("thermal", str))
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    patch = _at_least("patch", opts.get("patch", 8, int), 1)
-    dim = _at_least("dim", opts.get("dim", 16, int), 2)
-    d_state = _at_least("d-state", opts.get("d-state", 8, int), 1)
-    residual_mode = opts.get("residual-mode", "crossed", str)
-    pure_swap = opts.get("pure-swap", False, _pure_swap_value)
-    params_dir = opts.get("params", None, str)
-    out = _out_dir(opts)
+def cmd_fuse(args: argparse.Namespace) -> int:
+    rgb_path = _require(args, "rgb")
+    thermal_path = _require(args, "thermal")
+    patch = _at_least("patch", args.patch, 1)
+    dim = _at_least("dim", args.dim, 2)
+    d_state = _at_least("d-state", args.d_state, 1)
+    out = args.out
 
     if dim % 2 != 0:
         raise ValueError("--dim must be even (half-channel swap)")
-    rng = tensor.SeededRng(seed)
+    rng = tensor.SeededRng(args.seed)
     feats, grid_h, grid_w = _embed_pair(rgb_path, thermal_path, patch, dim, rng)
     n_tokens = grid_h * grid_w
-    if params_dir is not None:
-        block = fusion.load_fusion_params(params_dir)
+    if args.params is not None:
+        block = fusion.load_fusion_params(args.params)
         if block.c != dim or block.n_tokens != n_tokens:
             raise ValueError("loaded fusion params do not match the image geometry")
     else:
         block = fusion.FusionBlockParams.random(dim, d_state, grid_h, grid_w, rng,
-                                                residual_mode=residual_mode,
+                                                residual_mode=args.residual_mode,
                                                 zero_offsets=True)
 
-    swapped = fusion.shallow_swap(feats, residual=not pure_swap)
+    swapped = fusion.shallow_swap(feats, residual=not args.pure_swap)
     fused = fusion.fuse(swapped, block)
     for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):
         tensor.check_finite(arr, f"fused {name} tensor")
@@ -333,32 +259,28 @@ def cmd_fuse(opts: _Options) -> int:
 
 # ---------------------------------------------------------------- bench
 
-def cmd_bench(opts: _Options) -> int:
-    n_min = _at_least("n-min", opts.get("n-min", 64, int), 1)
-    n_max = opts.get("n-max", 8192, int)
-    c = _at_least("c", opts.get("c", 32, int), 2)
-    d_state = _at_least("d-state", opts.get("d-state", 16, int), 1)
-    repeats = opts.get("repeats", 5, int)
-    seed = opts.get("seed", DEFAULT_SEED, int)
-    out = _out_dir(opts)
+def cmd_bench(args: argparse.Namespace) -> int:
+    n_min = _at_least("n-min", args.n_min, 1)
+    c = _at_least("c", args.c, 2)
+    d_state = _at_least("d-state", args.d_state, 1)
 
     sizes = []
     n = n_min
-    while n <= n_max:
+    while n <= args.n_max:
         sizes.append(n)
         n *= 2
     if len(sizes) < 4:
         raise ValueError("benchmark grid needs at least 4 doubling sizes")
 
     # Timing is defined single-threaded.
-    rows, slopes = fusion.scaling_benchmark(sizes, c, d_state, repeats, seed)
+    rows, slopes = fusion.scaling_benchmark(sizes, c, d_state, args.repeats, args.seed)
     csv = "path,N,C,ops,wall_ns\n" + "".join(
         f"{r.path},{r.n_tokens},{r.c},{r.ops},{r.wall_ns}\n" for r in rows)
-    _atomic_text(out / "bench.csv", csv)
+    _atomic_text(args.out / "bench.csv", csv)
     slope_csv = "path,ops_slope,wall_slope\n" + "".join(
         f"{p},{slopes[f'{p}_ops_slope']!r},{slopes[f'{p}_wall_slope']!r}\n"
         for p in ("ss2d_fusion", "attention_fusion"))
-    _atomic_text(out / "bench_slopes.csv", slope_csv)
+    _atomic_text(args.out / "bench_slopes.csv", slope_csv)
     for p in ("ss2d_fusion", "attention_fusion"):
         print(f"{p}: ops_slope={slopes[f'{p}_ops_slope']:.4f} "
               f"wall_slope={slopes[f'{p}_wall_slope']:.4f}")
@@ -368,19 +290,22 @@ def cmd_bench(opts: _Options) -> int:
 # ----------------------------------------------------------------- eval
 
 def _load_box_files(path: Path, parse) -> dict[str, list]:
-    if path.is_dir():
-        return {f.name: parse(f.read_text(encoding="ascii"))
-                for f in sorted(path.iterdir()) if f.is_file()}
-    return {path.name: parse(path.read_text(encoding="ascii"))}
+    """``parse`` over the file ``path`` or each file in it; errors name the file."""
+    files = sorted(f for f in path.iterdir() if f.is_file()) if path.is_dir() else [path]
+    boxes = {}
+    for f in files:
+        try:
+            boxes[f.name] = parse(f.read_text(encoding="ascii"))
+        except ValueError as exc:  # UnicodeDecodeError included
+            raise ValueError(f"{f}: {exc}") from exc
+    return boxes
 
 
-def cmd_eval(opts: _Options) -> int:
-    out = _out_dir(opts)
+def cmd_eval(args: argparse.Namespace) -> int:
     rows = ["metric,value\n"]
     did_anything = False
 
-    clean = opts.get("clean", None, str)
-    image = opts.get("image", None, str)
+    clean, image = args.clean, args.image
     if (clean is None) != (image is None):
         raise ValueError("image metrics need both --clean and --image")
     if clean is not None:
@@ -390,16 +315,14 @@ def cmd_eval(opts: _Options) -> int:
         rows.append(f"ssim,{metrics.ssim(a, b)!r}\n")
         did_anything = True
 
-    dets_path = opts.get("dets", None, str)
-    gts_path = opts.get("gts", None, str)
-    if (dets_path is None) != (gts_path is None):
+    if (args.dets is None) != (args.gts is None):
         raise ValueError("detection metrics need both --dets and --gts")
-    if dets_path is not None:
-        max_area = opts.get("max-area", None, float)
+    if args.dets is not None:
+        max_area = args.max_area
         if max_area is not None and not 0.0 < max_area < math.inf:
             raise ValueError(f"--max-area must be finite and > 0, got {max_area!r}")
-        det_files = _load_box_files(Path(dets_path), metrics.parse_detections)
-        gt_files = _load_box_files(Path(gts_path), metrics.parse_ground_truth)
+        det_files = _load_box_files(args.dets, metrics.parse_detections)
+        gt_files = _load_box_files(args.gts, metrics.parse_ground_truth)
         if set(det_files) != set(gt_files):
             missing = set(det_files) ^ set(gt_files)
             raise ValueError(f"unpaired detection/ground-truth files: {sorted(missing)}")
@@ -416,7 +339,7 @@ def cmd_eval(opts: _Options) -> int:
 
     if not did_anything:
         raise ValueError("nothing to evaluate: give --clean/--image and/or --dets/--gts")
-    _atomic_text(out / "metrics.csv", "".join(rows))
+    _atomic_text(args.out / "metrics.csv", "".join(rows))
     sys.stdout.write("".join(rows))
     return 0
 
@@ -427,19 +350,14 @@ def _box_area(box) -> float:
 
 # ------------------------------------------------------------- schedule
 
-def cmd_schedule(opts: _Options) -> int:
-    kind = opts.get("kind", "linear", str)
-    t_count = opts.get("t-count", 1000, int)
-    beta_start = opts.get("beta-start", diffusion.DEFAULT_BETA_START, float)
-    beta_end = opts.get("beta-end", diffusion.DEFAULT_BETA_END, float)
-    out = _out_dir(opts)
-    sched = diffusion.make_schedule(kind, t_count, beta_start, beta_end)
+def cmd_schedule(args: argparse.Namespace) -> int:
+    sched = diffusion.make_schedule(args.kind, args.t_count, args.beta_start, args.beta_end)
     rows = ["t,beta,alpha,alpha_bar\n"]
     for t in range(1, sched.t_count + 1):
         rows.append(f"{t},{float(sched.beta[t - 1])!r},{float(sched.alpha[t - 1])!r},"
                     f"{float(sched.alpha_bar[t - 1])!r}\n")
-    _atomic_text(out / "schedule.csv", "".join(rows))
-    print(f"wrote {t_count}-step {kind} schedule -> {out / 'schedule.csv'}")
+    _atomic_text(args.out / "schedule.csv", "".join(rows))
+    print(f"wrote {args.t_count}-step {args.kind} schedule -> {args.out / 'schedule.csv'}")
     return 0
 
 
@@ -454,79 +372,76 @@ def _build_parser() -> argparse.ArgumentParser:
                     "benchmark, metric evaluation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        p.add_argument("--seed", type=int, default=42)
         p.add_argument("--config", type=str, default=None,
-                       help="key=value option file (flags win)")
-        p.add_argument("--out", type=str, default=None)
+                       help="key=value lines, each parsed as --key=value (flags win)")
+        p.add_argument("--out", type=Path, default=".")
+        return p
 
-    p = sub.add_parser("synth", help="degrade clean images with weather")
-    common(p)
-    p.add_argument("--input", nargs="+", default=None, help="clean PPM image(s)")
-    p.add_argument("--threads", type=int, default=None,
-                   help=f"worker threads (falls back to ${ENV_THREADS})")
+    p = command("synth", cmd_synth, "degrade clean images with weather")
+    p.add_argument("--input", type=Path, nargs="+", default=None, help="clean PPM image(s)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads")
     p.add_argument("--weather", choices=("rain", "snow", "fog"), default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--angle", type=float, default=None)
-    p.add_argument("--streak-len", type=int, default=None)
-    p.add_argument("--radius-min", type=float, default=None)
-    p.add_argument("--radius-max", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument("--linf", type=float, default=None)
-    p.add_argument("--depth-mode", choices=weather.DEPTH_MODES, default=None)
-    p.add_argument("--depth-value", type=float, default=None)
-    p.add_argument("--max-depth", type=float, default=None)
+    p.add_argument("--density", type=float, default=None,
+                   help="default 0.002 for rain, 0.004 for snow")
+    p.add_argument("--angle", type=float, default=75.0)
+    p.add_argument("--streak-len", type=int, default=12)
+    p.add_argument("--radius-min", type=float, default=1.0)
+    p.add_argument("--radius-max", type=float, default=3.0)
+    p.add_argument("--beta", type=float, default=0.5)
+    p.add_argument("--linf", type=float, default=235.0)
+    p.add_argument("--depth-mode", choices=weather.DEPTH_MODES, default="vertical_gradient")
+    p.add_argument("--depth-value", type=float, default=1.0)
+    p.add_argument("--max-depth", type=float, default=1.0)
 
-    p = sub.add_parser("restore", help="deterministic implicit-sampler restoration")
-    common(p)
-    p.add_argument("--input", type=str, default=None, help="degraded PPM image")
+    p = command("restore", cmd_restore, "deterministic implicit-sampler restoration")
+    p.add_argument("--input", type=Path, default=None, help="degraded PPM image")
     p.add_argument("--predictor", choices=("oracle", "tinymlp"), default=None)
-    p.add_argument("--clean", type=str, default=None,
+    p.add_argument("--clean", type=Path, default=None,
                    help="oracle inversion target (oracle predictor only)")
-    p.add_argument("--eps-file", type=str, default=None,
+    p.add_argument("--eps-file", type=Path, default=None,
                    help="stored TSR1 noise for the oracle (default: seeded draw)")
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--t-count", type=int, default=None)
-    p.add_argument("--schedule", choices=diffusion.SCHEDULE_KINDS, default=None)
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
+    p.add_argument("--steps", type=int, default=50)
+    p.add_argument("--t-count", type=int, default=1000)
+    p.add_argument("--schedule", choices=diffusion.SCHEDULE_KINDS, default="linear")
+    p.add_argument("--beta-start", type=float, default=diffusion.DEFAULT_BETA_START)
+    p.add_argument("--beta-end", type=float, default=diffusion.DEFAULT_BETA_END)
 
-    p = sub.add_parser("fuse", help="patch-embed two images and fuse features")
-    common(p)
-    p.add_argument("--rgb", type=str, default=None)
-    p.add_argument("--thermal", type=str, default=None)
-    p.add_argument("--patch", type=int, default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--d-state", type=int, default=None)
-    p.add_argument("--residual-mode", choices=("crossed", "straight"), default=None)
-    p.add_argument("--pure-swap", action="store_const", const=True, default=None,
+    p = command("fuse", cmd_fuse, "patch-embed two images and fuse features")
+    p.add_argument("--rgb", type=Path, default=None)
+    p.add_argument("--thermal", type=Path, default=None)
+    p.add_argument("--patch", type=int, default=8)
+    p.add_argument("--dim", type=int, default=16)
+    p.add_argument("--d-state", type=int, default=8)
+    p.add_argument("--residual-mode", choices=("crossed", "straight"), default="crossed")
+    p.add_argument("--pure-swap", action="store_true",
                    help="disable the residual add in the shallow swap")
-    p.add_argument("--params", type=str, default=None,
+    p.add_argument("--params", type=Path, default=None,
                    help="fusion parameter directory (default: seeded random)")
 
-    p = sub.add_parser("bench", help="linear-vs-quadratic fusion scaling benchmark")
-    common(p)
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--c", type=int, default=None)
-    p.add_argument("--d-state", type=int, default=None)
-    p.add_argument("--repeats", type=int, default=None)
+    p = command("bench", cmd_bench, "linear-vs-quadratic fusion scaling benchmark")
+    p.add_argument("--n-min", type=int, default=64)
+    p.add_argument("--n-max", type=int, default=8192)
+    p.add_argument("--c", type=int, default=32)
+    p.add_argument("--d-state", type=int, default=16)
+    p.add_argument("--repeats", type=int, default=5)
 
-    p = sub.add_parser("eval", help="image and/or detection metrics")
-    common(p)
-    p.add_argument("--clean", type=str, default=None)
-    p.add_argument("--image", type=str, default=None)
-    p.add_argument("--dets", type=str, default=None)
-    p.add_argument("--gts", type=str, default=None)
+    p = command("eval", cmd_eval, "image and/or detection metrics")
+    p.add_argument("--clean", type=Path, default=None)
+    p.add_argument("--image", type=Path, default=None)
+    p.add_argument("--dets", type=Path, default=None)
+    p.add_argument("--gts", type=Path, default=None)
     p.add_argument("--max-area", type=float, default=None,
                    help="keep only boxes with area strictly below this")
 
-    p = sub.add_parser("schedule", help="dump a noise schedule as CSV")
-    common(p)
-    p.add_argument("--kind", choices=diffusion.SCHEDULE_KINDS, default=None)
-    p.add_argument("--t-count", type=int, default=None)
-    p.add_argument("--beta-start", type=float, default=None)
-    p.add_argument("--beta-end", type=float, default=None)
+    p = command("schedule", cmd_schedule, "dump a noise schedule as CSV")
+    p.add_argument("--kind", choices=diffusion.SCHEDULE_KINDS, default="linear")
+    p.add_argument("--t-count", type=int, default=1000)
+    p.add_argument("--beta-start", type=float, default=diffusion.DEFAULT_BETA_START)
+    p.add_argument("--beta-end", type=float, default=diffusion.DEFAULT_BETA_END)
 
     return parser
 
@@ -536,21 +451,41 @@ def _build_parser() -> argparse.ArgumentParser:
 # temporaries and keeps them from being freed (fuse_long peak RSS +1.6 MB).
 _build_parser()
 
-_COMMANDS = {
-    "synth": cmd_synth,
-    "restore": cmd_restore,
-    "fuse": cmd_fuse,
-    "bench": cmd_bench,
-    "eval": cmd_eval,
-    "schedule": cmd_schedule,
-}
+
+def _config_flags(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The ``key=value`` lines of ``args.config`` as flags of ``args.command``.
+
+    A key must name an option exactly (no prefixes; not ``config`` or
+    ``help``). A value becomes ``--key=value``, so one that starts with ``-``
+    stays a value. A switch takes ``1``/``true`` (on) or ``0``/``false`` (off).
+    """
+    command = next(a for a in parser._actions if a.dest == "command").choices[args.command]
+    options = {s[2:]: a for a in command._actions for s in a.option_strings
+               if s.startswith("--") and s not in ("--config", "--help")}
+    flags = []
+    for key, value in tensor_io.read_manifest(args.config).items():
+        if key not in options:
+            raise ValueError(f"unknown option {key!r} in config file {args.config}")
+        if options[key].nargs != 0:
+            flags.append(f"--{key}={value}")
+        elif value not in ("0", "1", "true", "false"):
+            raise ValueError(f"{key} must be 0, 1, true or false, got {value!r}")
+        elif value in ("1", "true"):
+            flags.append(f"--{key}")
+    return flags
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
     try:
-        opts = _Options(args)
-        return _COMMANDS[args.command](opts)
+        if args.config is not None:
+            # Right after the command: argparse keeps the last value it sees,
+            # so a command-line flag wins over a config entry.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(parser, args), *argv[at:]])
+        return args.run(args)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -333,7 +333,7 @@ def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> Mean
 
 
 def parse_detections(text: str) -> list[Detection]:
-    """One detection per line: ``class_id x1 y1 x2 y2 confidence``."""
+    """One detection per line: ``class_id x1 y1 x2 y2 confidence``; errors name the line."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -343,13 +343,16 @@ def parse_detections(text: str) -> list[Detection]:
         if len(parts) != 6:
             raise ValueError(f"detection line {lineno} needs 6 fields: {line!r}")
         cid, x1, y1, x2, y2, conf = parts
-        out.append(Detection(box=(float(x1), float(y1), float(x2), float(y2)),
-                             class_id=int(cid), confidence=float(conf)))
+        try:
+            out.append(Detection(box=(float(x1), float(y1), float(x2), float(y2)),
+                                 class_id=int(cid), confidence=float(conf)))
+        except ValueError as exc:
+            raise ValueError(f"detection line {lineno}: {exc}") from None
     return out
 
 
 def parse_ground_truth(text: str) -> list[GroundTruthBox]:
-    """One box per line: ``class_id x1 y1 x2 y2``."""
+    """One box per line: ``class_id x1 y1 x2 y2``; errors name the line."""
     out = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -359,6 +362,9 @@ def parse_ground_truth(text: str) -> list[GroundTruthBox]:
         if len(parts) != 5:
             raise ValueError(f"ground-truth line {lineno} needs 5 fields: {line!r}")
         cid, x1, y1, x2, y2 = parts
-        out.append(GroundTruthBox(box=(float(x1), float(y1), float(x2), float(y2)),
-                                  class_id=int(cid)))
+        try:
+            out.append(GroundTruthBox(box=(float(x1), float(y1), float(x2), float(y2)),
+                                      class_id=int(cid)))
+        except ValueError as exc:
+            raise ValueError(f"ground-truth line {lineno}: {exc}") from None
     return out

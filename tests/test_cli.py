@@ -6,10 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cfmw_kit.cli import _embed_pair, main
-from cfmw_kit.fusion import count_ops
+from cfmw_kit.cli import _build_parser, _embed_pair, main
+from cfmw_kit.fusion import FusionBlockParams, count_ops, save_fusion_params
 from cfmw_kit.imageio import write_ppm
 from cfmw_kit.tensor import SeededRng
+from cfmw_kit.tensor_io import write_tensor
 
 
 def _clean_image(h=32, w=32):
@@ -95,6 +96,51 @@ class TestSynth:
         _run("synth", "--input", clean_ppm, "--weather", "fog", "--beta", 0.8,
              "--depth-mode", "radial", "--max-depth", 3.0, "--out", out)
         assert (out / "clean_fog.ppm").read_bytes() != clean_ppm.read_bytes()
+
+    @pytest.mark.parametrize("kind, density", [("rain", "0.002"), ("snow", "0.004")])
+    def test_density_default_depends_on_weather(self, tmp_path, clean_ppm, kind, density):
+        out = tmp_path / "out"
+        assert _run("synth", "--input", clean_ppm, "--weather", kind, "--out", out) == 0
+        assert f" density={density} " in (out / "synth_manifest.txt").read_text()
+
+    @pytest.mark.parametrize("kind", ["rain", "snow", "fog"])
+    def test_two_inputs_equal_two_single_runs(self, tmp_path, kind):
+        # Image k of a run gets seed + k: one run over a, b equals a run over
+        # a and a run over b with the next seed, manifest lines included.
+        a, b = tmp_path / "a.ppm", tmp_path / "b.ppm"
+        write_ppm(a, _clean_image(24, 20))
+        write_ppm(b, 255.0 - _clean_image(24, 20))
+        weather = ("--weather", kind, "--density", 0.05) if kind != "fog" \
+            else ("--weather", kind, "--depth-mode", "radial")
+        _run("synth", "--input", a, b, *weather, "--out", tmp_path / "ab")
+        _run("synth", "--input", a, *weather, "--out", tmp_path / "a")
+        _run("synth", "--input", b, *weather, "--seed", 43, "--out", tmp_path / "b")
+        for name, alone in ((f"a_{kind}.ppm", "a"), (f"b_{kind}.ppm", "b")):
+            assert (tmp_path / "ab" / name).read_bytes() \
+                == (tmp_path / alone / name).read_bytes()
+        manifest = "synth_manifest.txt"
+        assert (tmp_path / "ab" / manifest).read_bytes() \
+            == (tmp_path / "a" / manifest).read_bytes() + (tmp_path / "b" / manifest).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["rain", "snow", "fog"])
+    def test_thread_count_does_not_change_bytes(self, tmp_path, kind):
+        inputs = []
+        for i in range(3):
+            inputs.append(tmp_path / f"img{i}.ppm")
+            write_ppm(inputs[-1], np.roll(_clean_image(16, 24), 5 * i, axis=1))
+        cfg = tmp_path / "threads.cfg"
+        cfg.write_text("threads=2\n")
+        outs = []
+        for k, extra in enumerate((("--threads", 1), ("--threads", 2), ("--config", cfg))):
+            outs.append(tmp_path / f"out{k}")
+            assert _run("synth", "--input", *inputs, "--weather", kind, *extra,
+                        "--out", outs[-1]) == 0
+        files = sorted(f.name for f in outs[0].iterdir())
+        assert len(files) == 4
+        for out in outs[1:]:
+            assert sorted(f.name for f in out.iterdir()) == files
+            for name in files:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_colliding_output_names_rejected(self, tmp_path, capsys, threads):
@@ -531,6 +577,25 @@ class TestEval:
         assert (code, got) == (1, None)
         assert "(0.0, 0.0, inf, 10.0)" in capsys.readouterr().err
 
+    def test_bad_field_names_file_and_line(self, tmp_path, capsys):
+        code, got = _eval_boxes(tmp_path, {
+            "a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n"),
+            "b.txt": ("0 0 0 10 10 0.9\n0 0 0 10 x 0.9\n", "0 0 0 10 10\n")})
+        assert (code, got) == (1, None)
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'dets' / 'b.txt'}: detection line 2: " in err
+        assert "'x'" in err
+
+    def test_binary_file_names_file(self, tmp_path, capsys):
+        code, got = _eval_boxes(tmp_path, {"a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n")})
+        assert code == 0
+        (tmp_path / "gts" / "a.txt").write_bytes(b"0 0 0 10 10\n\x84\x00\xff\n")
+        assert _run("eval", "--dets", tmp_path / "dets", "--gts", tmp_path / "gts",
+                    "--out", tmp_path / "again") == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'gts' / 'a.txt'}: 'ascii' codec can't decode byte 0x84" in err
+        assert not (tmp_path / "again").exists()
+
     def test_unpaired_files_rejected(self, tmp_path, capsys):
         dets_dir = tmp_path / "dets"
         gts_dir = tmp_path / "gts"
@@ -585,9 +650,11 @@ class TestCliPlumbing:
         out = tmp_path / "out"
         argv = {"fuse": ("--rgb", clean_ppm, "--thermal", clean_ppm),
                 "synth": ("--input", clean_ppm, "--weather", "rain")}[command]
-        assert _run(command, *argv, "--config", cfg, "--out", out) == 1
-        want = f"config entry {key!r} is not a valid {kind}: {value!r}"
-        assert want in capsys.readouterr().err
+        # refused by argparse, as the flag would be, before anything runs
+        with pytest.raises(SystemExit) as exc:
+            _run(command, *argv, "--config", cfg, "--out", out)
+        assert exc.value.code == 2
+        assert f"argument --{key}: invalid {kind} value" in capsys.readouterr().err
         assert not out.exists()
 
     def test_back_to_back_runs_share_no_values(self, tmp_path, clean_ppm, capsys):
@@ -608,11 +675,15 @@ class TestCliPlumbing:
             _run(command, "--threads", 2, "--out", tmp_path)
         assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
-    def test_threads_env_fallback(self, tmp_path, clean_ppm, monkeypatch):
-        monkeypatch.setenv("CFMW_KIT_THREADS", "2")
+    def test_threads_from_config_not_environment(self, tmp_path, clean_ppm, monkeypatch):
+        # --threads comes from the flag or the config file only: the
+        # environment, even an invalid CFMW_KIT_THREADS=0, is ignored.
+        monkeypatch.setenv("CFMW_KIT_THREADS", "0")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads=2\n")
         out = tmp_path / "out"
         assert _run("synth", "--input", clean_ppm, "--weather", "fog",
-                    "--beta", 0.2, "--out", out) == 0
+                    "--beta", 0.2, "--config", cfg, "--out", out) == 0
         assert (out / "clean_fog.ppm").exists()
 
     def test_module_entry_point(self, tmp_path):
@@ -622,3 +693,172 @@ class TestCliPlumbing:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert (tmp_path / "schedule.csv").exists()
+
+
+def _options():
+    """(command, option, action) for every ``--option`` of every subcommand."""
+    commands = next(a for a in _build_parser()._actions if a.dest == "command").choices
+    return [(command, s[2:], action) for command, sub in commands.items()
+            for action in sub._actions for s in action.option_strings
+            if s.startswith("--") and s not in ("--config", "--help")]
+
+
+# Flags every run of a command gets, unless they name the option under test.
+_BASE = {
+    "synth": {"input": "{clean}", "weather": "rain"},
+    "restore": {"input": "{degraded}", "predictor": "oracle", "clean": "{clean}",
+                "steps": "2", "t-count": "20"},
+    "fuse": {"rgb": "{clean}", "thermal": "{thermal}", "patch": "8", "dim": "4",
+             "d-state": "2"},
+    "bench": {"n-min": "8", "n-max": "64", "c": "4", "d-state": "2", "repeats": "1"},
+    "eval": {"clean": "{clean}", "image": "{degraded}", "dets": "{dets}", "gts": "{gts}"},
+    "schedule": {"t-count": "20"},
+}
+
+# (command, option, value, flags it needs beside _BASE). A value of None is a
+# switch; "{out}" is the run's own output directory.
+_CASES = [
+    *[(command, "seed", "7", {}) for command in _BASE],
+    *[(command, "out", "{out}", {}) for command in _BASE],
+    ("synth", "input", "{clean}", {}),
+    ("synth", "threads", "2", {}),
+    ("synth", "weather", "snow", {}),
+    ("synth", "density", "0.01", {}),
+    ("synth", "angle", "-30.0", {}),
+    ("synth", "streak-len", "5", {}),
+    ("synth", "radius-min", "0.5", {"weather": "snow"}),
+    ("synth", "radius-max", "2.5", {"weather": "snow"}),
+    ("synth", "beta", "0.8", {"weather": "fog"}),
+    ("synth", "linf", "200.0", {"weather": "fog"}),
+    ("synth", "depth-mode", "radial", {"weather": "fog"}),
+    ("synth", "depth-value", "2.0", {"weather": "fog", "depth-mode": "constant"}),
+    ("synth", "max-depth", "3.0", {"weather": "fog", "depth-mode": "radial"}),
+    ("restore", "input", "{degraded}", {}),
+    ("restore", "predictor", "tinymlp", {}),
+    ("restore", "clean", "{clean}", {}),
+    ("restore", "eps-file", "{eps}", {}),
+    ("restore", "steps", "3", {}),
+    ("restore", "t-count", "30", {}),
+    ("restore", "schedule", "cosine", {}),
+    ("restore", "beta-start", "0.002", {}),
+    ("restore", "beta-end", "0.03", {}),
+    ("fuse", "rgb", "{clean}", {}),
+    ("fuse", "thermal", "{thermal}", {}),
+    ("fuse", "patch", "4", {}),
+    ("fuse", "dim", "6", {}),
+    ("fuse", "d-state", "3", {}),
+    ("fuse", "residual-mode", "straight", {}),
+    ("fuse", "pure-swap", None, {}),
+    ("fuse", "params", "{params}", {}),
+    ("bench", "n-min", "4", {}),
+    ("bench", "n-max", "128", {}),
+    ("bench", "c", "6", {}),
+    ("bench", "d-state", "3", {}),
+    ("bench", "repeats", "2", {}),
+    ("eval", "clean", "{clean}", {}),
+    ("eval", "image", "{degraded}", {}),
+    ("eval", "dets", "{dets}", {}),
+    ("eval", "gts", "{gts}", {}),
+    ("eval", "max-area", "50.0", {}),
+    ("schedule", "kind", "cosine", {}),
+    ("schedule", "t-count", "30", {}),
+    ("schedule", "beta-start", "0.002", {}),
+    ("schedule", "beta-end", "0.03", {}),
+]
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """Files the option table refers to by name."""
+    root = tmp_path / "inputs"
+    root.mkdir()
+    files = {name: root / f"{name}.ppm" for name in ("clean", "thermal", "degraded")}
+    write_ppm(files["clean"], _clean_image())
+    write_ppm(files["thermal"], 255.0 - _clean_image())
+    write_ppm(files["degraded"], np.clip(_clean_image() + 40.0, 0.0, 255.0))
+    files["eps"] = root / "eps.tsr"
+    write_tensor(files["eps"], SeededRng(3).normal(32 * 32 * 3).reshape(32, 32, 3))
+    files["params"] = root / "params"
+    save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), files["params"])
+    files["dets"], files["gts"] = _box_dirs(root, {
+        "a.txt": ("0 0 0 10 10 0.9\n1 20 20 60 60 0.4\n", "0 0 0 10 10\n1 20 20 60 61\n"),
+        "b.txt": ("0 5 5 9 9 0.8\n", "0 5 5 9 10\n")})
+    return files
+
+
+def _outputs(out):
+    """File name -> bytes under ``out``; bench wall times dropped."""
+    got = {}
+    for f in sorted(out.iterdir()):
+        data = f.read_bytes()
+        if f.name.startswith("bench"):
+            data = b"\n".join(row.rsplit(b",", 1)[0] for row in data.splitlines())
+        got[f.name] = data
+    return got
+
+
+class TestConfigFile:
+    def test_table_covers_every_option(self):
+        assert sorted((c, o) for c, o, _, _ in _CASES) \
+            == sorted((c, o) for c, o, _ in _options())
+
+    @pytest.mark.parametrize("command, option, value, needs", _CASES,
+                             ids=[f"{c}-{o}" for c, o, _, _ in _CASES])
+    def test_entry_writes_what_the_flag_writes(self, tmp_path, inputs,
+                                               command, option, value, needs):
+        def run(tag, via_config):
+            out = tmp_path / tag
+            names = {**inputs, "out": out}
+            flags = {**_BASE[command], **needs, "out": "{out}"}
+            flags.pop(option, None)
+            argv = [command]
+            for key, val in flags.items():
+                argv += [f"--{key}", val.format(**names)]
+            if via_config:
+                entry = "1" if value is None else value.format(**names)
+                (tmp_path / f"{tag}.cfg").write_text(f"{option}={entry}\n")
+                argv += ["--config", tmp_path / f"{tag}.cfg"]
+            else:
+                argv += [f"--{option}"] + ([] if value is None else [value.format(**names)])
+            assert _run(*argv) == 0
+            return _outputs(out)
+
+        from_flag = run("flag", via_config=False)
+        assert from_flag and run("config", via_config=True) == from_flag
+
+    @pytest.mark.parametrize("command, option", [
+        (c, o) for c, o, action in _options() if action.type in (int, float) or action.choices
+    ])
+    def test_bad_value_fails_as_the_flag_does(self, tmp_path, capsys, command, option):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{option}=abc\n")
+        out = tmp_path / "out"
+        for argv in ((f"--{option}", "abc"), ("--config", cfg)):
+            with pytest.raises(SystemExit) as exc:
+                _run(command, *argv, "--out", out)
+            assert exc.value.code == 2
+            assert f"argument --{option}: invalid " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_value_that_looks_like_a_flag_stays_a_value(self, tmp_path, inputs):
+        # argparse takes "-3e1" for an option unless it is joined to its flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("angle=-3e1\n")
+        rain = ("synth", "--input", inputs["clean"], "--weather", "rain")
+        assert _run(*rain, "--angle", "-30.0", "--out", tmp_path / "flag") == 0
+        assert _run(*rain, "--config", cfg, "--out", tmp_path / "config") == 0
+        assert _outputs(tmp_path / "config") == _outputs(tmp_path / "flag")
+
+    @pytest.mark.parametrize("command, entry", [
+        ("schedule", "t=30"), ("schedule", "t-co=30"), ("schedule", "kin=cosine"),
+        ("fuse", "pure=1"), ("schedule", "config=other.cfg"), ("schedule", "help=1"),
+        ("schedule", "threads=2"),
+    ])
+    def test_key_must_name_an_option_exactly(self, tmp_path, capsys, command, entry):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(entry + "\n")
+        out = tmp_path / "out"
+        assert _run(command, "--config", cfg, "--out", out) == 1
+        key = entry.split("=")[0]
+        assert f"unknown option {key!r} in config file {cfg}" in capsys.readouterr().err
+        assert not out.exists()

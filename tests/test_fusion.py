@@ -286,6 +286,19 @@ class TestFuse:
         b = fuse(feats, params)
         assert np.array_equal(a.f_r, b.f_r) and np.array_equal(a.f_t, b.f_t)
 
+    @pytest.mark.parametrize("mode", ["crossed", "straight"])
+    def test_batch_equals_single_item_calls(self, mode):
+        rng = SeededRng(41)
+        b, gh, gw, c = 3, 2, 3, 4
+        feats = ModalityFeatures(f_r=rng.normal(b * gh * gw * c).reshape(b, gh * gw, c),
+                                 f_t=rng.normal(b * gh * gw * c).reshape(b, gh * gw, c))
+        p = FusionBlockParams.random(c, 2, gh, gw, rng, residual_mode=mode)
+        whole = fuse(feats, p)
+        for i in range(b):
+            one = fuse(ModalityFeatures(f_r=feats.f_r[i:i + 1], f_t=feats.f_t[i:i + 1]), p)
+            assert np.array_equal(whole.f_r[i:i + 1], one.f_r)
+            assert np.array_equal(whole.f_t[i:i + 1], one.f_t)
+
     def test_bad_grid_rejected(self):
         rng = SeededRng(40)
         p = FusionBlockParams.random(4, 2, 2, 3, rng)

@@ -519,6 +519,12 @@ class TestDetectionFiles:
         with pytest.raises(ValueError):
             parse_ground_truth("0 1 2 3 4 0.5\n")
 
+    def test_field_that_does_not_convert_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^detection line 3: .*'x'"):
+            parse_detections("0 0 0 1 1 0.5\n\n0 0 0 10 x 0.9\n")
+        with pytest.raises(ValueError, match=r"^ground-truth line 2: .*'1\.5'"):
+            parse_ground_truth("# header\n1.5 0 0 1 1\n")
+
     def test_non_finite_boxes_rejected(self):
         with pytest.raises(ValueError, match=r"\(0\.0, 0\.0, inf, 1\.0\)"):
             parse_detections("0 0 0 inf 1 0.5\n")

@@ -386,6 +386,18 @@ class TestSs2d:
         via_transpose = ss2d(fmap.transpose(1, 0, 2), swapped).transpose(1, 0, 2)
         assert np.array_equal(direct, via_transpose)
 
+    def test_flip_symmetry(self):
+        # Flipping the map in both axes and swapping each forward direction
+        # with its backward one flips the output.
+        rng = SeededRng(23)
+        p = Ss2dParams.random(2, 3, rng)
+        swapped = Ss2dParams(row_fwd=p.row_bwd, row_bwd=p.row_fwd,
+                             col_fwd=p.col_bwd, col_bwd=p.col_fwd)
+        fmap = rng.normal(3 * 5 * 2).reshape(3, 5, 2)
+        direct = ss2d(fmap, p)
+        via_flip = ss2d(fmap[::-1, ::-1], swapped)[::-1, ::-1]
+        assert np.array_equal(direct, via_flip)
+
     def test_channel_mismatch(self):
         p = Ss2dParams.random(2, 2, SeededRng(21))
         with pytest.raises(ValueError):
