@@ -8,7 +8,7 @@ Submodules:
     fusion    -- patch embedding, channel swap, gated scan fusion, attention
                  baseline, operation counts, scaling benchmark
     diffusion -- noise schedules, forward noising, deterministic implicit
-                 sampling, training losses
+                 sampling
     weather   -- rain/snow/fog compositing and procedural mask generators
     metrics   -- PSNR, SSIM, IoU/GIoU, average precision, mAP
     detloss   -- grid detection losses (box / class / confidence / total)

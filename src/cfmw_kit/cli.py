@@ -328,7 +328,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"unpaired detection/ground-truth files: {sorted(missing)}")
 
         def kept(boxes):
-            return [b for b in boxes if max_area is None or _box_area(b.box) < max_area]
+            return [b for b in boxes if max_area is None or metrics._area(b.box) < max_area]
 
         images = [(kept(det_files[name]), kept(gt_files[name])) for name in sorted(gt_files)]
         result = metrics.mean_ap(images)
@@ -342,10 +342,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     _atomic_text(args.out / "metrics.csv", "".join(rows))
     sys.stdout.write("".join(rows))
     return 0
-
-
-def _box_area(box) -> float:
-    return (box[2] - box[0]) * (box[3] - box[1])
 
 
 # ------------------------------------------------------------- schedule

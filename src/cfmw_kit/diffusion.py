@@ -1,9 +1,8 @@
 """Conditional implicit-diffusion machinery.
 
 Noise schedules (linear / scaled_linear / cosine), the forward noising map,
-deterministic implicit reverse steps against an abstract noise predictor,
-and the two training-time losses (noise regression and the variational
-bound).
+and deterministic implicit reverse steps against an abstract noise
+predictor.
 
 A noise predictor is any callable ``pred(x_t, x_tilde, t) -> eps_hat`` whose
 output matches ``x_t``'s shape; ``x_tilde`` carries the conditioning image
@@ -30,11 +29,6 @@ __all__ = [
     "q_sample",
     "ddim_step",
     "sample",
-    "epsilon_loss",
-    "gaussian_kl",
-    "posterior_mean",
-    "variational_bound",
-    "variational_bound_terms",
 ]
 
 SCHEDULE_KINDS = ("linear", "scaled_linear", "cosine")
@@ -88,9 +82,6 @@ class NoiseSchedule:
         if not 1 <= t <= self.t_count:
             raise ValueError(f"step index {t} outside 1..{self.t_count}")
         return t
-
-    def beta_at(self, t: int) -> float:
-        return float(self.beta[self._check_t(t) - 1])
 
     def alpha_bar_at(self, t: int) -> float:
         if t == 0:
@@ -217,9 +208,9 @@ class TinyMlpPredictor:
 
 
 def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Forward noising: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    eps = np.asarray(eps, dtype=np.float64)
+    """Forward noising: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; NaN or Inf is refused."""
+    x0 = check_finite(np.asarray(x0, dtype=np.float64), "x0")
+    eps = check_finite(np.asarray(eps, dtype=np.float64), "eps")
     if x0.shape != eps.shape:
         raise ValueError("x0 and eps must share a shape")
     abar = sched.alpha_bar_at(sched._check_t(t))
@@ -341,93 +332,3 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
                          "returned NaN or infinity, or a step overflowed")
     return x
 
-
-def epsilon_loss(x0: np.ndarray, t: int, eps: np.ndarray, x_tilde: np.ndarray,
-                 pred, sched: NoiseSchedule) -> float:
-    """Mean squared error between the injected and the predicted noise."""
-    x_t = q_sample(x0, t, eps, sched)
-    eps_hat = np.asarray(pred(x_t, x_tilde, t), dtype=np.float64)
-    if eps_hat.shape != np.shape(eps):
-        raise ValueError("predictor output shape must match eps")
-    diff = np.asarray(eps, dtype=np.float64) - eps_hat
-    return float(np.mean(diff * diff))
-
-
-def gaussian_kl(mu1: np.ndarray, mu2: np.ndarray, var: float) -> float:
-    """KL divergence between equal-variance isotropic Gaussians.
-
-    Reduces to sum((mu1 - mu2)^2) / (2 var); the variance terms cancel.
-    """
-    if not var > 0.0:
-        raise ValueError("variance must be positive")
-    diff = np.asarray(mu1, dtype=np.float64) - np.asarray(mu2, dtype=np.float64)
-    return float(np.sum(diff * diff) / (2.0 * var))
-
-
-def _posterior_coeffs(t: int, sched: NoiseSchedule) -> tuple[float, float, float]:
-    """(sqrt(abar_prev), noise coefficient, posterior variance) at step t >= 2."""
-    abar_t = sched.alpha_bar_at(t)
-    abar_p = sched.alpha_bar_at(t - 1)
-    beta_t = sched.beta_at(t)
-    var = (1.0 - abar_p) / (1.0 - abar_t) * beta_t
-    # 1 - abar_prev - var == alpha_t (1 - abar_prev)^2 / (1 - abar_t) >= 0;
-    # clamp the last-ulp negatives from rounding.
-    rad = max(1.0 - abar_p - var, 0.0)
-    return math.sqrt(abar_p), math.sqrt(rad), var
-
-
-def posterior_mean(x0: np.ndarray, x_t: np.ndarray, t: int,
-                   sched: NoiseSchedule) -> np.ndarray:
-    """Mean of the exact reverse-posterior Gaussian given (x_t, x0)."""
-    if t < 2:
-        raise ValueError("posterior terms are defined for t >= 2")
-    x0 = np.asarray(x0, dtype=np.float64)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    abar_t = sched.alpha_bar_at(t)
-    eps_t = (x_t - math.sqrt(abar_t) * x0) / math.sqrt(1.0 - abar_t)
-    c0, ce, _ = _posterior_coeffs(t, sched)
-    return c0 * x0 + ce * eps_t
-
-
-def variational_bound_terms(x0: np.ndarray, trajectory, x_tilde: np.ndarray,
-                            pred, sched: NoiseSchedule) -> tuple[float, float]:
-    """(sum of per-step KL terms, step-1 reconstruction negative log density).
-
-    ``trajectory[t - 1]`` must hold x_t for t = 1..T falling under ``sched``.
-    For t >= 2 each term is the closed-form KL between the exact posterior
-    and the model's reverse Gaussian (predicted-noise mean, same fixed
-    posterior variance). The reconstruction term evaluates the Gaussian
-    log-density of x0 under the model's step-1 mean with variance beta_1.
-    """
-    x0 = np.asarray(x0, dtype=np.float64)
-    traj = [np.asarray(x, dtype=np.float64) for x in trajectory]
-    if len(traj) != sched.t_count:
-        raise ValueError(f"trajectory must hold {sched.t_count} states, got {len(traj)}")
-    for i, x in enumerate(traj):
-        if x.shape != x0.shape:
-            raise ValueError(f"trajectory state {i + 1} shape mismatch")
-    kl_sum = 0.0
-    for t in range(2, sched.t_count + 1):
-        x_t = traj[t - 1]
-        eps_hat = np.asarray(pred(x_t, x_tilde, t), dtype=np.float64)
-        abar_t = sched.alpha_bar_at(t)
-        x0_hat = (x_t - math.sqrt(1.0 - abar_t) * eps_hat) / math.sqrt(abar_t)
-        c0, ce, var = _posterior_coeffs(t, sched)
-        model_mean = c0 * x0_hat + ce * eps_hat
-        kl_sum += gaussian_kl(posterior_mean(x0, x_t, t, sched), model_mean, var)
-    x_1 = traj[0]
-    eps_hat = np.asarray(pred(x_1, x_tilde, 1), dtype=np.float64)
-    abar_1 = sched.alpha_bar_at(1)
-    mean_1 = (x_1 - math.sqrt(1.0 - abar_1) * eps_hat) / math.sqrt(abar_1)
-    var_1 = sched.beta_at(1)
-    diff = x0 - mean_1
-    recon = float(np.sum(diff * diff) / (2.0 * var_1)
-                  + 0.5 * x0.size * math.log(2.0 * math.pi * var_1))
-    return kl_sum, recon
-
-
-def variational_bound(x0: np.ndarray, trajectory, x_tilde: np.ndarray,
-                      pred, sched: NoiseSchedule) -> float:
-    """Sum of the KL terms and the step-1 reconstruction term."""
-    kl_sum, recon = variational_bound_terms(x0, trajectory, x_tilde, pred, sched)
-    return kl_sum + recon

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SeededRng, freeze_arrays, silu
+from .tensor import SeededRng, check_finite, freeze_arrays, silu
 from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
@@ -113,9 +113,9 @@ def patch_embed(image: np.ndarray, pe: PatchEmbedding) -> np.ndarray:
 
     Each P x P x C_in patch is flattened row-major and projected by ``pe.w``;
     the class token, when enabled, is prepended before the positional rows
-    are added.
+    are added. An image holding NaN or Inf is refused.
     """
-    image = np.asarray(image, dtype=np.float64)
+    image = check_finite(np.asarray(image, dtype=np.float64), "image")
     if image.ndim != 3:
         raise ValueError("image must be (H, W, C_in)")
     h, w, c_in = image.shape

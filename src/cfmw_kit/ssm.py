@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SeededRng, freeze_arrays, sigmoid, softplus
+from .tensor import SeededRng, check_finite, freeze_arrays, sigmoid, softplus
 
 __all__ = [
     "OpCounter",
@@ -386,8 +386,9 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
     loop behind :func:`selective_scan_input_grad` is the reference it is
     tested against. ``counter`` receives :func:`selective_scan_mac_count`, the
     reference recurrence's multiplies, not the two-level scan's carry work.
+    An ``x`` holding NaN or Inf is refused.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("selective_scan needs a nonempty (L, D) sequence")
     if x.shape[1] != p.d_channels:

@@ -99,14 +99,27 @@ def write_manifest(path: str | Path, entries: dict[str, str]) -> None:
 
 
 def read_manifest(path: str | Path) -> dict[str, str]:
+    """The ``key=value`` entries of ``path``, skipping blanks and ``#`` comments.
+
+    A non-ASCII byte, a line without ``=`` or a key given twice is a
+    ValueError naming the file and the line.
+    """
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="ascii").splitlines(), 1):
+    # surrogateescape keeps each non-ASCII byte in its line, so the error can
+    # name the line; the line breaks are those of the plain ASCII decode.
+    text = Path(path).read_bytes().decode("ascii", errors="surrogateescape")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.isascii():
+            byte = next(ord(c) - 0xDC00 for c in line if not c.isascii())
+            raise ValueError(f"{path} line {lineno}: non-ASCII byte {byte:#04x}")
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"manifest line {lineno} is not key=value: {line!r}")
+            raise ValueError(f"{path} line {lineno} is not key=value: {line!r}")
         key, value = line.split("=", 1)
+        if key in entries:
+            raise ValueError(f"{path} line {lineno}: key {key!r} given twice")
         entries[key] = value
     return entries
 

@@ -302,6 +302,7 @@ class TestFuse:
         (lambda m: m.replace("tensor.norm_scale_r=norm_scale_r.tsr\n", ""), "norm_scale_r"),
         (lambda m: m.replace("=norm_scale_r.tsr", "=../norm_scale_r.tsr"), "../norm_scale_r.tsr"),
         (lambda m: m.replace("meta.grid_h=4\n", "meta.grid_h=abc\n"), "meta entry 'grid_h'"),
+        (lambda m: m + "meta.grid_h=4\n", "key 'meta.grid_h' given twice"),
     ])
     def test_bad_params_bundle_writes_nothing(self, tmp_path, clean_ppm, capsys, edit, named):
         from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
@@ -638,6 +639,18 @@ class TestCliPlumbing:
         assert _run("schedule", "--config", cfg, "--out", out) == 1
         assert "'t_count'" in capsys.readouterr().err
         assert not (out / "schedule.csv").exists()
+
+    @pytest.mark.parametrize("blob, message", [
+        (b"kind=cosine\n\x84t-count=30\n", "line 2: non-ASCII byte 0x84"),
+        (b"t-count=5\nkind=cosine\nt-count=7\n", "line 3: key 't-count' given twice"),
+    ])
+    def test_unreadable_config_names_its_line(self, tmp_path, capsys, blob, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(blob)
+        out = tmp_path / "out"
+        assert _run("schedule", "--config", cfg, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {cfg} {message}\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, entry, kind", [
         ("fuse", "patch=abc", "int"), ("synth", "density=lots", "float"),

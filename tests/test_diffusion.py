@@ -13,14 +13,9 @@ from cfmw_kit.diffusion import (
     OraclePredictor,
     TinyMlpPredictor,
     ddim_step,
-    epsilon_loss,
-    gaussian_kl,
     make_schedule,
-    posterior_mean,
     q_sample,
     sample,
-    variational_bound,
-    variational_bound_terms,
 )
 from cfmw_kit.tensor import SeededRng, randn
 
@@ -119,12 +114,21 @@ class TestQSample:
             with pytest.raises(ValueError):
                 q_sample(np.zeros(2), t, np.zeros(2), sched)
 
+    @pytest.mark.parametrize("which", ["x0", "eps"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_refused(self, which, bad):
+        sched = make_schedule("linear", 10)
+        arrays = {"x0": np.zeros(3), "eps": np.zeros(3)}
+        arrays[which][1] = bad
+        with pytest.raises(ValueError, match=f"^{which} contains non-finite"):
+            q_sample(arrays["x0"], 4, arrays["eps"], sched)
+
     @pytest.mark.parametrize("t", [2.5, 2.0, True, np.bool_(True), "2"])
     def test_non_integral_or_bool_t_refused(self, t):
         # int(t) would quietly run 2.5 as step 2 and True as step 1
         sched = make_schedule("linear", 10)
         for call in (lambda: q_sample(np.zeros(2), t, np.zeros(2), sched),
-                     lambda: sched.alpha_bar_at(t), lambda: sched.beta_at(t)):
+                     lambda: sched.alpha_bar_at(t)):
             with pytest.raises(ValueError, match="integers"):
                 call()
 
@@ -420,100 +424,15 @@ class TestSample:
 
 
 class TestEpsilonLoss:
-    def test_oracle_is_zero(self):
-        sched = make_schedule("linear", 100)
-        rng = SeededRng(59)
-        x0 = randn([3, 3], rng)
-        eps = randn([3, 3], rng)
-        assert epsilon_loss(x0, 60, eps, np.zeros_like(x0),
-                            OraclePredictor(eps), sched) == 0.0
-
-    def test_zero_predictor_gives_mean_square(self):
-        sched = make_schedule("linear", 100)
-        rng = SeededRng(60)
-        x0 = randn([5], rng)
-        eps = randn([5], rng)
-        loss = epsilon_loss(x0, 30, eps, np.zeros_like(x0),
-                            lambda x, c, t: np.zeros_like(x), sched)
-        assert abs(loss - float(np.mean(eps ** 2))) < 1e-15
-
     def test_tinymlp_matches_golden(self):
+        # The noise-regression loss mean((eps - pred(q_sample(x0, t, eps)))**2),
+        # in the float operations the golden value was taken with.
         sched = make_schedule("linear", 100)
         rng = SeededRng(61)
         x0 = randn([4, 4], rng)
         eps = randn([4, 4], rng)
-        loss = epsilon_loss(x0, 25, eps, x0 * 0.5, TinyMlpPredictor(999), sched)
+        x_t = q_sample(x0, 25, eps, sched)
+        diff = eps - np.asarray(TinyMlpPredictor(999)(x_t, x0 * 0.5, 25), dtype=np.float64)
+        loss = float(np.mean(diff * diff))
         golden = json.loads((GOLDEN_DIR / "diffusion_golden.json").read_text())
         assert abs(loss - golden["tinymlp_epsilon_loss"]) < 1e-9 * max(1.0, abs(loss))
-
-
-class TestVariationalBound:
-    def _trajectory(self, x0, eps, sched):
-        return [q_sample(x0, t, eps, sched) for t in range(1, sched.t_count + 1)]
-
-    def test_oracle_kl_terms_vanish(self):
-        sched = make_schedule("linear", 12)
-        rng = SeededRng(62)
-        x0 = randn([3, 3], rng)
-        eps = randn([3, 3], rng)
-        traj = self._trajectory(x0, eps, sched)
-        kl_sum, recon = variational_bound_terms(x0, traj, np.zeros_like(x0),
-                                                OraclePredictor(eps), sched)
-        assert kl_sum < 1e-18
-        assert variational_bound(x0, traj, np.zeros_like(x0),
-                                 OraclePredictor(eps), sched) == pytest.approx(recon)
-
-    def test_scalar_gaussian_kl_hand_formula(self):
-        mu1, mu2, var = 0.7, -0.4, 0.3
-        assert abs(gaussian_kl(np.array([mu1]), np.array([mu2]), var)
-                   - (mu1 - mu2) ** 2 / (2 * var)) < 1e-15
-
-    def test_doubling_mean_gap_quadruples_kl(self):
-        sched = make_schedule("linear", 8)
-        rng = SeededRng(63)
-        x0 = randn([4], rng)
-        eps = randn([4], rng)
-        traj = self._trajectory(x0, eps, sched)
-        shift = randn([4], rng) * 0.1
-
-        def shifted(scale):
-            return lambda x, c, t: eps + scale * shift
-
-        kl1, _ = variational_bound_terms(x0, traj, np.zeros(4), shifted(1.0), sched)
-        kl2, _ = variational_bound_terms(x0, traj, np.zeros(4), shifted(2.0), sched)
-        assert kl2 == pytest.approx(4.0 * kl1, rel=1e-9)
-
-    def test_kl_terms_nonnegative_random_predictor(self):
-        sched = make_schedule("linear", 10)
-        rng = SeededRng(64)
-        x0 = randn([5], rng)
-        eps = randn([5], rng)
-        traj = self._trajectory(x0, eps, sched)
-        kl_sum, _ = variational_bound_terms(x0, traj, x0 * 0.3,
-                                            TinyMlpPredictor(5), sched)
-        assert kl_sum >= 0.0
-
-    def test_posterior_mean_equals_ddpm_form(self):
-        # The noise-parameterized mean equals the classic x0/x_t mixture.
-        sched = make_schedule("linear", 30)
-        rng = SeededRng(65)
-        x0 = randn([6], rng)
-        eps = randn([6], rng)
-        for t in (2, 13, 30):
-            x_t = q_sample(x0, t, eps, sched)
-            abar_t = sched.alpha_bar_at(t)
-            abar_p = sched.alpha_bar_at(t - 1)
-            beta_t = sched.beta_at(t)
-            alpha_t = 1.0 - beta_t
-            classic = (math.sqrt(abar_p) * beta_t * x0
-                       + math.sqrt(alpha_t) * (1.0 - abar_p) * x_t) / (1.0 - abar_t)
-            assert np.abs(posterior_mean(x0, x_t, t, sched) - classic).max() < 1e-12
-
-    def test_inconsistent_trajectory_rejected(self):
-        sched = make_schedule("linear", 6)
-        rng = SeededRng(66)
-        x0 = randn([3], rng)
-        with pytest.raises(ValueError):
-            variational_bound(x0, [x0] * 5, x0, OraclePredictor(x0), sched)
-        with pytest.raises(ValueError):
-            variational_bound(x0, [np.zeros(2)] * 6, x0, OraclePredictor(x0), sched)

@@ -171,6 +171,14 @@ class TestPatchEmbed:
                 assert np.abs(tokens[idx] - expected).max() < 1e-12
                 idx += 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_image_refused(self, bad):
+        pe = PatchEmbedding.random(2, 1, 4, 4, SeededRng(34))
+        image = np.zeros((4, 4, 1))
+        image[3, 0, 0] = bad
+        with pytest.raises(ValueError, match="^image contains non-finite"):
+            patch_embed(image, pe)
+
     def test_indivisible_size_rejected(self):
         pe = PatchEmbedding.random(3, 1, 4, 4, SeededRng(33))
         with pytest.raises(ValueError):

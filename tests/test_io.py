@@ -72,6 +72,15 @@ class TestManifest:
         (tmp_path / "m.txt").write_text("# comment\n\nkey=value\n")
         assert read_manifest(tmp_path / "m.txt") == {"key": "value"}
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"a=1\n\n# note\nb=2\x84\n", "line 4: non-ASCII byte 0x84"),
+        (b"a=1\nb=2\n# a=3\na=4\n", "line 4: key 'a' given twice"),
+    ])
+    def test_reader_names_the_file_and_line(self, tmp_path, blob, message):
+        (tmp_path / "m.txt").write_bytes(blob)
+        with pytest.raises(ValueError, match=re.escape(f"m.txt {message}")):
+            read_manifest(tmp_path / "m.txt")
+
     @pytest.mark.parametrize("entries", [
         {" a": "b"}, {"a": "b "}, {"a": "x\ry"}, {"a": "x\x1cy"}, {"#a": "1"}, {"": "v"},
     ])
@@ -153,6 +162,8 @@ class TestBundle:
         ("tensor.../outside_a=../outside_a.tsr", "../outside_a"),
         ("kind=demo", "kind"),
         ("meta=demo", "meta"),
+        ("tensor.a=a.tsr\ntensor.a=a.tsr", "line 3: key 'tensor.a' given twice"),
+        ("tensor.a=a.tsr\nmeta.kind=demo", "line 3: key 'meta.kind' given twice"),
     ])
     def test_load_rejects_bad_manifest_lines(self, tmp_path, line, named):
         directory, manifest = _bundle(tmp_path)

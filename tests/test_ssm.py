@@ -234,6 +234,17 @@ class TestSelectiveScan:
         with pytest.raises(ValueError):
             selective_scan(np.zeros((4, 2)), p)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_non_finite_input_refused(self, bad):
+        # ss2d (and so fuse) runs every direction through selective_scan.
+        rng = SeededRng(29)
+        x = np.zeros((6, 2))
+        x[4, 1] = bad
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            selective_scan(x, SelectiveSsmParams.random(2, 3, rng))
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            ss2d(x.reshape(2, 3, 2), Ss2dParams.random(2, 3, rng))
+
     def test_rejects_non_negative_evolution(self):
         p = SelectiveSsmParams.random(2, 3, SeededRng(27))
         for bad in (0.0, 0.5):
