@@ -434,8 +434,8 @@ def count_ops(path: str, n_tokens: int, c: int, n_state: int,
     plus the gating nonlinearity and product; ``attention_fusion`` counts the
     score matrix, softmax scaling/normalization, and value aggregation over
     the 2N concatenated tokens (d_k defaults to C). The scan counts are the
-    reference recurrence's multiplies; they exclude the two-level scan's
-    carry multiplies (see :func:`cfmw_kit.ssm.selective_scan_mac_count`).
+    reference recurrence's multiplies (see
+    :func:`cfmw_kit.ssm.selective_scan_mac_count`).
     """
     if n_tokens < 1 or c < 1 or n_state < 1:
         raise ValueError("sizes must be positive")

@@ -296,73 +296,66 @@ def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
     return y, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs
 
 
-def _decay(s: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """exp(a * s) into ``out``: the product of the a_bar over steps whose deltas sum to s."""
-    # s >= 0 and a < 0, so where a * s overflows it is -inf, and exp(-inf) = 0
-    # is the exact decay: that overflow is harmless.
-    with np.errstate(over="ignore"):
-        np.multiply(s, a, out=out)
-    return np.exp(out, out=out)
+# Bytes of the two (block, S, D, N) step buffers of :func:`_stacked_scan`; it
+# fixes the block length, so that a block stays in cache from the whole-block
+# passes that build it through the recurrence that consumes it.
+_BLOCK_BYTES = 512 * 1024
 
 
-def _two_level_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
-    """Forward-only selective scan, run as a two-level linear recurrence.
+def _block_steps(s_count: int, d: int, n: int) -> int:
+    """Steps per block of :func:`_stacked_scan` over S sequences of (D, N) states."""
+    return max(1, _BLOCK_BYTES // (16 * s_count * d * n))
 
-    The tokens are split into K chunks of T steps, T being the power of two
-    >= sqrt(L), with the last chunk zero-padded. All chunks advance together
-    through T steps from a zero state; each step builds that step's a_bar
-    and b_bar * x for every chunk in (K, D, N) buffers that the next step
-    reuses. As a is diagonal, the product of a chunk's a_bar up to step t is
-    exp(a * S_t), S_t being the in-chunk sum of delta (the chunk decay of
-    Mamba-2's SSD scan). A carry pass over the chunks gives the state h_in
-    entering each one from the chunk-end decays, and every output of a later
-    chunk then gains <C_t, exp(a * S_t) * h_in>, a few steps at a time. No
-    array is (L, D, N) in size: working memory is O(L (D + N) + sqrt(L) D N).
+
+def _stacked_scan(xs: list[np.ndarray], ps: list[SelectiveSsmParams]) -> np.ndarray:
+    """Forward-only selective scan of S (L, D) sequences, each with its own params.
+
+    Returns the (S, L, D) outputs. The recurrence runs strictly in sequence,
+    one block of steps at a time over all S sequences together. Per block,
+    whole-block calls form delta, B and C from one stacked projection, then
+    z = delta a, a_bar = expm1(z) + 1 and u = b_bar x = expm1(z) x / a B;
+    each step then only needs a_bar_t *= h_{t-1} and u_t += a_bar_t, which
+    leaves h_t in u_t, and one batched matmul takes every <C_t, h_t> of the
+    block. Row 0 of the step buffers holds the state entering the block. The
+    block length comes from ``_BLOCK_BYTES``, so no array is (L, D, N) in
+    size: working memory is O(L S D) plus that budget.
     """
-    length, d = x.shape
-    n = p.n_state
-    t_len = 1 << ((length - 1).bit_length() + 1) // 2
-    k = -(-length // t_len)
-    xp = np.zeros((k * t_len, d))
-    xp[:length] = x
+    s_count = len(xs)
+    length, d = xs[0].shape
+    n = ps[0].n_state
+    a = np.stack([p.a for p in ps])                                       # (S, D, N)
+    w = np.stack([np.concatenate([p.w_delta, p.w_b, p.w_c]).T for p in ps])
+    bias = np.stack([np.concatenate([p.u_delta, p.u_b, p.u_c]) for p in ps])[:, None]
+    block = min(length, _block_steps(s_count, d, n))
+    a_bar = np.empty((block + 1, s_count, d, n))
+    u = np.zeros((block + 1, s_count, d, n))
+    steps = list(zip(a_bar[1:], u[:-1], u[1:]))
+    y = np.empty((s_count, length, d))
+    for t0 in range(0, length, block):
+        m = min(block, length - t0)
+        xb = np.stack([x[t0:t0 + m] for x in xs])                         # (S, m, D)
+        proj = xb @ w + bias                                              # (S, m, D + 2N)
+        z, ub = a_bar[1:m + 1], u[1:m + 1]                                # (m, S, D, N)
+        np.multiply(softplus(proj[..., :d]).swapaxes(0, 1)[..., None], a, out=z)
+        np.expm1(z, out=ub)
+        np.add(ub, 1.0, out=z)                   # a_bar = exp(z) without a second exponential
+        ub *= xb.swapaxes(0, 1)[..., None]       # x before 1/a keeps each product finite
+        ub /= a
+        ub *= proj[:, :, None, d:d + n].swapaxes(0, 1)
+        for a_t, h_prev, h in steps[:m]:
+            a_t *= h_prev
+            h += a_t
+        np.matmul(ub, proj[..., d + n:, None].swapaxes(0, 1),
+                  out=y[:, t0:t0 + m].swapaxes(0, 1)[..., None])
+        u[0] = u[m]
+    return y
 
-    def by_step(v):
-        # (K*T, m) -> (T, K, m), so step j of every chunk is one contiguous slab.
-        return np.ascontiguousarray(v.reshape(k, t_len, -1).swapaxes(0, 1))
 
-    delta_s = by_step(softplus(xp @ p.w_delta.T + p.u_delta))
-    x_s = by_step(xp)
-    b_s = by_step(xp @ p.w_b.T + p.u_b)
-    c_s = by_step(xp @ p.w_c.T + p.u_c)[..., None]
-
-    y = np.empty((t_len, k, d, 1))
-    z = np.empty((k, d, n))
-    u = np.empty((k, d, n))
-    a_bar = np.empty((k, d, n))
-    h = np.zeros((k, d, n))
-    for j in range(t_len):
-        np.multiply(delta_s[j][:, :, None], p.a, out=z)
-        np.expm1(z, out=u)
-        np.add(u, 1.0, out=a_bar)                # exp(z) without a second exponential
-        u *= x_s[j][:, :, None]                  # x before 1/a keeps each product finite
-        u /= p.a
-        u *= b_s[j][:, None, :]                  # b_bar * x = expm1(z) x B / a
-        h *= a_bar
-        h += u
-        np.matmul(h, c_s[j], out=y[j])
-
-    s_cum = np.cumsum(delta_s, axis=0, out=delta_s)[..., None]
-    block = min(8, t_len)                        # t_len is a power of two
-    decay = np.empty((block, k - 1, d, n))
-    end = _decay(s_cum[-1, 1:-1], p.a, decay[0, :-1])
-    for i in range(1, k - 1):                    # h[i]: the state entering chunk i + 1
-        h[i] += end[i - 1] * h[i - 1]
-    h_in = h[:-1]
-    for j in range(0, t_len, block):
-        _decay(s_cum[j:j + block, 1:], p.a, decay)
-        decay *= h_in
-        y[j:j + block, 1:] += decay @ c_s[j:j + block, 1:]
-    return y[..., 0].swapaxes(0, 1).reshape(-1, d)[:length]
+def _refuse_overflow(y: np.ndarray) -> np.ndarray:
+    """``y`` if finite; a finite ``x`` whose scan overflowed float64 is refused."""
+    if not np.all(np.isfinite(y)):
+        raise ValueError("x is too large: its scan overflows float64")
+    return y
 
 
 def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
@@ -381,19 +374,22 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
     series branch; :class:`SelectiveSsmParams` keeps |a| >= 1e-300 so the
     division stays finite.
 
-    The result comes from a forward-only two-level scan whose working memory
-    is O(L (D + N) + sqrt(L) D N), with no (L, D, N) array; the per-token
-    loop behind :func:`selective_scan_input_grad` is the reference it is
-    tested against. ``counter`` receives :func:`selective_scan_mac_count`, the
-    reference recurrence's multiplies, not the two-level scan's carry work.
-    An ``x`` holding NaN or Inf is refused.
+    The result comes from a forward-only scan that runs the recurrence in
+    sequence, one block of steps at a time, with no (L, D, N) array; the
+    per-token loop behind :func:`selective_scan_input_grad` is the reference
+    it is tested against. ``counter`` receives
+    :func:`selective_scan_mac_count`. An ``x`` holding NaN or Inf is refused,
+    and so is one so large that its scan overflows float64.
     """
     x = check_finite(np.asarray(x, dtype=np.float64), "x")
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError("selective_scan needs a nonempty (L, D) sequence")
     if x.shape[1] != p.d_channels:
         raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
-    y = _two_level_scan(x, p)
+    # delta * a may overflow to -inf, and a_bar = 0 is then the exact decay;
+    # an overflow that reaches the output leaves it non-finite, and is refused.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _refuse_overflow(_stacked_scan([x], [p])[0])
     if counter is not None:
         counter.add(selective_scan_mac_count(x.shape[0], p.d_channels, p.n_state))
     return y
@@ -470,9 +466,12 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
     The map is flattened in row-major forward/backward and column-major
     forward/backward order; each order is scanned with its own parameters,
     un-flattened, and the four results are summed as
-    (row_fwd + row_bwd) + (col_fwd + col_bwd).
+    (row_fwd + row_bwd) + (col_fwd + col_bwd). The four scans run together as
+    one stacked scan, each giving what :func:`selective_scan` gives for its
+    order alone; ``counter`` receives :func:`ss2d_mac_count`. A map holding
+    NaN or Inf, or one whose scans overflow float64, is refused as ``x``.
     """
-    fmap = np.asarray(fmap, dtype=np.float64)
+    fmap = check_finite(np.asarray(fmap, dtype=np.float64), "x")
     if fmap.ndim != 3:
         raise ValueError("ss2d expects an (H, W, D) feature map")
     h, w, d = fmap.shape
@@ -480,13 +479,17 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
         raise ValueError(f"channel mismatch: map has {d}, params {p.d_channels}")
     row = fmap.reshape(h * w, d)
     col = fmap.transpose(1, 0, 2).reshape(h * w, d)
-
-    y_rf = selective_scan(row, p.row_fwd, counter).reshape(h, w, d)
-    y_rb = selective_scan(row[::-1], p.row_bwd, counter)[::-1].reshape(h, w, d)
-    y_cf = selective_scan(col, p.col_fwd, counter).reshape(w, h, d).transpose(1, 0, 2)
-    y_cb = (selective_scan(col[::-1], p.col_bwd, counter)[::-1]
-            .reshape(w, h, d).transpose(1, 0, 2))
-    return (y_rf + y_rb) + (y_cf + y_cb)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in selective_scan
+        y = _stacked_scan([row, row[::-1], col, col[::-1]],
+                          [p.row_fwd, p.row_bwd, p.col_fwd, p.col_bwd])
+        y_row, y_col = y[0], y[2]
+        y_row += y[1, ::-1]
+        y_col += y[3, ::-1]
+        out = _refuse_overflow(y_row.reshape(h, w, d)
+                               + y_col.reshape(w, h, d).transpose(1, 0, 2))
+    if counter is not None:
+        counter.add(ss2d_mac_count(h, w, d, p.n_state))
+    return out
 
 
 def scan_mac_count(length: int, n_state: int) -> int:
@@ -499,8 +502,7 @@ def scan_mac_count(length: int, n_state: int) -> int:
 def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
     """Exact multiply count of the reference selective-scan recurrence.
 
-    This is what :func:`selective_scan` adds to its counter. The two-level
-    scan's decay and carry multiplies are not included.
+    This is what :func:`selective_scan` adds to its counter.
 
     Per token: D^2 (step projection) + 2 N D (input/output projections)
     + 4 N D (discretization: z, phi, delta*B, b_bar) + 3 N D (recurrence
@@ -513,9 +515,5 @@ def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
 
 
 def ss2d_mac_count(h: int, w: int, d_channels: int, n_state: int) -> int:
-    """Exact multiply count of :func:`ss2d`: four directional reference scans.
-
-    Like :func:`selective_scan_mac_count`, it excludes the two-level scan's
-    carry multiplies.
-    """
+    """Exact multiply count of :func:`ss2d`: four directional reference scans."""
     return 4 * selective_scan_mac_count(h * w, d_channels, n_state)

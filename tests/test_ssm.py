@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from cfmw_kit.ssm import (
     softplus_inverse,
     ss2d,
     ss2d_mac_count,
+    _block_steps,
     _selective_forward,
 )
 from cfmw_kit.fusion import FusionBlockParams, Mlp3
@@ -268,7 +270,7 @@ def _assert_matches_reference(x, p):
 
 
 class TestFastScanOracle:
-    """The two-level selective scan against the per-token reference loop."""
+    """The fast selective scan against the per-token reference loop."""
 
     @pytest.mark.parametrize("length", [1, 2, 3, 15, 16, 17, 63, 64, 65, 1000, 4099])
     def test_matches_reference_loop(self, length):
@@ -313,8 +315,8 @@ class TestFastScanOracle:
             _assert_matches_reference(rng.normal(40 * 2).reshape(40, 2) * 10.0, p)
 
     def test_overflowing_decay_exponent(self):
-        # Row 1's a is -1e307, so a times the in-chunk sum of delta overflows
-        # to -inf well inside a 128-step chunk; the decay it stands for is 0.
+        # Row 1's a is -1e307, so every a_bar on it is 0, the decay that
+        # delta * a stands for even where that product overflows to -inf.
         rng = SeededRng(33)
         p = SelectiveSsmParams.random(3, 2, rng)
         a = p.a.copy()
@@ -322,6 +324,50 @@ class TestFastScanOracle:
         p = dataclasses.replace(p, a=a)
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _assert_matches_reference(rng.normal(4099 * 3).reshape(4099, 3), p)
+
+    @pytest.mark.parametrize("d_ch, n", [(16, 16), (5, 3)])
+    def test_block_boundaries(self, d_ch, n):
+        # Lengths around the block length b, where one block hands its state
+        # to the next.
+        b = _block_steps(1, d_ch, n)
+        rng = SeededRng(37)
+        p = SelectiveSsmParams.random(d_ch, n, rng)
+        for length in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
+            _assert_matches_reference(rng.normal(length * d_ch).reshape(length, d_ch), p)
+
+
+class TestOverflow:
+    def test_huge_input_refused_by_name(self):
+        rng = SeededRng(38)
+        x = rng.normal(10 * 3).reshape(10, 3) * 1e150
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x is too large"):
+                selective_scan(x, SelectiveSsmParams.random(3, 4, rng))
+            with pytest.raises(ValueError, match="^x is too large"):
+                ss2d(x.reshape(2, 5, 3), Ss2dParams.random(3, 4, rng))
+
+    def test_overflowing_decay_exponent_accepted(self):
+        # Channel 1 has delta near 40 and a = -1e307, so delta * a overflows
+        # to -inf at every step; a_bar = 0 is then the exact decay.
+        rng = SeededRng(39)
+        p = SelectiveSsmParams.random(3, 2, rng)
+        a = p.a.copy()
+        a[1] = -1e307
+        u_delta = p.u_delta.copy()
+        u_delta[1] = 40.0
+        p = dataclasses.replace(p, a=a, u_delta=u_delta)
+        x = rng.normal(30 * 3).reshape(30, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = selective_scan(x, p)
+            fused = ss2d(x.reshape(5, 6, 3), Ss2dParams(p, p, p, p))
+        assert np.all(np.isfinite(fused))
+        with np.errstate(over="ignore"):
+            ref = _selective_forward(x, p)
+        want, z = ref[0], ref[5]
+        assert np.all(np.isinf(z[:, 1]))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 class TestScanMemory:
@@ -421,6 +467,69 @@ class TestSs2d:
                        row_bwd=SelectiveSsmParams.random(2, 2, rng),
                        col_fwd=SelectiveSsmParams.random(2, 3, rng),
                        col_bwd=SelectiveSsmParams.random(2, 2, rng))
+
+
+def _only(p: Ss2dParams, keep: str) -> Ss2dParams:
+    """``p`` with B = 0 in every direction but ``keep``, so the others add zeros."""
+    def zero_b(q):
+        return dataclasses.replace(q, w_b=np.zeros_like(q.w_b), u_b=np.zeros_like(q.u_b))
+    return Ss2dParams(**{name: getattr(p, name) if name == keep else zero_b(getattr(p, name))
+                         for name in ("row_fwd", "row_bwd", "col_fwd", "col_bwd")})
+
+
+def _direction_scans(fmap, p, scan_fn):
+    """Each direction's scan of ``fmap`` alone by ``scan_fn``, un-flattened."""
+    h, w, d = fmap.shape
+    row = fmap.reshape(h * w, d)
+    col = fmap.transpose(1, 0, 2).reshape(h * w, d)
+    return {
+        "row_fwd": scan_fn(row, p.row_fwd).reshape(h, w, d),
+        "row_bwd": scan_fn(row[::-1], p.row_bwd)[::-1].reshape(h, w, d),
+        "col_fwd": scan_fn(col, p.col_fwd).reshape(w, h, d).transpose(1, 0, 2),
+        "col_bwd": scan_fn(col[::-1], p.col_bwd)[::-1].reshape(w, h, d).transpose(1, 0, 2),
+    }
+
+
+def _assert_directions_match(fmap, p, scan_fn, rtol):
+    for name, want in _direction_scans(fmap, p, scan_fn).items():
+        got = ss2d(fmap, _only(p, name))
+        assert np.all(np.abs(got - want) <= rtol * np.maximum(1.0, np.abs(want))), name
+
+
+class TestSs2dStackedScan:
+    """ss2d scans its four directions together; each must be the scan of its order alone."""
+
+    @pytest.mark.parametrize("h, w, d_ch, n", [(5, 7, 3, 2), (48, 64, 16, 8)])
+    def test_each_direction_is_its_selective_scan(self, h, w, d_ch, n):
+        rng = SeededRng(40)
+        p = Ss2dParams.random(d_ch, n, rng)
+        fmap = rng.normal(h * w * d_ch).reshape(h, w, d_ch)
+        _assert_directions_match(fmap, p, selective_scan, 1e-13)
+
+    def test_block_boundaries(self):
+        d_ch, n = 8, 8
+        b = _block_steps(4, d_ch, n)
+        rng = SeededRng(41)
+        p = Ss2dParams.random(d_ch, n, rng)
+        for length in sorted({1, max(b - 1, 1), b, b + 1, 3 * b + 5}):
+            line = rng.normal(length * d_ch)
+            for shape in ((1, length, d_ch), (length, 1, d_ch)):
+                _assert_directions_match(line.reshape(shape), p,
+                                         lambda x, q: _selective_forward(x, q)[0], 1e-12)
+
+    def test_memory(self):
+        # One ss2d at fuse_long size holds no more than its output, one (L, D)
+        # copy for the column orders, the (4, L, D) outputs and the block buffers.
+        rng = SeededRng(42)
+        p = Ss2dParams.random(32, 16, rng)
+        fmap = rng.normal(64 * 128 * 32).reshape(64, 128, 32)
+        tracemalloc.start()
+        try:
+            ss2d(fmap, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 def _assert_round_trip(p):

@@ -1,4 +1,4 @@
-"""Property test: the two-level selective scan agrees with the reference loop."""
+"""Property test: the fast selective scan agrees with the reference loop."""
 
 import numpy as np
 import pytest
