@@ -54,7 +54,6 @@ class NoiseSchedule:
     exact value 1.
     """
 
-    kind: str
     beta: np.ndarray
     alpha: np.ndarray = field(init=False)
     alpha_bar: np.ndarray = field(init=False)
@@ -119,7 +118,7 @@ def make_schedule(kind: str, t_count: int,
             min(1.0 - bar((i + 1) / t_count) / bar(i / t_count), 0.999)
             for i in range(t_count)
         ])
-    return NoiseSchedule(kind, beta)
+    return NoiseSchedule(beta)
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,13 @@ __all__ = [
 _LN_EPS = 1e-6
 
 
+def _refuse_overflow(step: str, *results: np.ndarray) -> None:
+    """Finite features whose ``step`` left a non-finite result overflowed
+    float64 on the way, and are refused by name."""
+    if not all(np.isfinite(r).all() for r in results):
+        raise ValueError(f"features are too large: {step} overflows float64")
+
+
 @dataclass(frozen=True)
 class ModalityFeatures:
     """Aligned (B, N, C) feature pair; C must be even for the half-channel swap."""
@@ -143,14 +150,17 @@ def shallow_swap(m: ModalityFeatures, residual: bool = True) -> ModalityFeatures
 
     Each stream keeps its front half and takes the other stream's back half;
     with ``residual`` (the default) the swapped features are added back onto
-    the originals. The residual-free variant is an involution.
+    the originals. The residual-free variant is an involution. Features so
+    large that the residual add overflows float64 are refused.
     """
     half = m.shape[2] // 2
     sw_r = np.concatenate([m.f_r[..., :half], m.f_t[..., half:]], axis=2)
     sw_t = np.concatenate([m.f_t[..., :half], m.f_r[..., half:]], axis=2)
     if residual:
-        sw_r = sw_r + m.f_r
-        sw_t = sw_t + m.f_t
+        with np.errstate(over="ignore"):  # refused below
+            sw_r += m.f_r
+            sw_t += m.f_t
+        _refuse_overflow("the shallow swap", sw_r, sw_t)
     return ModalityFeatures(f_r=sw_r, f_t=sw_t)
 
 
@@ -280,8 +290,10 @@ class FusionBlockParams:
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        mu = x.mean(axis=-1, keepdims=True)
+        var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    _refuse_overflow("the layer norm", var)
     return (x - mu) / np.sqrt(var + _LN_EPS) * scale + offset
 
 
@@ -294,6 +306,8 @@ def fuse(m: ModalityFeatures, p: FusionBlockParams,
     SiLU(Z); then one shared MLP maps the sum of both gated outputs, the
     pre-block features are added per ``residual_mode``, and each stream's
     input is added once more on top. Output shapes equal input shapes.
+    Features so large that a token's layer-norm variance overflows float64
+    are refused.
     """
     b, n, c = m.shape
     if c != p.c:
@@ -393,6 +407,8 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     Both token sequences are stacked to length 2N, attended with shared
     Q/K/V projections, and split back. Row-blocked evaluation keeps memory
     at O(block_rows * N) while preserving the quadratic operation count.
+    Features so large that the projections or scores overflow float64 are
+    refused.
     """
     b, n, c = m.shape
     if c != p.c:
@@ -402,25 +418,29 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     out_t = np.empty_like(m.f_t)
     for i in range(b):
         tokens = np.vstack([m.f_r[i], m.f_t[i]])          # (2N, C)
-        q = tokens @ p.w_q
-        k = tokens @ p.w_k
-        v = tokens @ p.w_v
         fused = np.empty((2 * n, c))
-        for r0 in range(0, 2 * n, block_rows):
-            r1 = min(r0 + block_rows, 2 * n)
-            scores = q[r0:r1] @ k.T
-            scores *= scale
-            scores -= scores.max(axis=1, keepdims=True)
-            np.exp(scores, out=scores)
-            inv = 1.0 / scores.sum(axis=1, keepdims=True)
-            scores *= inv
-            if counter is not None:
-                rows = r1 - r0
-                # score matmul, scale, normalize products, row reciprocals
-                counter.add(rows * 2 * n * p.d_k + rows * 2 * n + rows * 2 * n + rows)
-            fused[r0:r1] = scores @ v
-            if counter is not None:
-                counter.add((r1 - r0) * 2 * n * c)
+        # A +inf score or projection reaches the output as NaN or Inf, and is
+        # refused below; a score at -inf is the exact weight 0.
+        with np.errstate(over="ignore", invalid="ignore"):
+            q = tokens @ p.w_q
+            k = tokens @ p.w_k
+            v = tokens @ p.w_v
+            for r0 in range(0, 2 * n, block_rows):
+                r1 = min(r0 + block_rows, 2 * n)
+                scores = q[r0:r1] @ k.T
+                scores *= scale
+                scores -= scores.max(axis=1, keepdims=True)
+                np.exp(scores, out=scores)
+                inv = 1.0 / scores.sum(axis=1, keepdims=True)
+                scores *= inv
+                if counter is not None:
+                    rows = r1 - r0
+                    # score matmul, scale, normalize products, row reciprocals
+                    counter.add(rows * 2 * n * p.d_k + rows * 2 * n + rows * 2 * n + rows)
+                fused[r0:r1] = scores @ v
+                if counter is not None:
+                    counter.add((r1 - r0) * 2 * n * c)
+        _refuse_overflow("attention", fused)
         out_r[i] = fused[:n]
         out_t[i] = fused[n:]
     return ModalityFeatures(f_r=out_r, f_t=out_t)

@@ -1,5 +1,8 @@
 """Restoration and detection metrics: PSNR, SSIM, IoU/GIoU, AP and mAP.
 
+PSNR and SSIM score 8-bit images: every pixel must lie in [0, 255], and
+SSIM uses the fixed constants of Wang et al. (IEEE TIP 2004).
+
 Boxes are (x1, y1, x2, y2) with x1 < x2 and y1 < y2 in continuous pixel
 coordinates, every |coordinate| <= 1e150, and a nonzero area. Average
 precision takes one (detections, ground truth) pair per image, ranks all
@@ -17,12 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import check_finite
-
 __all__ = [
     "Detection",
     "GroundTruthBox",
-    "SsimParams",
     "MeanApResult",
     "psnr",
     "ssim",
@@ -83,55 +83,19 @@ class GroundTruthBox:
         object.__setattr__(self, "class_id", int(self.class_id))
 
 
-@dataclass(frozen=True)
-class SsimParams:
-    """Windowed-SSIM constants: 11x11 Gaussian, sigma 1.5, unit exponents."""
-
-    window: int = 11
-    sigma: float = 1.5
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 1.0
-    dynamic_range: float = 255.0
-    k1: float = 0.01
-    k2: float = 0.03
-
-    def __post_init__(self):
-        w = self.window
-        if isinstance(w, bool) or not isinstance(w, (int, np.integer)) or w < 1:
-            raise ValueError(f"window must be an integer >= 1, got {self.window!r}")
-        for name in ("sigma", "alpha", "beta", "gamma", "dynamic_range", "k1", "k2"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-        # Finite, positive inputs can still under- or overflow what ssim uses.
-        try:
-            with np.errstate(all="ignore"):
-                taps = _gaussian_taps(w, self.sigma)
-            derived = {"c1": self.c1, "c2": self.c2, "c3": self.c3}
-        except OverflowError as exc:
-            raise ValueError(f"SSIM constants overflow with {self}") from exc
-        if not np.all((taps > 0.0) & (taps < math.inf)):
-            raise ValueError(f"window taps are not finite and > 0 with {self}")
-        for name, value in derived.items():
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} = {value!r} is not finite and > 0 with {self}")
-
-    @property
-    def c1(self) -> float:
-        return (self.k1 * self.dynamic_range) ** 2
-
-    @property
-    def c2(self) -> float:
-        return (self.k2 * self.dynamic_range) ** 2
-
-    @property
-    def c3(self) -> float:
-        return self.c2 / 2.0
+def _pixels(img, name: str) -> np.ndarray:
+    """``img`` as float64, refused by ``name`` unless every pixel lies in [0, 255]
+    (a NaN fails both comparisons)."""
+    img = np.asarray(img, dtype=np.float64)
+    if img.size == 0:
+        raise ValueError(f"{name} has no pixels")
+    if not (0.0 <= img.min() and img.max() <= 255.0):
+        raise ValueError(f"{name} has a non-finite pixel or one outside [0, 255]")
+    return img
 
 
 def _to_gray(img: np.ndarray, name: str) -> np.ndarray:
-    img = check_finite(np.asarray(img, dtype=np.float64), name)
+    img = _pixels(img, name)
     if img.ndim == 2:
         return img
     if img.ndim == 3 and img.shape[2] == 3:
@@ -143,9 +107,9 @@ def _to_gray(img: np.ndarray, name: str) -> np.ndarray:
 
 def psnr(x: np.ndarray, y: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB for 8-bit images (peak 255), capped at
-    99 for (near-)identical images."""
-    x = check_finite(np.asarray(x, dtype=np.float64), "x")
-    y = check_finite(np.asarray(y, dtype=np.float64), "y")
+    99 for (near-)identical images. Every pixel must lie in [0, 255]."""
+    x = _pixels(x, "x")
+    y = _pixels(y, "y")
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
     mse = float(np.mean((x - y) ** 2))
@@ -161,6 +125,14 @@ def _gaussian_taps(size: int, sigma: float) -> np.ndarray:
     return g / g.sum()
 
 
+# SSIM of Wang et al. (IEEE TIP 2004) on 8-bit pixels: an 11x11 Gaussian
+# window with sigma 1.5, unit exponents, K1 = 0.01 and K2 = 0.03 of 255.
+_SSIM_TAPS = _gaussian_taps(11, 1.5)
+_C1 = (0.01 * 255.0) ** 2
+_C2 = (0.03 * 255.0) ** 2
+_C3 = _C2 / 2.0
+
+
 def _filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Valid-mode filter with the window outer(g, g): one 1-D pass along
     axis 0, then one along axis 1, each a window view times the taps."""
@@ -168,41 +140,35 @@ def _filter(img: np.ndarray, g: np.ndarray) -> np.ndarray:
     return view(view(img, g.size, axis=0) @ g, g.size, axis=1) @ g
 
 
-def ssim(x: np.ndarray, y: np.ndarray, params: SsimParams | None = None) -> float:
-    """Mean windowed structural similarity.
+def ssim(x: np.ndarray, y: np.ndarray) -> float:
+    """Mean windowed structural similarity of two 8-bit images.
 
     Color images are reduced to the BT.601 luminance channel; the value is
-    the mean over every full stride-1 window of the luminance / contrast /
-    structure product. The Gaussian window is separable, so the window
-    moments are two 1-D passes: time and memory are linear in the pixel
-    count. Non-finite pixels, and a mean that is not finite (say, a
-    fractional exponent on a negative structure term), raise ``ValueError``.
+    the mean over every full stride-1 window (11x11 Gaussian, sigma 1.5) of
+    the luminance / contrast / structure product, with C1 = (0.01 * 255)^2,
+    C2 = (0.03 * 255)^2 and C3 = C2 / 2. The window is separable, so the
+    window moments are two 1-D passes: time and memory are linear in the
+    pixel count. Every pixel must lie in [0, 255]; any other, NaN and Inf
+    included, is a ``ValueError`` naming its argument. On that domain every
+    denominator is at least C3, so the value is finite.
     """
-    p = params or SsimParams()
     gx = _to_gray(x, "x")
     gy = _to_gray(y, "y")
     if gx.shape != gy.shape:
         raise ValueError(f"shape mismatch: {gx.shape} vs {gy.shape}")
-    if min(gx.shape) < p.window:
-        raise ValueError(f"image must be at least {p.window} pixels on each side")
-    g = _gaussian_taps(p.window, p.sigma)
+    g = _SSIM_TAPS
+    if min(gx.shape) < g.size:
+        raise ValueError(f"image must be at least {g.size} pixels on each side")
     mu_x, mu_y = _filter(gx, g), _filter(gy, g)
     var_x = np.maximum(_filter(gx * gx, g) - mu_x ** 2, 0.0)
     var_y = np.maximum(_filter(gy * gy, g) - mu_y ** 2, 0.0)
     cov = _filter(gx * gy, g) - mu_x * mu_y
     sig_x = np.sqrt(var_x)
     sig_y = np.sqrt(var_y)
-    lum = (2.0 * mu_x * mu_y + p.c1) / (mu_x ** 2 + mu_y ** 2 + p.c1)
-    con = (2.0 * sig_x * sig_y + p.c2) / (var_x + var_y + p.c2)
-    stru = (cov + p.c3) / (sig_x * sig_y + p.c3)
-    with np.errstate(invalid="ignore"):  # a NaN power is refused below
-        for term, expo in ((lum, p.alpha), (con, p.beta), (stru, p.gamma)):
-            if expo != 1.0:
-                np.power(term, expo, out=term)
-    value = float(np.mean(lum * con * stru))
-    if not math.isfinite(value):
-        raise ValueError(f"SSIM is not finite ({value}) with {p}")
-    return value
+    lum = (2.0 * mu_x * mu_y + _C1) / (mu_x ** 2 + mu_y ** 2 + _C1)
+    con = (2.0 * sig_x * sig_y + _C2) / (var_x + var_y + _C2)
+    stru = (cov + _C3) / (sig_x * sig_y + _C3)
+    return float(np.mean(lum * con * stru))
 
 
 def _intersection(a: Box, b: Box) -> float:

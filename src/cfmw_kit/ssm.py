@@ -121,7 +121,6 @@ class DiscreteSsm:
     a_bar: np.ndarray
     b_bar: np.ndarray
     c: np.ndarray
-    delta: float
 
     def __post_init__(self):
         freeze_arrays(self)
@@ -129,9 +128,6 @@ class DiscreteSsm:
         if np.any(self.a_bar <= 0.0):
             # exp(delta * a) of a real diagonal is always positive.
             raise ValueError("a_bar entries must be positive")
-        if not self.delta > 0.0:
-            raise ValueError("delta must be positive")
-        object.__setattr__(self, "delta", float(self.delta))
 
     @property
     def n_state(self) -> int:
@@ -150,7 +146,7 @@ def discretize(m: ContinuousSsm, delta: float) -> DiscreteSsm:
     z = delta * m.a
     a_bar = np.exp(z)
     b_bar = _zoh_phi(z) * (delta * m.b)
-    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=m.c.copy(), delta=float(delta))
+    return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=m.c.copy())
 
 
 def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:

@@ -86,12 +86,6 @@ class SeededRng:
             raise ValueError("draw count must be >= 0")
         return (self._raw(n) >> _U64(11)).astype(np.float64) * _TWO_NEG53
 
-    def uniform_open(self, n: int) -> np.ndarray:
-        """n i.i.d. doubles in (0, 1]; safe under log()."""
-        if n < 0:
-            raise ValueError("draw count must be >= 0")
-        return ((self._raw(n) >> _U64(11)) + _U64(1)).astype(np.float64) * _TWO_NEG53
-
     def normal(self, n: int) -> np.ndarray:
         """n i.i.d. standard normals via Box-Muller on uniform pairs."""
         if n < 0:

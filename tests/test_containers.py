@@ -86,8 +86,8 @@ def test_every_array_container_is_covered():
 
 def test_noise_schedule_derives_its_products():
     beta = np.array([0.1, 0.2, 0.05])
-    sched = NoiseSchedule("custom", beta)
+    sched = NoiseSchedule(beta)
     assert np.array_equal(sched.alpha, 1.0 - beta)
     assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
     with pytest.raises(TypeError):
-        NoiseSchedule("custom", beta, alpha=[5.0, -3.0, 1.0])
+        NoiseSchedule(beta, alpha=[5.0, -3.0, 1.0])

@@ -147,7 +147,7 @@ class TestDdimStep:
 
     def test_equal_alpha_bar_is_fixed_point(self):
         # Nearly-equal products across the step leave the state unchanged.
-        sched = NoiseSchedule("custom", np.array([0.3, 1e-16]))
+        sched = NoiseSchedule(np.array([0.3, 1e-16]))
         rng = SeededRng(53)
         x0 = randn([4], rng)
         eps = randn([4], rng)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -132,6 +133,14 @@ def _small_case(seed=1234):
     return feats, params
 
 
+def _refused_as_features(call):
+    """``call`` raises a ValueError naming the features, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="features are too large"):
+            call()
+
+
 # --------------------------------------------------------------------------
 
 class TestPatchEmbed:
@@ -212,6 +221,13 @@ class TestShallowSwap:
     def test_odd_channels_rejected(self):
         with pytest.raises(ValueError):
             ModalityFeatures(f_r=np.zeros((1, 2, 3)), f_t=np.zeros((1, 2, 3)))
+
+    def test_overflowing_residual_refused(self):
+        big = np.full((1, 2, 4), 1.5e308)
+        _refused_as_features(lambda: shallow_swap(ModalityFeatures(f_r=big, f_t=big)))
+        # without the residual add nothing overflows
+        out = shallow_swap(ModalityFeatures(f_r=big, f_t=big), residual=False)
+        assert np.array_equal(out.f_r, big)
 
 
 class TestFuse:
@@ -314,6 +330,11 @@ class TestFuse:
         with pytest.raises(ValueError):
             fuse(feats, p)
 
+    def test_overflowing_layer_norm_refused(self):
+        feats, params = _small_case()
+        big = ModalityFeatures(f_r=feats.f_r * 1e155, f_t=feats.f_t)
+        _refused_as_features(lambda: fuse(big, params))
+
 
 class TestInject:
     def _feats(self, rng, n=3, c=4):
@@ -408,6 +429,13 @@ class TestAttentionBaseline:
         full = attention_fusion_baseline(feats, p, block_rows=4096)
         blocked = attention_fusion_baseline(feats, p, block_rows=7)
         assert np.abs(full.f_r - blocked.f_r).max() < 1e-12
+
+    def test_overflowing_scores_refused(self):
+        rng = SeededRng(49)
+        feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4) * 1e155,
+                                 f_t=rng.normal(5 * 4).reshape(1, 5, 4))
+        p = AttentionFusionParams.random(4, 4, rng)
+        _refused_as_features(lambda: attention_fusion_baseline(feats, p, block_rows=3))
 
 
 class TestCountOps:

@@ -1,11 +1,16 @@
-"""Property tests: box overlap over the whole accepted coordinate range, and
-AP/mAP against a per-class, per-threshold greedy oracle."""
+"""Property tests: PSNR and SSIM over the whole 8-bit pixel range, box
+overlap over the whole accepted coordinate range, and AP/mAP against a
+per-class, per-threshold greedy oracle."""
+
+import math
+import warnings
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from cfmw_kit import metrics  # noqa: E402
 from cfmw_kit.metrics import (  # noqa: E402
@@ -17,9 +22,52 @@ from cfmw_kit.metrics import (  # noqa: E402
     giou,
     iou,
     mean_ap,
+    psnr,
+    ssim,
 )
 
 SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+
+@st.composite
+def image_pairs(draw):
+    """Two same-shape (H, W) or (H, W, 3) images of pixels in [0, 255], each
+    side at least the 11-pixel SSIM window."""
+    h, w = draw(st.integers(11, 14)), draw(st.integers(11, 14))
+    shape = (h, w, 3) if draw(st.booleans()) else (h, w)
+    pixels = hnp.arrays(np.float64, shape, elements=st.floats(0.0, 255.0))
+    return draw(pixels), draw(pixels)
+
+
+@SETTINGS
+@given(image_pairs())
+def test_in_range_pixels_score_finitely(pair):
+    x, y = pair
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p, s = psnr(x, y), ssim(x, y)
+    assert math.isfinite(p) and p <= 99.0
+    assert math.isfinite(s) and s <= 1.0
+
+
+_flat = np.full((11, 11), 9.0)
+
+
+@SETTINGS
+@given(pair=image_pairs(), bad=st.floats().filter(lambda v: not 0.0 <= v <= 255.0),
+       where=st.integers(0, 2 ** 16), in_y=st.booleans())
+@example(pair=(_flat, _flat), bad=1e200, where=0, in_y=False)
+@example(pair=(_flat, _flat), bad=-1.0, where=60, in_y=True)
+@example(pair=(_flat, _flat), bad=255.5, where=120, in_y=False)
+def test_one_bad_pixel_is_refused_by_name(pair, bad, where, in_y):
+    x, y = (im.copy() for im in pair)
+    odd = y if in_y else x
+    odd.flat[where % odd.size] = bad
+    for metric in (psnr, ssim):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{'y' if in_y else 'x'} has a non-finite"):
+                metric(x, y)
+
 
 _coord = st.floats(-BOX_COORD_LIMIT, BOX_COORD_LIMIT, allow_nan=False)
 

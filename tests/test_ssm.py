@@ -90,9 +90,7 @@ class TestDiscretize:
 
     def test_discrete_construction_checks(self):
         with pytest.raises(ValueError):
-            DiscreteSsm(a_bar=[-0.5], b_bar=[1.0], c=[1.0], delta=0.1)
-        with pytest.raises(ValueError):
-            DiscreteSsm(a_bar=[0.5], b_bar=[1.0], c=[1.0], delta=0.0)
+            DiscreteSsm(a_bar=[-0.5], b_bar=[1.0], c=[1.0])
 
 
 class TestScanAndKernel:
@@ -106,11 +104,11 @@ class TestScanAndKernel:
         assert abs(scan(d, [x1])[0] - float((d.c * d.b_bar).sum() * x1)) < 1e-15
 
     def test_kernel_constant_taps(self):
-        d = DiscreteSsm(a_bar=[1.0], b_bar=[1.0], c=[1.0], delta=1.0)
+        d = DiscreteSsm(a_bar=[1.0], b_bar=[1.0], c=[1.0])
         assert np.array_equal(kernel(d, 5), np.ones(5))
 
     def test_kernel_hand_case(self):
-        d = DiscreteSsm(a_bar=[0.5], b_bar=[2.0], c=[1.0], delta=1.0)
+        d = DiscreteSsm(a_bar=[0.5], b_bar=[2.0], c=[1.0])
         assert np.array_equal(kernel(d, 3), [2.0, 1.0, 0.5])
 
     def test_kernel_tap_count(self):
