@@ -289,9 +289,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def _load_box_files(path: Path, parse) -> dict[str, list]:
-    """``parse`` over the file ``path`` or each file in it; errors name the file."""
+def _load_box_files(path: Path, parse) -> dict:
+    """``parse`` over the file ``path`` or each file in it; errors name the
+    file, and a directory must hold at least one."""
     files = sorted(f for f in path.iterdir() if f.is_file()) if path.is_dir() else [path]
+    if not files:
+        raise ValueError(f"{path}: directory holds no files")
     boxes = {}
     for f in files:
         try:
@@ -328,7 +331,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise ValueError(f"unpaired detection/ground-truth files: {sorted(missing)}")
 
         def kept(boxes):
-            return [b for b in boxes if max_area is None or metrics._area(b.box) < max_area]
+            if max_area is None:
+                return boxes
+            return type(boxes)(boxes.table[metrics._area(boxes.boxes.T) < max_area])
 
         images = [(kept(det_files[name]), kept(gt_files[name])) for name in sorted(gt_files)]
         result = metrics.mean_ap(images)

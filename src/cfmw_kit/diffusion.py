@@ -207,13 +207,18 @@ class TinyMlpPredictor:
 
 
 def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """Forward noising: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps; NaN or Inf is refused."""
+    """Forward noising: sqrt(abar_t) x0 + sqrt(1 - abar_t) eps. NaN or Inf is
+    refused, and so are an ``x0`` and ``eps`` whose sum overflows float64."""
     x0 = check_finite(np.asarray(x0, dtype=np.float64), "x0")
     eps = check_finite(np.asarray(eps, dtype=np.float64), "eps")
     if x0.shape != eps.shape:
         raise ValueError("x0 and eps must share a shape")
     abar = sched.alpha_bar_at(sched._check_t(t))
-    return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+    try:
+        with np.errstate(over="raise"):
+            return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
+    except FloatingPointError:
+        raise ValueError("x0 and eps are too large: q_sample overflows float64") from None
 
 
 def _out_buffer(buf, name: str, shape, others) -> np.ndarray:

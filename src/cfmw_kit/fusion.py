@@ -120,7 +120,8 @@ def patch_embed(image: np.ndarray, pe: PatchEmbedding) -> np.ndarray:
 
     Each P x P x C_in patch is flattened row-major and projected by ``pe.w``;
     the class token, when enabled, is prepended before the positional rows
-    are added. An image holding NaN or Inf is refused.
+    are added. An image holding NaN or Inf is refused, and so is one so large
+    that its embedding overflows float64.
     """
     image = check_finite(np.asarray(image, dtype=np.float64), "image")
     if image.ndim != 3:
@@ -138,11 +139,14 @@ def patch_embed(image: np.ndarray, pe: PatchEmbedding) -> np.ndarray:
     patches = (image.reshape(gh, p, gw, p, c_in)
                .transpose(0, 2, 1, 3, 4)
                .reshape(n_patches, p * p * c_in))
-    tokens = patches @ pe.w
-    if pe.use_cls:
-        tokens = np.vstack([pe.cls_token[None, :], tokens])
-        return tokens + pe.e_pos
-    return tokens + pe.e_pos[1:]
+    try:
+        with np.errstate(over="raise"):
+            tokens = patches @ pe.w
+            if pe.use_cls:
+                return np.vstack([pe.cls_token[None, :], tokens]) + pe.e_pos
+            return tokens + pe.e_pos[1:]
+    except FloatingPointError:
+        raise ValueError("image is too large: its embedding overflows float64") from None
 
 
 def shallow_swap(m: ModalityFeatures, residual: bool = True) -> ModalityFeatures:

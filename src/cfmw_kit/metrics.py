@@ -4,25 +4,32 @@ PSNR and SSIM score 8-bit images: every pixel must lie in [0, 255], and
 SSIM uses the fixed constants of Wang et al. (IEEE TIP 2004).
 
 Boxes are (x1, y1, x2, y2) with x1 < x2 and y1 < y2 in continuous pixel
-coordinates, every |coordinate| <= 1e150, and a nonzero area. Average
-precision takes one (detections, ground truth) pair per image, ranks all
-detections by confidence (ties keep image order, then input order), in one
-sweep greedily matches each, at every IoU threshold, to the unmatched
-same-class box of highest overlap in its own image, and integrates the
-precision-recall curve: each recall increment times the precision before it.
+coordinates, every |coordinate| <= 1e150, and a nonzero area. One image's
+boxes are one float64 table, a row per box: ``GroundTruth`` rows are
+``class_id x1 y1 x2 y2`` and ``Detections`` rows add a confidence in
+[0, 1]; a class id is an integer of magnitude below 2**53, so exact in
+float64. Average precision takes one (detections, ground truth) pair per
+image and ranks all detections by confidence (ties keep image order, then
+input order). At every IoU threshold, each detection in turn takes the
+unmatched same-class box of highest overlap in its own image; that depends
+only on the order within an image, so all images are matched in lockstep,
+one rank per step. AP integrates the precision-recall curve: each recall
+increment times the precision before it, summed left to right by rank.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
+from .tensor import freeze_arrays
+
 __all__ = [
-    "Detection",
-    "GroundTruthBox",
+    "Detections",
+    "GroundTruth",
     "MeanApResult",
     "psnr",
     "ssim",
@@ -41,13 +48,16 @@ PSNR_CAP_DB = 99.0
 # accepted boxes then stay finite (at most 8e300).
 BOX_COORD_LIMIT = 1e150
 
+# Bound on |class id|: every integer below it is exact in float64.
+CLASS_ID_LIMIT = 2 ** 53
+
 DEFAULT_MAP_THRESHOLDS = tuple(round(0.50 + 0.05 * k, 2) for k in range(10))
 
 # ITU BT.601 luminance weights for color -> gray reduction.
 _LUMA = (0.299, 0.587, 0.114)
 
 Box = tuple[float, float, float, float]
-ImageBoxes = tuple[list["Detection"], list["GroundTruthBox"]]  # one image's boxes
+ImageBoxes = tuple["Detections", "GroundTruth"]  # one image's boxes
 
 
 def _check_box(box, name: str = "box") -> Box:
@@ -59,28 +69,67 @@ def _check_box(box, name: str = "box") -> Box:
     return (x1, y1, x2, y2)
 
 
+def _check_row(row: list) -> None:
+    """Refuse one ``class_id x1 y1 x2 y2 [confidence]`` row by its first fault."""
+    _check_box(row[1:5])
+    if not (row[0] == math.trunc(row[0]) and abs(row[0]) < CLASS_ID_LIMIT):
+        raise ValueError(f"class id {row[0]!r} is not an integer of magnitude below 2**53")
+    if row[5:] and not 0.0 <= row[5] <= 1.0:
+        raise ValueError(f"confidence {row[5]} outside [0, 1]")
+
+
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()`` without a reduction, whose fixed cost rules small arrays."""
+    return np.count_nonzero(mask) == mask.size
+
+
 @dataclass(frozen=True)
-class Detection:
-    box: Box
-    class_id: int
-    confidence: float
+class _BoxTable:
+    """One image's boxes as a float64 ``table``, a row per box: class id,
+    x1 y1 x2 y2, then any further columns. Every row is checked at once; a
+    bad one is refused by its index."""
+
+    table: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box))
-        object.__setattr__(self, "class_id", int(self.class_id))
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence {self.confidence} outside [0, 1]")
-        object.__setattr__(self, "confidence", float(self.confidence))
+        freeze_arrays(self)
+        t, low, high = self.table, self._low, self._high
+        if t.size == 0:
+            object.__setattr__(self, "table", t := t.reshape(0, low.size))
+        if t.ndim != 2 or t.shape[1] != low.size:
+            raise ValueError(f"table must be (n, {low.size}), got {t.shape}")
+        ok = _all((t >= low) & (t <= high)) and _all(np.trunc(t[:, 0]) == t[:, 0])
+        if ok:  # bounded coordinates: widths and areas stay finite
+            w, h = t[:, 3] - t[:, 1], t[:, 4] - t[:, 2]
+            ok = _all(np.minimum(w, w * h) > 0.0)
+        for i, row in enumerate([] if ok else t.tolist()):
+            try:
+                _check_row(row)
+            except ValueError as exc:
+                raise ValueError(f"table row {i}: {exc}") from None
+
+    class_id = property(lambda self: self.table[:, 0])
+    boxes = property(lambda self: self.table[:, 1:5])
+
+
+# Bounds on the columns of a row: class id, x1 y1 x2 y2, confidence.
+_LOW = (1 - CLASS_ID_LIMIT, *(-BOX_COORD_LIMIT,) * 4, 0.0)
+_HIGH = (CLASS_ID_LIMIT - 1, *(BOX_COORD_LIMIT,) * 4, 1.0)
 
 
 @dataclass(frozen=True)
-class GroundTruthBox:
-    box: Box
-    class_id: int
+class GroundTruth(_BoxTable):
+    """One image's ground truth: rows ``class_id x1 y1 x2 y2``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "box", _check_box(self.box))
-        object.__setattr__(self, "class_id", int(self.class_id))
+    _low, _high = np.array(_LOW[:5]), np.array(_HIGH[:5])
+
+
+@dataclass(frozen=True)
+class Detections(_BoxTable):
+    """One image's detections: rows ``class_id x1 y1 x2 y2 confidence``."""
+
+    _low, _high = np.array(_LOW), np.array(_HIGH)
+    confidence = property(lambda self: self.table[:, 5])
 
 
 def _pixels(img, name: str) -> np.ndarray:
@@ -202,69 +251,93 @@ def giou(a, b) -> float:
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``iou`` of every box in ``a`` (n, 4) with every box in ``b`` (m, 4), bit
-    for bit: the same float operations in the same order."""
-    w = np.minimum(a[:, None, 2], b[None, :, 2]) - np.maximum(a[:, None, 0], b[None, :, 0])
-    h = np.minimum(a[:, None, 3], b[None, :, 3]) - np.maximum(a[:, None, 1], b[None, :, 1])
+    """``iou`` of every box in ``a`` (n, 4) with every box in ``b`` (m, 4), or
+    of each box in ``a`` with its own row of ``b`` (n or 1, m, 4); bit for
+    bit: the same float operations in the same order."""
+    a, b = a.T[:, :, None], np.moveaxis(b, -1, 0)
+    w = np.minimum(a[2], b[2]) - np.maximum(a[0], b[0])
+    h = np.minimum(a[3], b[3]) - np.maximum(a[1], b[1])
     inter = np.where((w > 0.0) & (h > 0.0), w * h, 0.0)
-    return inter / (_area(a.T)[:, None] + _area(b.T)[None, :] - inter)
+    return inter / (_area(a) + _area(b) - inter)
 
 
-def _greedy_sweep(images: list[ImageBoxes], classes: list[int],
+def _greedy_sweep(images: list[ImageBoxes], classes: list,
                   grid: tuple[float, ...]) -> dict[float, list[float]]:
-    """AP of each of ``classes`` at each threshold of ``grid``, from one pass
-    over their detections in rank order with a taken mask per threshold."""
+    """AP of each of ``classes`` at each threshold of ``grid``.
+
+    Step j matches the j-th ranked detection of every image at every
+    threshold at once, through a taken mask per (image, threshold, box).
+    Images are bucketed by ground-truth count rounded up to a power of two,
+    and ordered by detection count within a bucket, so the images still
+    matching at step j are a prefix of it. An IoU row spans the bucket's
+    largest ground truth; -1 pads it and marks other classes and taken boxes,
+    so a row with nothing left to match peaks at -1 and misses. Images with
+    no ground truth (bucket 0) come first, and their detections all miss.
+    """
     if not all(0.0 < thr <= 1.0 for thr in grid):
         raise ValueError("IoU threshold must lie in (0, 1]")
-    lanes, grid_arr = np.arange(len(grid)), np.array(grid, dtype=np.float64)
-    n_gt = Counter(g.class_id for _, gts in images for g in gts)
-    wanted = set(classes)
-    matrices, taken, ranked = [], [], []
-    for k, (dets, gts) in enumerate(images):
-        # -1 (other class, or the last column that keeps argmax defined) never hits
-        m = np.full((len(dets), len(gts) + 1), -1.0)
-        np.copyto(m[:, :-1], _iou_matrix(np.reshape([d.box for d in dets], (-1, 4)),
-                                         np.reshape([g.box for g in gts], (-1, 4))),
-                  where=np.equal.outer([d.class_id for d in dets], [g.class_id for g in gts]))
-        matrices.append(m)
-        taken.append(np.zeros((len(grid), len(gts) + 1), dtype=bool))
-        ranked += [(k, r, d) for r, d in enumerate(dets) if d.class_id in wanted]
-    ranked.sort(key=lambda row: -row[2].confidence)  # stable: image, then input order
-    hits = np.zeros((len(ranked), len(grid)), dtype=bool)
-    for i, (k, r, _) in enumerate(ranked):
-        row = np.where(taken[k], -1.0, matrices[k][r])
-        j = row.argmax(axis=1)  # the first maximum
-        np.greater_equal(row[lanes, j], grid_arr, out=hits[i])
-        taken[k][lanes, j] |= hits[i]
-    ranked_cls = np.array([d.class_id for _, _, d in ranked], dtype=np.int64)
-    columns = {c: hits[ranked_cls == c].T for c in classes}
-    return {thr: [_ap_from_flags(columns[c][t].tolist(), n_gt[c]) for c in classes]
-            for t, thr in enumerate(grid)}
+    if not images:
+        return {thr: [1.0] * len(classes) for thr in grid}
+    # Every row of every image, in image order, then row order. A detection of
+    # a class outside ``classes`` takes only boxes of its own class, which no
+    # AP here counts.
+    n_det, n_gt = (np.array([len(p.table) for p in side]) for side in zip(*images))
+    dets, gts = (np.concatenate([p.table for p in side]) for side in zip(*images))
+    d_img, g_img = (np.repeat(np.arange(len(images)), n) for n in (n_det, n_gt))
+    ranked = np.argsort(-dets[:, 5], kind="stable")  # ties keep image, then input order
+    by_image = ranked[np.argsort(d_img[ranked], kind="stable")]
+    step = np.argsort(by_image) - (np.cumsum(n_det) - n_det)[d_img]  # rank in its image
+    bucket = np.frexp(n_gt)[1]  # n_gt < 2 ** bucket
+    by_bucket = np.lexsort((-n_det, bucket))
+    slot = np.argsort(by_bucket)
+    order = np.argsort((bucket[d_img] * (len(d_img) + 1) + step) * len(images) + slot[d_img])
+    g_col = np.arange(len(g_img)) - (np.cumsum(n_gt) - n_gt)[g_img]
+    thresholds, hits = np.array(grid), np.zeros((len(d_img), len(grid)), dtype=bool)
+    lo = n_det[n_gt == 0].sum()
+    # sorted(set()), not np.unique: np.unique imports numpy.ma on its first call
+    for b in sorted(set(bucket[(n_det > 0) & (n_gt > 0)].tolist())):
+        imgs = by_bucket[bucket[by_bucket] == b]
+        n_b, w, s0 = len(imgs), int(n_gt[imgs].max()), slot[imgs[0]]
+        rows, mine = order[lo:lo + n_det[imgs].sum()], bucket[g_img] == b
+        pad = np.zeros((n_b, w, 5))
+        pad[..., 0] = np.nan  # the class of no box
+        pad[slot[g_img[mine]] - s0, g_col[mine]] = gts[mine]
+        if n_b > 1:  # one image broadcasts; several gather per detection
+            pad = pad[slot[d_img[rows]] - s0]
+        ious = np.where(dets[rows, :1] == pad[..., 0],
+                        _iou_matrix(dets[rows, 1:5], pad[..., 1:]), -1.0)
+        taken = np.zeros((n_b, len(grid), w), dtype=bool)
+        flat, lane, r = taken.reshape(-1), np.arange(n_b * len(grid)) * w, 0
+        for a in (n_b - np.cumsum(np.bincount(n_det[imgs]))[:-1]).tolist():
+            row = np.where(taken[:a], -1.0, ious[r:r + a, None])
+            at = lane[:a * len(grid)] + row.argmax(axis=2).ravel()  # the first maximum
+            hit = np.greater_equal(row.take(at).reshape(a, -1), thresholds,
+                                   out=hits[lo + r:lo + r + a])
+            flat[at] |= hit.ravel()
+            r += a
+        lo += r
+    flags, ranked_cls = hits[np.argsort(order)[ranked]], dets[ranked, 0]
+    aps = [_ap_columns(flags[ranked_cls == c], np.count_nonzero(gts[:, 0] == c))
+           for c in classes]
+    return {thr: [ap[t] for ap in aps] for t, thr in enumerate(grid)}
 
 
-def _ap_from_flags(flags: list[bool], n_gt: int) -> float:
-    if n_gt == 0:
-        return 1.0 if not flags else 0.0
-    ap = 0.0
-    tp = fp = 0
-    recall_prev = 0.0
-    precision_prev = 1.0
-    for is_tp in flags:
-        if is_tp:
-            tp += 1
-        else:
-            fp += 1
-        recall = tp / n_gt
-        ap += (recall - recall_prev) * precision_prev
-        recall_prev = recall
-        precision_prev = tp / (tp + fp)
-    return ap
+def _ap_columns(hits: np.ndarray, n_gt: int) -> list[float]:
+    """AP of each column of ``hits`` (one row per detection in rank order)."""
+    if n_gt == 0 or len(hits) == 0:
+        return [1.0 if n_gt == len(hits) == 0 else 0.0] * hits.shape[1]
+    tp = np.cumsum(hits, axis=0)
+    before = tp - hits
+    precision = before / np.maximum(np.arange(len(hits)), 1)[:, None]
+    precision[0] = 1.0
+    # np.cumsum adds left to right, as a running sum over the ranks does
+    return np.cumsum((tp / n_gt - before / n_gt) * precision, axis=0)[-1].tolist()
 
 
 def average_precision(images: list[ImageBoxes], class_id: int, iou_thr: float) -> float:
     """All-point AP for one class at one IoU threshold.
 
-    ``images`` holds one ``(detections, ground_truth)`` pair per image.
+    ``images`` holds one ``(Detections, GroundTruth)`` pair per image.
     Empty ground truth yields 1 with no detections and 0 otherwise.
     """
     return _greedy_sweep(images, [class_id], (iou_thr,))[iou_thr][0]
@@ -280,7 +353,7 @@ class MeanApResult:
 def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
     """Class-mean AP at 0.50, at 0.75, and averaged over the threshold grid.
 
-    ``images`` holds one ``(detections, ground_truth)`` pair per image. The
+    ``images`` holds one ``(Detections, GroundTruth)`` pair per image. The
     class set is inferred from the ground truth; with no ground truth at all
     the result mirrors the per-class convention (1 with no detections, 0
     otherwise). One sweep matches every distinct threshold; a bad grid raises.
@@ -288,49 +361,53 @@ def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> Mean
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("threshold grid must be nonempty")
-    classes = sorted({g.class_id for _, gts in images for g in gts})
+    classes = sorted({c for _, g in images for c in g.class_id.tolist()})
     aps = _greedy_sweep(images, classes, tuple(dict.fromkeys(thresholds + (0.50, 0.75))))
     if not classes:
-        value = 0.0 if any(dets for dets, _ in images) else 1.0
+        value = 0.0 if any(d.class_id.size for d, _ in images) else 1.0
         return MeanApResult(value, value, value)
     class_mean = {thr: sum(ap) / len(classes) for thr, ap in aps.items()}
     return MeanApResult(map50=class_mean[0.50], map75=class_mean[0.75],
                         map_mean=sum(class_mean[t] for t in thresholds) / len(thresholds))
 
 
-def parse_detections(text: str) -> list[Detection]:
+def _parse(text: str, kind: str, container):
+    """``container`` of the lines of ``text`` that are not blank or ``#``
+    comments, as one float64 table. Every field reads as ``float()`` and the
+    class id also as ``int()``. All rows are converted and checked at once;
+    only when that fails is each line checked in turn, and the first bad one
+    named."""
+    n = container._low.size
+    rows = list(map(str.split, text.splitlines()))
+    if "#" in text or not all(rows):
+        rows = [r for r in rows if r and r[0][0] != "#"]
+    tokens = list(itertools.chain.from_iterable(rows))
+    try:
+        if set(map(len, rows)) - {n}:
+            raise ValueError(f"every line needs {n} fields")
+        list(map(int, tokens[::n]))
+        table = np.fromiter(map(float, tokens), np.float64, len(tokens))
+        return container(table.reshape(-1, n))
+    except ValueError as exc:
+        error = exc
+    for lineno, line in enumerate(text.splitlines(), 1):
+        parts = line.split()
+        if parts and not parts[0].startswith("#"):
+            if len(parts) != n:
+                raise ValueError(f"{kind} line {lineno} needs {n} fields: {line.strip()!r}")
+            try:
+                box = [float(v) for v in parts[1:5]]
+                _check_row([int(parts[0]), *box, *map(float, parts[5:])])
+            except ValueError as exc:
+                raise ValueError(f"{kind} line {lineno}: {exc}") from None
+    raise error
+
+
+def parse_detections(text: str) -> Detections:
     """One detection per line: ``class_id x1 y1 x2 y2 confidence``; errors name the line."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 6:
-            raise ValueError(f"detection line {lineno} needs 6 fields: {line!r}")
-        cid, x1, y1, x2, y2, conf = parts
-        try:
-            out.append(Detection(box=(float(x1), float(y1), float(x2), float(y2)),
-                                 class_id=int(cid), confidence=float(conf)))
-        except ValueError as exc:
-            raise ValueError(f"detection line {lineno}: {exc}") from None
-    return out
+    return _parse(text, "detection", Detections)
 
 
-def parse_ground_truth(text: str) -> list[GroundTruthBox]:
+def parse_ground_truth(text: str) -> GroundTruth:
     """One box per line: ``class_id x1 y1 x2 y2``; errors name the line."""
-    out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 5:
-            raise ValueError(f"ground-truth line {lineno} needs 5 fields: {line!r}")
-        cid, x1, y1, x2, y2 = parts
-        try:
-            out.append(GroundTruthBox(box=(float(x1), float(y1), float(x2), float(y2)),
-                                      class_id=int(cid)))
-        except ValueError as exc:
-            raise ValueError(f"ground-truth line {lineno}: {exc}") from None
-    return out
+    return _parse(text, "ground-truth", GroundTruth)

@@ -150,7 +150,8 @@ def discretize(m: ContinuousSsm, delta: float) -> DiscreteSsm:
 
 
 def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
-    """Run the recurrence over a length-L scalar sequence from h_0 = 0."""
+    """Run the recurrence over a length-L scalar sequence from h_0 = 0; an
+    ``x`` so large that the recurrence overflows float64 is refused."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size < 1:
         raise ValueError("scan needs a nonempty 1-D input sequence")
@@ -158,9 +159,13 @@ def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.
     n = m.n_state
     h = np.zeros(n, dtype=np.float64)
     y = np.empty(length, dtype=np.float64)
-    for t in range(length):
-        h = m.a_bar * h + m.b_bar * x[t]
-        y[t] = m.c @ h
+    try:
+        with np.errstate(over="raise"):
+            for t in range(length):
+                h = m.a_bar * h + m.b_bar * x[t]
+                y[t] = m.c @ h
+    except FloatingPointError:
+        raise ValueError("x is too large: its scan overflows float64") from None
     if counter is not None:
         counter.add(scan_mac_count(length, n))
     return y

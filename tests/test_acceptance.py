@@ -278,16 +278,16 @@ def test_criterion_9_metrics_fixtures():
                and metrics.giou((0, 0, 2, 2), (0, 0, 1, 2)) == 0.5
                and metrics.giou((1, 1, 3, 3), (1, 1, 3, 3)) == 1.0)
 
-    gts = [metrics.GroundTruthBox((0, 0, 10, 10), 0),
-           metrics.GroundTruthBox((20, 20, 30, 30), 0)]
-    dets = [metrics.Detection((0, 0, 10, 10), 0, 0.9),
-            metrics.Detection((100, 100, 105, 105), 0, 0.8),
-            metrics.Detection((20, 20, 30, 30), 0, 0.7)]
+    gts = metrics.GroundTruth([(0, 0, 0, 10, 10),
+                               (0, 20, 20, 30, 30)])
+    dets = metrics.Detections([(0, 0, 0, 10, 10, 0.9),
+                               (0, 100, 100, 105, 105, 0.8),
+                               (0, 20, 20, 30, 30, 0.7)])
     ap = metrics.average_precision([(dets, gts)], 0, 0.5)
     ap_ok = ap == 0.75 and ap == brute_force_ap([(dets, gts)], 0, 0.5)
 
-    sweep = metrics.mean_ap([([metrics.Detection((0, 0, 10, 6), 0, 0.9)],
-                              [metrics.GroundTruthBox((0, 0, 10, 10), 0)])])
+    sweep = metrics.mean_ap([(metrics.Detections([(0, 0, 0, 10, 6, 0.9)]),
+                              metrics.GroundTruth([(0, 0, 0, 10, 10)]))])
     sweep_ok = (sweep.map50 == 1.0 and sweep.map75 == 0.0
                 and sweep.map_mean == 0.3)
     _report(9, "metric fixtures (PSNR, SSIM, GIoU, AP, mAP sweep)",

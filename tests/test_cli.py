@@ -608,6 +608,24 @@ class TestEval:
                     "--out", tmp_path) == 1
         assert "unpaired" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("empty", [("dets", "gts"), ("dets",), ("gts",)],
+                             ids=["both", "dets", "gts"])
+    def test_empty_directory_refused_by_name(self, tmp_path, capsys, empty):
+        # with no files at all there is nothing to score: not a perfect 1.0
+        dirs = _box_dirs(tmp_path, {"a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n")})
+        for name in empty:
+            (tmp_path / name / "a.txt").unlink()
+        assert _run("eval", "--dets", dirs[0], "--gts", dirs[1], "--out", tmp_path / "out") == 1
+        assert f"{tmp_path / empty[0]}: directory holds no files" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "metrics.csv").exists()
+
+    def test_files_without_boxes_keep_the_empty_convention(self, tmp_path):
+        code, got = _eval_boxes(tmp_path, {"a.txt": ("# none\n", "\n")})
+        assert (code, got) == (0, {"map50": "1.0", "map75": "1.0", "map": "1.0"})
+        (tmp_path / "x").mkdir()
+        code, got = _eval_boxes(tmp_path / "x", {"a.txt": ("0 0 0 10 10 0.9\n", "")})
+        assert (code, got) == (0, {"map50": "0.0", "map75": "0.0", "map": "0.0"})
+
     def test_nothing_to_do_rejected(self, tmp_path, capsys):
         assert _run("eval", "--out", tmp_path) == 1
         assert "error:" in capsys.readouterr().err

@@ -22,6 +22,7 @@ from cfmw_kit.fusion import (
     Mlp3,
     PatchEmbedding,
 )
+from cfmw_kit.metrics import Detections, GroundTruth
 from cfmw_kit.ssm import ContinuousSsm, SelectiveSsmParams, discretize
 from cfmw_kit.tensor import SeededRng
 
@@ -44,6 +45,8 @@ def _samples():
                        confidence=[[1.0, 0.0]], class_probs=[[[1.0], [1.0]]],
                        obj_mask=[[True, False]], noobj_mask=[[False, True]]),
         GridTargets(boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]], class_probs=[[[1.0], [1.0]]]),
+        GroundTruth(table=[[0, 0, 0, 1, 1], [3, 1, 1, 2, 4]]),
+        Detections(table=[[0, 0, 0, 1, 1, 0.5], [3, 1, 1, 2, 4, 1.0]]),
     ]
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,16 @@ class TestQSample:
         arrays[which][1] = bad
         with pytest.raises(ValueError, match=f"^{which} contains non-finite"):
             q_sample(arrays["x0"], 4, arrays["eps"], sched)
+
+    def test_overflowing_sum_refused_by_name(self):
+        sched = make_schedule("linear", 10)
+        huge = np.full(3, 1.7e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x0 and eps are too large"):
+                q_sample(huge, 4, huge, sched)
+            # either one alone stays finite: each weight is at most 1
+            assert np.isfinite(q_sample(huge, 4, np.zeros(3), sched)).all()
 
     @pytest.mark.parametrize("t", [2.5, 2.0, True, np.bool_(True), "2"])
     def test_non_integral_or_bool_t_refused(self, t):

@@ -188,6 +188,15 @@ class TestPatchEmbed:
         with pytest.raises(ValueError, match="^image contains non-finite"):
             patch_embed(image, pe)
 
+    @pytest.mark.parametrize("use_cls", [False, True])
+    def test_overflowing_image_refused_by_name(self, use_cls):
+        pe = PatchEmbedding.random(2, 3, 4, 4, SeededRng(35), use_cls=use_cls)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^image is too large: its embedding overflows"):
+                patch_embed(np.full((4, 4, 3), 1.7e308), pe)
+            assert np.isfinite(patch_embed(np.full((4, 4, 3), 255.0), pe)).all()
+
     def test_indivisible_size_rejected(self):
         pe = PatchEmbedding.random(3, 1, 4, 4, SeededRng(33))
         with pytest.raises(ValueError):

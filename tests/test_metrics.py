@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -10,8 +11,8 @@ import pytest
 from cfmw_kit import metrics
 from cfmw_kit.metrics import (
     DEFAULT_MAP_THRESHOLDS,
-    Detection,
-    GroundTruthBox,
+    Detections,
+    GroundTruth,
     average_precision,
     giou,
     iou,
@@ -26,19 +27,30 @@ from cfmw_kit.tensor import SeededRng
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+def detections(*rows):
+    """Detections from ``(box, class_id, confidence)`` tuples."""
+    return Detections([(c, *box, s) for box, c, s in rows])
+
+
+def ground_truth(*rows):
+    """Ground truth from ``(box, class_id)`` tuples."""
+    return GroundTruth([(c, *box) for box, c in rows])
+
+
 def brute_force_ap(images, class_id, iou_thr):
     """Independent prefix-enumeration oracle for average precision.
 
-    ``images`` holds one ``(dets, gts)`` pair per image. Sorts every image's
-    detections by confidence (stable: ties keep image order, then input
-    order), matches each greedily to the unmatched box of its own image with
-    the highest overlap, lists every prefix's (recall, precision) point, and
-    accumulates recall increments times the precision attained before each.
+    ``images`` holds one ``(Detections, GroundTruth)`` pair per image. Sorts
+    every image's detections by confidence (stable: ties keep image order,
+    then input order), matches each greedily to the unmatched box of its own
+    image with the highest overlap, lists every prefix's (recall, precision)
+    point, and accumulates recall increments times the precision attained
+    before each.
     """
-    ds = [(k, d) for k, (dets, _) in enumerate(images) for d in dets
-          if d.class_id == class_id]
-    ds = sorted(ds, key=lambda kd: -kd[1].confidence)
-    gs = [[g.box for g in gts if g.class_id == class_id] for _, gts in images]
+    ds = [(k, row) for k, (dets, _) in enumerate(images) for row in dets.table.tolist()
+          if row[0] == class_id]
+    ds = sorted(ds, key=lambda kd: -kd[1][5])
+    gs = [[row[1:5] for row in gts.table.tolist() if row[0] == class_id] for _, gts in images]
     n_gt = sum(len(boxes) for boxes in gs)
     if not n_gt:
         return 1.0 if not ds else 0.0
@@ -46,7 +58,7 @@ def brute_force_ap(images, class_id, iou_thr):
     points = []
     tp = 0
     for n, (k, det) in enumerate(ds, start=1):
-        cands = [(iou(det.box, g), j) for j, g in enumerate(gs[k]) if (k, j) not in taken]
+        cands = [(iou(det[1:5], g), j) for j, g in enumerate(gs[k]) if (k, j) not in taken]
         cands = [(v, j) for v, j in cands if v >= iou_thr]
         if cands:
             best = max(cands, key=lambda c: (c[0], -c[1]))
@@ -242,15 +254,17 @@ class TestBoxOverlap:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             iou((0, 0, 0, 1), (0, 0, 1, 1))
-        with pytest.raises(ValueError):
-            Detection(box=(0, 0, 1, 0), class_id=0, confidence=0.5)
+        with pytest.raises(ValueError, match="^table row 0: box is degenerate"):
+            detections(((0, 0, 1, 0), 0, 0.5))
         # non-finite corners, and areas that underflow to 0 or overflow to inf
         for box in ((0, 0, math.inf, 1), (-math.inf, 0, 1, 1), (0, math.nan, 1, 1),
                     (0, 0, 1e-200, 1e-200), (-1e308, 0, 1e308, 1)):
             with pytest.raises(ValueError, match="degenerate or not finite"):
                 iou(box, (0, 0, 1, 1))
-            with pytest.raises(ValueError, match="degenerate or not finite"):
-                GroundTruthBox(box, 0)
+            finite = all(map(math.isfinite, box))
+            with pytest.raises(ValueError, match="^table row 0: box is degenerate or not finite"
+                               if finite else "^table contains non-finite values"):
+                ground_truth((box, 0))
 
     def test_coordinates_beyond_limit_rejected(self):
         # unbounded, these pairs overflow: an infinite hull makes GIoU NaN, and
@@ -262,7 +276,7 @@ class TestBoxOverlap:
                     f(a, b)
         edge = (-1e150, -1e150, 1e150, 1e150)
         assert iou(edge, edge) == 1.0 and giou(edge, edge) == 1.0
-        assert GroundTruthBox(edge, 0).box == edge
+        assert ground_truth((edge, 0)).boxes.tolist() == [list(edge)]
         assert giou((-1e150, 0, -0.9e150, 1), (0.9e150, 0, 1e150, 1)) == pytest.approx(-0.9)
 
     def test_iou_matrix_bit_identical_to_iou(self):
@@ -279,25 +293,30 @@ class TestBoxOverlap:
         assert m.tobytes() == np.array(want).tobytes()
 
 
+def pair(dets, gts):
+    """One image's ``(Detections, GroundTruth)`` from lists of row tuples."""
+    return detections(*dets), ground_truth(*gts)
+
+
 class TestAveragePrecision:
     def test_perfect_single_detection(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0)]
-        dets = [Detection((0, 0, 10, 10), 0, 0.9)]
-        assert average_precision([(dets, gts)], 0, 0.5) == 1.0
+        gts = [((0, 0, 10, 10), 0)]
+        dets = [((0, 0, 10, 10), 0, 0.9)]
+        assert average_precision([pair(dets, gts)], 0, 0.5) == 1.0
 
     def test_below_threshold_is_zero(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0)]
-        dets = [Detection((9, 9, 19, 19), 0, 0.9)]
-        assert average_precision([(dets, gts)], 0, 0.5) == 0.0
+        gts = [((0, 0, 10, 10), 0)]
+        dets = [((9, 9, 19, 19), 0, 0.9)]
+        assert average_precision([pair(dets, gts)], 0, 0.5) == 0.0
 
     def test_hit_miss_hit_fixture(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((20, 20, 30, 30), 0)]
-        dets = [Detection((0, 0, 10, 10), 0, 0.9),
-                Detection((100, 100, 105, 105), 0, 0.8),
-                Detection((20, 20, 30, 30), 0, 0.7)]
-        value = average_precision([(dets, gts)], 0, 0.5)
+        gts = [((0, 0, 10, 10), 0), ((20, 20, 30, 30), 0)]
+        dets = [((0, 0, 10, 10), 0, 0.9),
+                ((100, 100, 105, 105), 0, 0.8),
+                ((20, 20, 30, 30), 0, 0.7)]
+        value = average_precision([pair(dets, gts)], 0, 0.5)
         assert value == 0.75
-        assert value == brute_force_ap([(dets, gts)], 0, 0.5)
+        assert value == brute_force_ap([pair(dets, gts)], 0, 0.5)
 
     def test_matches_brute_force_on_random_cases(self):
         rng = SeededRng(86)
@@ -307,14 +326,14 @@ class TestAveragePrecision:
             gts = []
             for _ in range(n_gt):
                 x, y = rng.uniform(2) * 50
-                gts.append(GroundTruthBox((x, y, x + 10, y + 10), 0))
+                gts.append(((x, y, x + 10, y + 10), 0))
             dets = []
             for _ in range(n_det):
                 x, y = rng.uniform(2) * 55
                 conf = round(float(rng.uniform(1)[0]), 3)
-                dets.append(Detection((x, y, x + 10, y + 10), 0, conf))
-            got = average_precision([(dets, gts)], 0, 0.5)
-            want = brute_force_ap([(dets, gts)], 0, 0.5)
+                dets.append(((x, y, x + 10, y + 10), 0, conf))
+            got = average_precision([pair(dets, gts)], 0, 0.5)
+            want = brute_force_ap([pair(dets, gts)], 0, 0.5)
             assert got == pytest.approx(want, abs=1e-12)
 
     def test_matches_brute_force_across_images(self):
@@ -327,15 +346,15 @@ class TestAveragePrecision:
                 gts, dets = [], []
                 for _ in range(int(rng.uniform(1)[0] * 4)):
                     x, y = rng.uniform(2) * 30
-                    gts.append(GroundTruthBox((x + shift, y, x + shift + 10, y + 10),
-                                              int(rng.uniform(1)[0] * 2)))
+                    gts.append(((x + shift, y, x + shift + 10, y + 10),
+                                int(rng.uniform(1)[0] * 2)))
                 for _ in range(int(rng.uniform(1)[0] * 6)):
                     x, y = rng.uniform(2) * 33
                     # four confidence levels, so ties across images are common
                     conf = 0.2 + 0.2 * int(rng.uniform(1)[0] * 4)
-                    dets.append(Detection((x + shift, y, x + shift + 10, y + 10),
-                                          int(rng.uniform(1)[0] * 2), conf))
-                images.append((dets, gts))
+                    dets.append(((x + shift, y, x + shift + 10, y + 10),
+                                 int(rng.uniform(1)[0] * 2), conf))
+                images.append(pair(dets, gts))
             for cls in (0, 1):
                 for thr in (0.3, 0.5, 0.75):
                     assert (average_precision(images, cls, thr)
@@ -343,69 +362,72 @@ class TestAveragePrecision:
 
     def test_detections_only_match_their_own_image(self):
         box = (1.0e6, 0, 1.0e6 + 10, 10)
-        images = [([], [GroundTruthBox(box, 0)]),
-                  ([Detection((0, 0, 10, 10), 0, 0.9)], [])]
-        assert average_precision(images, 0, 0.5) == 0.0
-        images[1][0].append(Detection(box, 0, 0.8))
-        assert average_precision(images, 0, 0.5) == 0.0
-        images[0][0].append(Detection(box, 0, 0.95))
-        assert average_precision(images, 0, 0.5) == 1.0
+        first, second = [], [((0, 0, 10, 10), 0, 0.9)]
+
+        def ap():
+            return average_precision([pair(first, [(box, 0)]), pair(second, [])], 0, 0.5)
+
+        assert ap() == 0.0
+        second.append((box, 0, 0.8))
+        assert ap() == 0.0
+        first.append((box, 0, 0.95))
+        assert ap() == 1.0
 
     def test_equal_overlaps_take_the_first_box(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((10, 0, 20, 10), 0)]
+        gts = [((0, 0, 10, 10), 0), ((10, 0, 20, 10), 0)]
         # IoU 1/3 with both boxes; taking the first leaves the second detection none
-        dets = [Detection((5, 0, 15, 10), 0, 0.9), Detection((0, 0, 10, 10), 0, 0.8)]
-        value = average_precision([(dets, gts)], 0, 0.3)
+        dets = [((5, 0, 15, 10), 0, 0.9), ((0, 0, 10, 10), 0, 0.8)]
+        value = average_precision([pair(dets, gts)], 0, 0.3)
         assert value == 0.5
-        assert value == brute_force_ap([(dets, gts)], 0, 0.3)
+        assert value == brute_force_ap([pair(dets, gts)], 0, 0.3)
 
     def test_confidence_rescaling_invariance(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((20, 20, 30, 30), 0)]
-        dets = [Detection((0, 0, 10, 10), 0, 0.9),
-                Detection((50, 50, 60, 60), 0, 0.6),
-                Detection((20, 20, 30, 30), 0, 0.3)]
-        base = average_precision([(dets, gts)], 0, 0.5)
-        scaled = [Detection(d.box, d.class_id, d.confidence / 10.0) for d in dets]
-        assert average_precision([(scaled, gts)], 0, 0.5) == base
+        gts = [((0, 0, 10, 10), 0), ((20, 20, 30, 30), 0)]
+        dets = [((0, 0, 10, 10), 0, 0.9),
+                ((50, 50, 60, 60), 0, 0.6),
+                ((20, 20, 30, 30), 0, 0.3)]
+        base = average_precision([pair(dets, gts)], 0, 0.5)
+        scaled = [(box, c, conf / 10.0) for box, c, conf in dets]
+        assert average_precision([pair(scaled, gts)], 0, 0.5) == base
 
     def test_empty_conventions(self):
-        assert average_precision([([], [])], 0, 0.5) == 1.0
-        assert average_precision([([Detection((0, 0, 1, 1), 0, 0.5)], [])], 0, 0.5) == 0.0
-        assert average_precision([([], [GroundTruthBox((0, 0, 1, 1), 0)])], 0, 0.5) == 0.0
+        assert average_precision([pair([], [])], 0, 0.5) == 1.0
+        assert average_precision([pair([((0, 0, 1, 1), 0, 0.5)], [])], 0, 0.5) == 0.0
+        assert average_precision([pair([], [((0, 0, 1, 1), 0)])], 0, 0.5) == 0.0
 
     def test_duplicate_detection_is_false_positive(self):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0)]
-        dets = [Detection((0, 0, 10, 10), 0, 0.9),
-                Detection((0, 0, 10, 10), 0, 0.8)]
-        flagsum = average_precision([(dets, gts)], 0, 0.5)
+        gts = [((0, 0, 10, 10), 0)]
+        dets = [((0, 0, 10, 10), 0, 0.9),
+                ((0, 0, 10, 10), 0, 0.8)]
+        flagsum = average_precision([pair(dets, gts)], 0, 0.5)
         assert flagsum == 1.0  # the duplicate adds no recall, left rule unaffected
 
 
 class TestMeanAp:
     def test_perfect_every_class(self):
-        gts = [GroundTruthBox((0, 0, 5, 5), 0), GroundTruthBox((10, 10, 20, 20), 1)]
-        dets = [Detection((0, 0, 5, 5), 0, 0.9), Detection((10, 10, 20, 20), 1, 0.8)]
-        res = mean_ap([(dets, gts)])
+        gts = [((0, 0, 5, 5), 0), ((10, 10, 20, 20), 1)]
+        dets = [((0, 0, 5, 5), 0, 0.9), ((10, 10, 20, 20), 1, 0.8)]
+        res = mean_ap([pair(dets, gts)])
         assert (res.map50, res.map75, res.map_mean) == (1.0, 1.0, 1.0)
 
     def test_no_detections(self):
-        gts = [GroundTruthBox((0, 0, 5, 5), 0)]
-        res = mean_ap([([], gts)])
+        gts = [((0, 0, 5, 5), 0)]
+        res = mean_ap([pair([], gts)])
         assert (res.map50, res.map75, res.map_mean) == (0.0, 0.0, 0.0)
 
     def test_threshold_sweep_fixture(self):
         # IoU exactly 0.6: thresholds 0.50, 0.55, 0.60 pass -> mAP = 3/10.
-        gts = [GroundTruthBox((0, 0, 10, 10), 0)]
-        dets = [Detection((0, 0, 10, 6), 0, 0.9)]
-        res = mean_ap([(dets, gts)])
+        gts = [((0, 0, 10, 10), 0)]
+        dets = [((0, 0, 10, 6), 0, 0.9)]
+        res = mean_ap([pair(dets, gts)])
         assert res.map50 == 1.0
         assert res.map75 == 0.0
         assert res.map_mean == pytest.approx(0.3, abs=1e-15)
 
     def test_each_distinct_threshold_matched_once(self, monkeypatch):
-        gts = [GroundTruthBox((0, 0, 10, 10), 0), GroundTruthBox((0, 0, 10, 10), 1)]
-        dets = [Detection((0, 0, 10, 6), 0, 0.9), Detection((0, 0, 10, 8), 1, 0.8)]
-        images = [(dets, gts), (dets[:1], gts[1:])]
+        gts = [((0, 0, 10, 10), 0), ((0, 0, 10, 10), 1)]
+        dets = [((0, 0, 10, 6), 0, 0.9), ((0, 0, 10, 8), 1, 0.8)]
+        images = [pair(dets, gts), pair(dets[:1], gts[1:])]
         seen = []
         sweep = metrics._greedy_sweep
         monkeypatch.setattr(metrics, "_greedy_sweep",
@@ -424,9 +446,9 @@ class TestMeanAp:
         assert custom.map_mean == (class_mean(0.6) + class_mean(0.8) + class_mean(0.6)) / 3
         assert full.map_mean == sum(class_mean(t) for t in DEFAULT_MAP_THRESHOLDS) / 10
 
-    @pytest.mark.parametrize("gts", [[], [GroundTruthBox((0, 0, 5, 5), 0)]])
+    @pytest.mark.parametrize("gts", [[], [((0, 0, 5, 5), 0)]])
     def test_bad_grid_refused(self, gts):
-        images = [([Detection((0, 0, 5, 5), 0, 0.9)], gts)]
+        images = [pair([((0, 0, 5, 5), 0, 0.9)], gts)]
         with pytest.raises(ValueError, match="nonempty"):
             mean_ap(images, thresholds=())
         for thr in (0.0, -0.5, 1.5, math.nan):
@@ -439,23 +461,44 @@ class TestMeanAp:
         assert DEFAULT_MAP_THRESHOLDS == (0.5, 0.55, 0.6, 0.65, 0.7, 0.75,
                                           0.8, 0.85, 0.9, 0.95)
 
+    def test_skewed_images_stay_near_their_own_size(self):
+        # one image of 400 detections x 200 boxes beside 499 one-box images:
+        # padding every image to the largest would take 500 x 400 x 201
+        # float64 IoU entries (321.6 MB); the bound is fixed at 16 MiB
+        rng = np.random.default_rng(5)
+        xy = rng.uniform(0, 600, (600, 2))
+        big = pair([((*p, *(p + 30)), int(k % 5), float(c)) for k, (p, c)
+                    in enumerate(zip(xy[:400], rng.uniform(0.01, 0.99, 400)))],
+                   [((*p, *(p + 30)), k % 5) for k, p in enumerate(xy[400:])])
+        small = [pair([((0, 0, 10, 10), k % 5, 0.5)], [((0, 0, 10, 10 + k % 3), k % 5)])
+                 for k in range(499)]
+        images = [big] + small
+        mean_ap(images)
+        tracemalloc.start()
+        try:
+            res = mean_ap(images)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        assert 0.0 < res.map50 <= 1.0 and 0.0 <= res.map_mean <= res.map50
+
     def test_removing_false_positive_never_decreases(self):
         rng = SeededRng(87)
         for _ in range(20):
             gts = []
             for _ in range(3):
                 x, y = rng.uniform(2) * 40
-                gts.append(GroundTruthBox((x, y, x + 8, y + 8), 0))
+                gts.append(((x, y, x + 8, y + 8), 0))
             dets = []
             for _ in range(6):
                 x, y = rng.uniform(2) * 45
-                dets.append(Detection((x, y, x + 8, y + 8), 0,
-                                      round(float(rng.uniform(1)[0]), 3)))
-            base = mean_ap([(dets, gts)])
+                dets.append(((x, y, x + 8, y + 8), 0, round(float(rng.uniform(1)[0]), 3)))
+            base = mean_ap([pair(dets, gts)])
             # find one false positive at the 0.5 threshold, if any
-            for i, d in enumerate(dets):
-                if all(iou(d.box, g.box) < 0.5 for g in gts):
-                    reduced = mean_ap([(dets[:i] + dets[i + 1:], gts)])
+            for i, (box, _, _) in enumerate(dets):
+                if all(iou(box, g) < 0.5 for g, _ in gts):
+                    reduced = mean_ap([pair(dets[:i] + dets[i + 1:], gts)])
                     assert reduced.map50 >= base.map50 - 1e-12
                     assert reduced.map75 >= base.map75 - 1e-12
                     assert reduced.map_mean >= base.map_mean - 1e-12
@@ -464,14 +507,14 @@ class TestMeanAp:
 
 class TestDetectionFiles:
     def test_round_trip(self):
-        dets = [Detection((1.5, 2.0, 3.25, 9.0), 2, 0.625),
-                Detection((0.0, 0.0, 4.0, 4.0), 0, 1.0)]
-        gts = [GroundTruthBox((1.0, 1.0, 2.0, 2.0), 1)]
-        det_text = "".join(f"{d.class_id} {' '.join(map(repr, d.box))} {d.confidence!r}\n"
-                           for d in dets)
-        gt_text = "".join(f"{g.class_id} {' '.join(map(repr, g.box))}\n" for g in gts)
-        assert parse_detections(det_text) == dets
-        assert parse_ground_truth(gt_text) == gts
+        dets = detections(((1.5, 2.0, 3.25, 9.0), 2, 0.625), ((0.0, 0.0, 4.0, 4.0), 0, 1.0))
+        gts = ground_truth(((1.0, 1.0, 2.0, 2.0), 1))
+        det_text = "".join(f"{int(c)} {x1!r} {y1!r} {x2!r} {y2!r} {s!r}\n"
+                           for c, x1, y1, x2, y2, s in dets.table.tolist())
+        gt_text = "".join(f"{int(c)} {x1!r} {y1!r} {x2!r} {y2!r}\n"
+                          for c, x1, y1, x2, y2 in gts.table.tolist())
+        assert parse_detections(det_text).table.tobytes() == dets.table.tobytes()
+        assert parse_ground_truth(gt_text).table.tobytes() == gts.table.tobytes()
 
     def test_bad_lines(self):
         with pytest.raises(ValueError):
@@ -492,5 +535,56 @@ class TestDetectionFiles:
             parse_ground_truth("0 0 nan 1 1\n")
 
     def test_comments_skipped(self):
-        assert parse_detections("# header\n\n0 0 0 1 1 0.5\n") == [
-            Detection((0, 0, 1, 1), 0, 0.5)]
+        assert parse_detections("# header\n\n0 0 0 1 1 0.5\n").table.tolist() == [
+            [0, 0, 0, 1, 1, 0.5]]
+
+    def test_class_id_grammar_is_int(self):
+        # underscores read as int() does; a fractional id is refused by its line
+        assert parse_ground_truth("1_0 0 0 1 1\n").class_id.tolist() == [10.0]
+        with pytest.raises(ValueError, match=r"^ground-truth line 2: invalid literal for int\(\).*'2\.5'"):
+            parse_ground_truth("0 0 0 1 1\n2.5 0 0 1 1\n")
+        with pytest.raises(ValueError, match=r"^detection line 1: invalid literal for int\(\).*'1e3'"):
+            parse_detections("1e3 0 0 1 1 0.5\n")
+
+    @pytest.mark.parametrize("cid", ["99999999999999999999999", "-9007199254740992",
+                                     "9007199254740993", "1" * 400],
+                             ids=["1e23", "minus-2**53", "2**53+1", "400-digits"])
+    def test_class_id_beyond_2_53_refused(self, cid):
+        # every id below 2**53 in magnitude is exact in float64; larger ones are not
+        text = f"0 0 0 1 1 0.5\n{cid} 0 0 1 1 0.5\n"
+        with pytest.raises(ValueError, match=f"^detection line 2: class id {cid} is not an integer "
+                                             r"of magnitude below 2\*\*53"):
+            parse_detections(text)
+
+    def test_class_ids_just_below_2_53_are_exact(self):
+        edge = parse_detections("9007199254740991 0 0 1 1 0.5\n-9007199254740991 0 0 1 1 1\n")
+        assert edge.class_id.tolist() == [2.0 ** 53 - 1, 1 - 2.0 ** 53]
+
+    def test_confidence_outside_unit_interval_names_its_line(self):
+        with pytest.raises(ValueError, match=r"^detection line 1: confidence 1\.5 outside \[0, 1\]"):
+            parse_detections("0 0 0 1 1 1.5\n")
+
+
+class TestBoxContainers:
+    def test_columns_are_views_of_the_table(self):
+        dets = detections(((0, 0, 2, 3), 4, 0.25))
+        assert dets.class_id.tolist() == [4.0]
+        assert dets.boxes.tolist() == [[0, 0, 2, 3]]
+        assert dets.confidence.tolist() == [0.25]
+        assert detections().table.shape == (0, 6) and ground_truth().table.shape == (0, 5)
+
+    @pytest.mark.parametrize("row, message", [
+        ((2.5, 0, 0, 1, 1), "class id 2.5 is not an integer"),
+        ((2.0 ** 53, 0, 0, 1, 1), "class id 9007199254740992.0 is not an integer"),
+        ((0, 0, 0, 1, 0), "box is degenerate"),
+        ((0, 1e151, 0, 2e151, 1), "box is degenerate"),
+    ])
+    def test_bad_row_is_refused_by_index(self, row, message):
+        with pytest.raises(ValueError, match=f"^table row 1: {re.escape(message)}"):
+            GroundTruth([(0, 0, 0, 1, 1), row])
+
+    def test_bad_shape_or_confidence_refused(self):
+        with pytest.raises(ValueError, match=r"table must be \(n, 6\), got \(1, 5\)"):
+            Detections([(0, 0, 0, 1, 1)])
+        with pytest.raises(ValueError, match=r"^table row 0: confidence -0\.5 outside"):
+            detections(((0, 0, 1, 1), 0, -0.5))

@@ -16,8 +16,8 @@ from cfmw_kit import metrics  # noqa: E402
 from cfmw_kit.metrics import (  # noqa: E402
     BOX_COORD_LIMIT,
     DEFAULT_MAP_THRESHOLDS,
-    Detection,
-    GroundTruthBox,
+    Detections,
+    GroundTruth,
     average_precision,
     giou,
     iou,
@@ -92,7 +92,7 @@ def test_overlaps_stay_in_range(a, b):
 @SETTINGS
 @given(boxes(), boxes())
 def test_accepted_boxes_keep_their_bits(a, b):
-    assert GroundTruthBox(a, 0).box == a
+    assert GroundTruth([(0, *a)]).boxes.tolist() == [list(a)]
     m = metrics._iou_matrix(np.array([a, b]), np.array([b, a]))
     want = np.array([[iou(a, b), iou(a, a)], [iou(b, b), iou(b, a)]])
     assert m.tobytes() == want.tobytes()
@@ -103,15 +103,15 @@ def greedy_ap(images, class_id, thr):
     detections (stable, by confidence), give each the free same-image box of
     highest IoU (the first on ties) if it reaches ``thr``, then add each
     recall increment times the precision before it."""
-    ranked = sorted(((k, d) for k, (dets, _) in enumerate(images) for d in dets
-                     if d.class_id == class_id), key=lambda kd: -kd[1].confidence)
-    boxes = [[g.box for g in gts if g.class_id == class_id] for _, gts in images]
+    ranked = sorted(((k, row) for k, (dets, _) in enumerate(images) for row in dets.table.tolist()
+                     if row[0] == class_id), key=lambda kd: -kd[1][5])
+    boxes = [[row[1:5] for row in gts.table.tolist() if row[0] == class_id] for _, gts in images]
     n_gt = sum(len(b) for b in boxes)
     if n_gt == 0:
         return 1.0 if not ranked else 0.0
     taken, tp, ap, recall, precision = set(), 0, 0.0, 0.0, 1.0
     for n, (k, det) in enumerate(ranked, start=1):
-        free = [(iou(det.box, b), j) for j, b in enumerate(boxes[k]) if (k, j) not in taken]
+        free = [(iou(det[1:5], b), j) for j, b in enumerate(boxes[k]) if (k, j) not in taken]
         best, j = max(free, key=lambda c: (c[0], -c[1]), default=(0.0, None))
         if best >= thr:
             taken.add((k, j))
@@ -122,9 +122,9 @@ def greedy_ap(images, class_id, thr):
 
 
 def greedy_map(images, thresholds):
-    classes = sorted({g.class_id for _, gts in images for g in gts})
+    classes = sorted({row[0] for _, gts in images for row in gts.table.tolist()})
     if not classes:
-        value = 0.0 if any(dets for dets, _ in images) else 1.0
+        value = 0.0 if any(len(dets.table) for dets, _ in images) else 1.0
         return value, value, value
 
     def class_mean(thr):
@@ -141,13 +141,18 @@ def grid_boxes(draw):
     return (x, y, x + draw(st.integers(1, 4)), y + draw(st.integers(1, 4)))
 
 
-# Ground truth holds classes 0 and 1 only, so class 2 detections have none;
-# four confidence levels make ties within and across images common.
-_images = st.lists(st.tuples(
-    st.lists(st.builds(Detection, grid_boxes(), st.integers(0, 2),
-                       st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=6),
-    st.lists(st.builds(GroundTruthBox, grid_boxes(), st.integers(0, 1)), max_size=5),
-), max_size=4)
+def _image(max_dets=6, max_gts=5):
+    """One image: detections of classes 0-2 at four confidence levels (ties
+    within and across images are common), ground truth of classes 0 and 1
+    only (class 2 detections have none)."""
+    det_rows = st.lists(st.tuples(st.integers(0, 2), grid_boxes(),
+                                  st.sampled_from([0.25, 0.5, 0.75, 1.0])), max_size=max_dets)
+    gt_rows = st.lists(st.tuples(st.integers(0, 1), grid_boxes()), max_size=max_gts)
+    return st.tuples(det_rows.map(lambda rows: Detections([(c, *b, s) for c, b, s in rows])),
+                     gt_rows.map(lambda rows: GroundTruth([(c, *b) for c, b in rows])))
+
+
+_images = st.lists(_image(), max_size=4)
 _grids = st.one_of(st.just(DEFAULT_MAP_THRESHOLDS),
                    st.lists(st.sampled_from([1 / 3, 0.5, 0.6, 0.75, 1.0]),
                             min_size=1, max_size=5).map(tuple))
@@ -156,8 +161,8 @@ _grids = st.one_of(st.just(DEFAULT_MAP_THRESHOLDS),
 @SETTINGS
 @given(_images, _grids)
 # IoU 1/3 with both boxes: the first one is taken, so the second detection misses
-@example([([Detection((1, 0, 3, 2), 0, 0.9), Detection((0, 0, 2, 2), 0, 0.8)],
-           [GroundTruthBox((0, 0, 2, 2), 0), GroundTruthBox((2, 0, 4, 2), 0)])], (1 / 3,))
+@example([(Detections([(0, 1, 0, 3, 2, 0.9), (0, 0, 0, 2, 2, 0.8)]),
+           GroundTruth([(0, 0, 0, 2, 2), (0, 2, 0, 4, 2)]))], (1 / 3,))
 def test_one_sweep_equals_per_class_per_threshold_matching(images, grid):
     got = mean_ap(images, thresholds=grid)
     assert (got.map50, got.map75, got.map_mean) == greedy_map(images, grid)
@@ -169,11 +174,41 @@ def test_one_sweep_equals_per_class_per_threshold_matching(images, grid):
 @SETTINGS
 @given(_images, st.data())
 def test_mean_ap_ignores_image_order_with_distinct_confidences(images, data):
-    n_dets = sum(len(dets) for dets, _ in images)
-    ranks = iter(data.draw(st.permutations(range(n_dets))))
-    images = [([Detection(d.box, d.class_id, (next(ranks) + 1) / (n_dets + 1)) for d in dets],
-               gts) for dets, gts in images]
+    n_dets = sum(len(dets.table) for dets, _ in images)
+    ranks = np.array(data.draw(st.permutations(range(n_dets))), dtype=np.float64)
+    starts = np.cumsum([0] + [len(dets.table) for dets, _ in images])
+    images = [(Detections(np.column_stack([dets.table[:, :5], (ranks[a:b] + 1) / (n_dets + 1)])),
+               gts) for (dets, gts), a, b in zip(images, starts, starts[1:])]
     order = data.draw(st.permutations(range(len(images))))
     want = mean_ap(images)
     got = mean_ap([images[k] for k in order])
     assert (got.map50, got.map75, got.map_mean) == (want.map50, want.map75, want.map_mean)
+
+
+# Derandomized sweep property: more and larger images than the cases above,
+# so buckets of several widths and uneven detection counts meet in one call.
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(_image(max_dets=30, max_gts=12), min_size=1, max_size=8), _grids)
+def test_lockstep_sweep_equals_greedy_oracle_on_uneven_images(images, grid):
+    got = mean_ap(images, thresholds=grid)
+    assert (got.map50, got.map75, got.map_mean) == greedy_map(images, grid)
+
+
+def test_ap_is_a_left_to_right_sum_over_ranked_flags_with_ties():
+    # 1,200 detections of one class on 40 images, confidences in 7 levels (ties
+    # everywhere), boxes that hit, miss or duplicate; AP must equal the running
+    # sum over the ranked flags that the greedy oracle adds up.
+    rng = np.random.default_rng(23)
+    images = []
+    for _ in range(40):
+        gts = rng.integers(0, 40, (rng.integers(0, 25), 2)).astype(float)
+        gt = np.column_stack([np.zeros(len(gts)), gts, gts + 4.0])
+        picks = rng.integers(0, max(len(gts), 1), 30)
+        jitter = rng.integers(-2, 3, (30, 2)).astype(float)
+        xy = (gts[picks] if len(gts) else np.zeros((30, 2))) + jitter
+        conf = rng.integers(1, 8, 30) / 8.0
+        det = np.column_stack([np.zeros(30), xy, xy + 4.0, conf])
+        images.append((Detections(det), GroundTruth(gt)))
+    assert sum(len(d.table) for d, _ in images) >= 1000
+    for thr in (0.3, 0.5, 0.9):
+        assert average_precision(images, 0, thr) == greedy_ap(images, 0, thr)

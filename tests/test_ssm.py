@@ -335,6 +335,14 @@ class TestFastScanOracle:
 
 
 class TestOverflow:
+    def test_reference_scan_refuses_huge_input_by_name(self):
+        m = DiscreteSsm(a_bar=[0.9, 0.5], b_bar=[1.0, 1.0], c=[1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x is too large: its scan overflows"):
+                scan(m, np.full(4, 1.7e308))
+            assert np.isfinite(scan(m, np.full(4, 1e300))).all()
+
     def test_huge_input_refused_by_name(self):
         rng = SeededRng(38)
         x = rng.normal(10 * 3).reshape(10, 3) * 1e150
