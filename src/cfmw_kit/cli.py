@@ -240,8 +240,6 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
     swapped = fusion.shallow_swap(feats, residual=not args.pure_swap)
     fused = fusion.fuse(swapped, block)
-    for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):
-        tensor.check_finite(arr, f"fused {name} tensor")
 
     _atomic_file(out / "fused_rgb.tsr",
                  lambda p: tensor_io.write_tensor(p, fused.f_r))
@@ -292,15 +290,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _load_box_files(path: Path, parse) -> dict:
     """``parse`` over the file ``path`` or each file in it; errors name the
     file, and a directory must hold at least one."""
-    files = sorted(f for f in path.iterdir() if f.is_file()) if path.is_dir() else [path]
+    listed = path.is_dir()  # names stay strings: a Path per file costs more than the listing
+    files = (sorted((e.name, e.path) for e in os.scandir(path) if e.is_file()) if listed
+             else [(path.name, path)])
     if not files:
         raise ValueError(f"{path}: directory holds no files")
     boxes = {}
-    for f in files:
+    for name, f in files:
         try:
-            boxes[f.name] = parse(f.read_text(encoding="ascii"))
+            with open(f, encoding="ascii") as text:
+                boxes[name] = parse(text.read())
         except ValueError as exc:  # UnicodeDecodeError included
-            raise ValueError(f"{f}: {exc}") from exc
+            raise ValueError(f"{path / name if listed else path}: {exc}") from exc
     return boxes
 
 

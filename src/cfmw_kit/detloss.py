@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import giou
-from .tensor import freeze_arrays
+from .tensor import finite_step, freeze_arrays
 
 __all__ = [
     "PredictionGrid",
@@ -93,7 +93,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_box", "lambda_cls", "lambda_conf"):
-            if getattr(self, name) < 0.0:
+            if not getattr(self, name) >= 0.0:  # NaN too
                 raise ValueError(f"{name} must be nonnegative")
 
 
@@ -143,7 +143,8 @@ def conf_loss(pred: PredictionGrid, targets: GridTargets) -> tuple[float, float]
 
 def total_loss(pred: PredictionGrid, targets: GridTargets,
                weights: LossWeights = LossWeights()) -> float:
+    """The weighted sum; weights so large that it overflows are refused."""
     noobj, obj = conf_loss(pred, targets)
-    return (weights.lambda_box * box_loss(pred, targets)
-            + weights.lambda_cls * cls_loss(pred, targets)
-            + weights.lambda_conf * (noobj + obj))
+    box, cls = box_loss(pred, targets), cls_loss(pred, targets)
+    return finite_step("weights are too large: the total loss overflows float64", lambda: (
+        weights.lambda_box * box + weights.lambda_cls * cls + weights.lambda_conf * (noobj + obj)))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, freeze_arrays
+from .tensor import SeededRng, check_finite, finite_step, freeze_arrays
 
 __all__ = [
     "NoiseSchedule",
@@ -214,11 +214,8 @@ def q_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> n
     if x0.shape != eps.shape:
         raise ValueError("x0 and eps must share a shape")
     abar = sched.alpha_bar_at(sched._check_t(t))
-    try:
-        with np.errstate(over="raise"):
-            return math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps
-    except FloatingPointError:
-        raise ValueError("x0 and eps are too large: q_sample overflows float64") from None
+    return finite_step("x0 and eps are too large: q_sample overflows float64",
+                       lambda: math.sqrt(abar) * x0 + math.sqrt(1.0 - abar) * eps)
 
 
 def _out_buffer(buf, name: str, shape, others) -> np.ndarray:
@@ -316,23 +313,19 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
     if x.shape != x_tilde.shape:
         raise ValueError("x_noise and x_tilde must share a shape")
     steps = cfg.step_sequence()
-    targets = steps[1:] + [0]
-    bufs = (np.empty(x.shape), np.empty(x.shape))
-    sq_diff = None if on_step is None else np.empty(x.shape)
-    for i, (t, t_prev) in enumerate(zip(steps, targets)):
-        # inf - inf and 0 * inf arise only from values that are already
-        # non-finite, which the check after the chain reports; an overflow
-        # still warns where it happens.
-        with np.errstate(invalid="ignore"):
+
+    def chain(x):
+        # only the result's buffer outlives the chain: the check allocates beside one image
+        bufs = (np.empty(x.shape), np.empty(x.shape))
+        sq_diff = None if on_step is None else np.empty(x.shape)
+        for i, (t, t_prev) in enumerate(zip(steps, steps[1:] + [0])):
             x = ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule,
                           out=bufs[i % 2], sq_diff=sq_diff)
-        if on_step is not None:
-            # One sum over the whole contiguous buffer: np.dot or a per-tile
-            # sum would add in another order and change the logged bits.
-            on_step(t, t_prev, float(np.sqrt(np.sum(sq_diff))))
-    del bufs, sq_diff  # only the result is alive for the finiteness pass
-    if not np.all(np.isfinite(x)):
-        raise ValueError("sampled image contains non-finite values: the predictor "
-                         "returned NaN or infinity, or a step overflowed")
-    return x
+            if on_step is not None:
+                # One sum over the whole contiguous buffer: np.dot or a per-tile
+                # sum would add in another order and change the logged bits.
+                on_step(t, t_prev, float(np.sqrt(np.sum(sq_diff))))
+        return x
+    return finite_step("sampled image contains non-finite values: the predictor "
+                       "returned NaN or infinity, or a step overflowed", chain, x)
 

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, freeze_arrays, silu
+from .tensor import SeededRng, check_finite, finite_step, freeze_arrays, silu
 from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
@@ -46,13 +46,6 @@ __all__ = [
 ]
 
 _LN_EPS = 1e-6
-
-
-def _refuse_overflow(step: str, *results: np.ndarray) -> None:
-    """Finite features whose ``step`` left a non-finite result overflowed
-    float64 on the way, and are refused by name."""
-    if not all(np.isfinite(r).all() for r in results):
-        raise ValueError(f"features are too large: {step} overflows float64")
 
 
 @dataclass(frozen=True)
@@ -139,14 +132,9 @@ def patch_embed(image: np.ndarray, pe: PatchEmbedding) -> np.ndarray:
     patches = (image.reshape(gh, p, gw, p, c_in)
                .transpose(0, 2, 1, 3, 4)
                .reshape(n_patches, p * p * c_in))
-    try:
-        with np.errstate(over="raise"):
-            tokens = patches @ pe.w
-            if pe.use_cls:
-                return np.vstack([pe.cls_token[None, :], tokens]) + pe.e_pos
-            return tokens + pe.e_pos[1:]
-    except FloatingPointError:
-        raise ValueError("image is too large: its embedding overflows float64") from None
+    return finite_step("image is too large: its embedding overflows float64", lambda: (
+        np.vstack([pe.cls_token[None, :], patches @ pe.w]) + pe.e_pos if pe.use_cls
+        else patches @ pe.w + pe.e_pos[1:]))
 
 
 def shallow_swap(m: ModalityFeatures, residual: bool = True) -> ModalityFeatures:
@@ -161,10 +149,8 @@ def shallow_swap(m: ModalityFeatures, residual: bool = True) -> ModalityFeatures
     sw_r = np.concatenate([m.f_r[..., :half], m.f_t[..., half:]], axis=2)
     sw_t = np.concatenate([m.f_t[..., :half], m.f_r[..., half:]], axis=2)
     if residual:
-        with np.errstate(over="ignore"):  # refused below
-            sw_r += m.f_r
-            sw_t += m.f_t
-        _refuse_overflow("the shallow swap", sw_r, sw_t)
+        finite_step("features are too large: the shallow swap overflows float64",
+                    lambda: (np.add(sw_r, m.f_r, out=sw_r), np.add(sw_t, m.f_t, out=sw_t)))
     return ModalityFeatures(f_r=sw_r, f_t=sw_t)
 
 
@@ -294,11 +280,11 @@ class FusionBlockParams:
 
 
 def _layer_norm(x: np.ndarray, scale: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    def norm():  # var is checked too: an infinite one would normalize to 0
         mu = x.mean(axis=-1, keepdims=True)
         var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
-    _refuse_overflow("the layer norm", var)
-    return (x - mu) / np.sqrt(var + _LN_EPS) * scale + offset
+        return (x - mu) / np.sqrt(var + _LN_EPS) * scale + offset, var
+    return finite_step("features are too large: the layer norm overflows float64", norm)[0]
 
 
 def fuse(m: ModalityFeatures, p: FusionBlockParams,
@@ -310,8 +296,8 @@ def fuse(m: ModalityFeatures, p: FusionBlockParams,
     SiLU(Z); then one shared MLP maps the sum of both gated outputs, the
     pre-block features are added per ``residual_mode``, and each stream's
     input is added once more on top. Output shapes equal input shapes.
-    Features so large that a token's layer-norm variance overflows float64
-    are refused.
+    Features or weights so large that the layer norm, or the rest of the
+    block, overflows float64 are refused.
     """
     b, n, c = m.shape
     if c != p.c:
@@ -319,37 +305,36 @@ def fuse(m: ModalityFeatures, p: FusionBlockParams,
     if n != p.n_tokens:
         raise ValueError(f"token count {n} does not factor into the configured "
                          f"{p.grid_h}x{p.grid_w} grid")
-    out_r = np.empty_like(m.f_r)
-    out_t = np.empty_like(m.f_t)
-    for i in range(b):
-        xr, xt = m.f_r[i], m.f_t[i]
-        nr = _layer_norm(xr, p.norm_scale_r, p.norm_offset_r)
-        nt = _layer_norm(xt, p.norm_scale_t, p.norm_offset_t)
-        zr = p.gate_r.apply(nr)
-        zt = p.gate_t.apply(nt)
-        yr = ss2d(nr.reshape(p.grid_h, p.grid_w, c), p.ss2d_r, counter).reshape(n, c)
-        yt = ss2d(nt.reshape(p.grid_h, p.grid_w, c), p.ss2d_t, counter).reshape(n, c)
-        gyr = yr * silu(zr)
-        gyt = yt * silu(zt)
-        if counter is not None:
-            counter.add(6 * n * c)  # SiLU (2/elem) + gate product (1/elem), both streams
-        shared = p.out_mlp.apply(gyr + gyt)
-        if p.residual_mode == "crossed":
-            hat_r = shared + xt
-            hat_t = shared + xr
-        else:
-            hat_r = shared + xr
-            hat_t = shared + xt
-        out_r[i] = xr + hat_r
-        out_t[i] = xt + hat_t
-    return ModalityFeatures(f_r=out_r, f_t=out_t)
+
+    def block():
+        out_r = np.empty_like(m.f_r)
+        out_t = np.empty_like(m.f_t)
+        for i in range(b):
+            xr, xt = m.f_r[i], m.f_t[i]
+            nr = _layer_norm(xr, p.norm_scale_r, p.norm_offset_r)
+            nt = _layer_norm(xt, p.norm_scale_t, p.norm_offset_t)
+            zr = p.gate_r.apply(nr)
+            zt = p.gate_t.apply(nt)
+            yr = ss2d(nr.reshape(p.grid_h, p.grid_w, c), p.ss2d_r, counter).reshape(n, c)
+            yt = ss2d(nt.reshape(p.grid_h, p.grid_w, c), p.ss2d_t, counter).reshape(n, c)
+            gyr = yr * silu(zr)
+            gyt = yt * silu(zt)
+            if counter is not None:
+                counter.add(6 * n * c)  # SiLU (2/elem) + gate product (1/elem), both streams
+            shared = p.out_mlp.apply(gyr + gyt)
+            res_r, res_t = (xt, xr) if p.residual_mode == "crossed" else (xr, xt)
+            out_r[i] = xr + (shared + res_r)
+            out_t[i] = xt + (shared + res_t)
+        return out_r, out_t
+    return ModalityFeatures(*finite_step(
+        "features are too large: the fusion block overflows float64", block))
 
 
 def inject(backbone: dict[int, ModalityFeatures],
            fused: dict[int, ModalityFeatures]) -> dict[int, ModalityFeatures]:
     """Residual-add fused features into backbone levels 2..4, both streams.
 
-    Levels absent from ``fused`` pass through unchanged.
+    Levels absent from ``fused`` pass through unchanged; an overflowing sum is refused.
     """
     allowed = {2, 3, 4}
     if not set(backbone) <= allowed or not set(fused) <= allowed:
@@ -363,8 +348,9 @@ def inject(backbone: dict[int, ModalityFeatures],
             if add.shape != feats.shape:
                 raise ValueError(f"level {level} shape mismatch: "
                                  f"{feats.shape} vs {add.shape}")
-            out[level] = ModalityFeatures(f_r=feats.f_r + add.f_r,
-                                          f_t=feats.f_t + add.f_t)
+            out[level] = ModalityFeatures(*finite_step(
+                "features are too large: the injection overflows float64",
+                lambda: (feats.f_r + add.f_r, feats.f_t + add.f_t)))
         else:
             out[level] = feats
     return out
@@ -423,9 +409,8 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     for i in range(b):
         tokens = np.vstack([m.f_r[i], m.f_t[i]])          # (2N, C)
         fused = np.empty((2 * n, c))
-        # A +inf score or projection reaches the output as NaN or Inf, and is
-        # refused below; a score at -inf is the exact weight 0.
-        with np.errstate(over="ignore", invalid="ignore"):
+
+        def attend():  # a +inf score leaves NaN or Inf in fused; a -inf one is weight 0
             q = tokens @ p.w_q
             k = tokens @ p.w_k
             v = tokens @ p.w_v
@@ -444,7 +429,8 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
                 fused[r0:r1] = scores @ v
                 if counter is not None:
                     counter.add((r1 - r0) * 2 * n * c)
-        _refuse_overflow("attention", fused)
+            return fused
+        finite_step("features are too large: attention overflows float64", attend)
         out_r[i] = fused[:n]
         out_t[i] = fused[n:]
     return ModalityFeatures(f_r=out_r, f_t=out_t)
@@ -481,11 +467,14 @@ def _near_square_grid(n: int) -> tuple[int, int]:
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    """Least-squares slope of log(y) against log(x)."""
-    lx = np.log(np.asarray(xs, dtype=np.float64))
-    ly = np.log(np.asarray(ys, dtype=np.float64))
+    """Least-squares slope of log(y) against log(x) over positive (x, y) pairs."""
+    xs, ys = np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.float64)
+    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 2:
+        raise ValueError("xs and ys must be 1-D, of one length, at least 2")
+    lx, ly = finite_step("xs and ys must be positive and finite", lambda: (np.log(xs), np.log(ys)))
     lx = lx - lx.mean()
-    return float((lx * (ly - ly.mean())).sum() / (lx * lx).sum())
+    return float(finite_step("xs must hold two distinct values",
+                             lambda: (lx * (ly - ly.mean())).sum() / (lx * lx).sum()))
 
 
 @dataclass(frozen=True)

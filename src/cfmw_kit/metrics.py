@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import freeze_arrays
+from .tensor import _all, freeze_arrays
 
 __all__ = [
     "Detections",
@@ -76,11 +76,6 @@ def _check_row(row: list) -> None:
         raise ValueError(f"class id {row[0]!r} is not an integer of magnitude below 2**53")
     if row[5:] and not 0.0 <= row[5] <= 1.0:
         raise ValueError(f"confidence {row[5]} outside [0, 1]")
-
-
-def _all(mask: np.ndarray) -> bool:
-    """``mask.all()`` without a reduction, whose fixed cost rules small arrays."""
-    return np.count_nonzero(mask) == mask.size
 
 
 @dataclass(frozen=True)

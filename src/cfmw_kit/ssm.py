@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, freeze_arrays, sigmoid, softplus
+from .tensor import SeededRng, check_finite, finite_step, freeze_arrays, sigmoid, softplus
 
 __all__ = [
     "OpCounter",
@@ -46,6 +46,8 @@ __all__ = [
 # Below this magnitude of delta*a the ZOH input factor is taken at its limit;
 # avoids catastrophic cancellation in (exp(z) - 1) / z.
 ZOH_SERIES_EPS = 1e-8
+
+_SCAN_OVERFLOW = "x is too large: its scan overflows float64"
 
 
 class OpCounter:
@@ -79,10 +81,10 @@ def _zoh_phi_prime(z: np.ndarray) -> np.ndarray:
 
 
 def softplus_inverse(y: float) -> float:
-    """u such that softplus(u) == y, for y > 0."""
+    """u such that softplus(u) == y, for finite y > 0."""
     if y <= 0:
         raise ValueError("softplus output is strictly positive")
-    return float(y) if y > 30.0 else float(np.log(np.expm1(y)))
+    return float(finite_step("y must be finite", lambda: y if y > 30.0 else np.log(np.expm1(y))))
 
 
 def _check_state_vectors(names: str, *vectors: np.ndarray) -> None:
@@ -139,55 +141,56 @@ def discretize(m: ContinuousSsm, delta: float) -> DiscreteSsm:
 
     Per state: a_bar = exp(delta a) and b_bar = ((exp(delta a) - 1) / (delta a))
     * delta * b, the latter evaluated at its limit delta * b when
-    |delta a| < 1e-8.
+    |delta a| < 1e-8. A step so large that the model leaves float64 is refused.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    z = delta * m.a
-    a_bar = np.exp(z)
-    b_bar = _zoh_phi(z) * (delta * m.b)
+    a_bar, b_bar = finite_step(
+        "delta is too large: the discretized model overflows float64",
+        lambda: (np.exp(delta * m.a), _zoh_phi(delta * m.a) * (delta * m.b)))
     return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=m.c.copy())
 
 
 def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
     """Run the recurrence over a length-L scalar sequence from h_0 = 0; an
-    ``x`` so large that the recurrence overflows float64 is refused."""
-    x = np.asarray(x, dtype=np.float64)
+    ``x`` holding NaN or Inf, or so large that it overflows, is refused."""
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
     if x.ndim != 1 or x.size < 1:
         raise ValueError("scan needs a nonempty 1-D input sequence")
     length = x.size
     n = m.n_state
-    h = np.zeros(n, dtype=np.float64)
-    y = np.empty(length, dtype=np.float64)
-    try:
-        with np.errstate(over="raise"):
-            for t in range(length):
-                h = m.a_bar * h + m.b_bar * x[t]
-                y[t] = m.c @ h
-    except FloatingPointError:
-        raise ValueError("x is too large: its scan overflows float64") from None
+
+    def recur():
+        h = np.zeros(n, dtype=np.float64)
+        y = np.empty(length, dtype=np.float64)
+        for t in range(length):
+            h = m.a_bar * h + m.b_bar * x[t]
+            y[t] = m.c @ h
+        return y
+    y = finite_step(_SCAN_OVERFLOW, recur)
     if counter is not None:
         counter.add(scan_mac_count(length, n))
     return y
 
 
 def kernel(m: DiscreteSsm, length: int) -> np.ndarray:
-    """Structured convolution taps: tap_j = sum_i c_i * a_bar_i**j * b_bar_i."""
+    """Taps tap_j = sum_i c_i * a_bar_i**j * b_bar_i; refused if they overflow float64."""
     if length < 1:
         raise ValueError("kernel length must be >= 1")
-    powers = m.a_bar[None, :] ** np.arange(length, dtype=np.float64)[:, None]
-    return powers @ (m.c * m.b_bar)
+    return finite_step("m is too large for this length: its kernel overflows float64", lambda: (
+        m.a_bar[None, :] ** np.arange(length, dtype=np.float64)[:, None] @ (m.c * m.b_bar)))
 
 
 def apply_kernel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Causal convolution y_t = sum_{j<=t} taps_j * x_{t-j}."""
-    x = np.asarray(x, dtype=np.float64)
-    taps = np.asarray(taps, dtype=np.float64)
+    """Causal convolution y_t = sum_{j<=t} taps_j * x_{t-j}; NaN, Inf or overflow refused."""
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
+    taps = check_finite(np.asarray(taps, dtype=np.float64), "taps")
     if x.ndim != 1 or taps.ndim != 1:
         raise ValueError("apply_kernel expects 1-D sequences")
     if x.size != taps.size:
         raise ValueError(f"length mismatch: x has {x.size}, taps has {taps.size}")
-    return np.convolve(x, taps)[: x.size]
+    return finite_step("x and taps are too large: their convolution overflows float64",
+                       lambda: np.convolve(x, taps)[: x.size])
 
 
 @dataclass(frozen=True)
@@ -352,13 +355,6 @@ def _stacked_scan(xs: list[np.ndarray], ps: list[SelectiveSsmParams]) -> np.ndar
     return y
 
 
-def _refuse_overflow(y: np.ndarray) -> np.ndarray:
-    """``y`` if finite; a finite ``x`` whose scan overflowed float64 is refused."""
-    if not np.all(np.isfinite(y)):
-        raise ValueError("x is too large: its scan overflows float64")
-    return y
-
-
 def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
                    counter: OpCounter | None = None) -> np.ndarray:
     """Input-dependent scan over an (L, D) token sequence.
@@ -389,8 +385,7 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
         raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
     # delta * a may overflow to -inf, and a_bar = 0 is then the exact decay;
     # an overflow that reaches the output leaves it non-finite, and is refused.
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _refuse_overflow(_stacked_scan([x], [p])[0])
+    y = finite_step(_SCAN_OVERFLOW, _stacked_scan, [x], [p])[0]
     if counter is not None:
         counter.add(selective_scan_mac_count(x.shape[0], p.d_channels, p.n_state))
     return y
@@ -400,11 +395,15 @@ def selective_scan_input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarra
     """Hand-written gradient of sum(selective_scan(x, p)) with respect to x.
 
     Reverse-mode over the recurrence; used to validate the forward pass
-    against central finite differences.
+    against central finite differences. Refused as :func:`selective_scan` refuses.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
     if x.ndim != 2 or x.shape[1] != p.d_channels:
         raise ValueError("x must be (L, D) matching the params")
+    return finite_step(_SCAN_OVERFLOW, _input_grad, x, p)
+
+
+def _input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
     _, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs = _selective_forward(x, p)
     length = x.shape[0]
     g_x = np.zeros_like(x)
@@ -480,14 +479,15 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
         raise ValueError(f"channel mismatch: map has {d}, params {p.d_channels}")
     row = fmap.reshape(h * w, d)
     col = fmap.transpose(1, 0, 2).reshape(h * w, d)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in selective_scan
+
+    def scans():  # overflow as in selective_scan
         y = _stacked_scan([row, row[::-1], col, col[::-1]],
                           [p.row_fwd, p.row_bwd, p.col_fwd, p.col_bwd])
         y_row, y_col = y[0], y[2]
         y_row += y[1, ::-1]
         y_col += y[3, ::-1]
-        out = _refuse_overflow(y_row.reshape(h, w, d)
-                               + y_col.reshape(w, h, d).transpose(1, 0, 2))
+        return y_row.reshape(h, w, d) + y_col.reshape(w, h, d).transpose(1, 0, 2)
+    out = finite_step(_SCAN_OVERFLOW, scans)
     if counter is not None:
         counter.add(ss2d_mac_count(h, w, d, p.n_state))
     return out

@@ -10,6 +10,10 @@ Array-field contract: every frozen parameter container in the kit calls
 or infinite entry is a ValueError naming the field. The containers check
 only their own shapes and value ranges.
 
+Overflow rule: a public numeric function returns a finite result or raises
+a ValueError naming the argument; :func:`finite_step` is the one place that
+silences NumPy's floating-point warnings.
+
 Randomness is counter-based (SplitMix64 over a 64-bit counter) with normals
 produced by the Box-Muller transform, so a seed fully determines the stream
 on any platform with IEEE-754 doubles.
@@ -31,6 +35,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "check_finite",
+    "finite_step",
     "freeze_arrays",
 ]
 
@@ -112,11 +117,26 @@ def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
     return shape
 
 
+def _all(mask: np.ndarray) -> bool:
+    """``mask.all()`` without a reduction, whose fixed cost rules small arrays."""
+    return np.count_nonzero(mask) == mask.size
+
+
 def check_finite(t: np.ndarray, name: str = "tensor") -> np.ndarray:
     """Reject NaN/Inf entries; returns the array unchanged."""
-    if np.count_nonzero(np.isfinite(t)) != t.size:  # no reduction: cheap on small arrays
+    if not _all(np.isfinite(t)):
         raise ValueError(f"{name} contains non-finite values")
     return t
+
+
+def finite_step(message: str, step, *args):
+    """``step(*args)`` with NumPy's floating-point errors off; a non-finite entry
+    in its result, or in an array of a tuple result, is ValueError(message)."""
+    with np.errstate(all="ignore"):
+        out = step(*args)
+    if not all(_all(np.isfinite(t)) for t in (out if isinstance(out, tuple) else (out,))):
+        raise ValueError(message)
+    return out
 
 
 @functools.cache

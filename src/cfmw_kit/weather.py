@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite
+from .tensor import SeededRng, check_finite, finite_step
 
 __all__ = [
     "apply_rain",
@@ -81,9 +81,8 @@ def apply_fog(j: np.ndarray, d: np.ndarray, beta: float, l_inf: float) -> np.nda
     if np.any(d < 0.0):
         raise ValueError("depth must be nonnegative")
     # Where beta * d passes the float range the product is -inf and the
-    # transmission underflows to exactly 0: pure airlight, not a warning.
-    with np.errstate(over="ignore"):
-        trans = _per_pixel(np.exp(-beta * d), j)
+    # transmission is exactly 0, pure airlight: never non-finite, never a warning.
+    trans = _per_pixel(finite_step("fog transmission left float64", lambda: np.exp(-beta * d)), j)
     return np.clip(j * trans + l_inf * (1.0 - trans), 0.0, 255.0)
 
 
@@ -152,6 +151,8 @@ def gen_snow(h: int, w: int, seed: int, density: float,
     if not 0.0 < r_lo <= r_hi < math.inf:
         raise ValueError("flake radius range must be finite with 0 < lo <= hi, "
                          f"got {radius_range!r}")
+    if not 1e-150 <= r_lo <= r_hi <= 1e150:  # each flake divides by its radius squared
+        raise ValueError(f"flake radius range must lie in [1e-150, 1e150], got {radius_range!r}")
     rng = SeededRng(seed)
     mask = np.zeros((h, w), dtype=np.float64)
     n = int(round(density * h * w))

@@ -1,13 +1,15 @@
+import dataclasses
 import hashlib
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from cfmw_kit.cli import _build_parser, _embed_pair, main
-from cfmw_kit.fusion import FusionBlockParams, count_ops, save_fusion_params
+from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops, save_fusion_params
 from cfmw_kit.imageio import write_ppm
 from cfmw_kit.tensor import SeededRng
 from cfmw_kit.tensor_io import write_tensor
@@ -281,21 +283,20 @@ class TestFuse:
             assert float(mean) == pytest.approx(want[2], rel=1e-9, abs=1e-12)
             assert float(var) == pytest.approx(want[3], rel=1e-9, abs=1e-12)
 
-    def test_non_finite_fusion_writes_nothing(self, tmp_path, clean_ppm, capsys,
-                                              monkeypatch):
-        from cfmw_kit import fusion
-        real_fuse = fusion.fuse
-
-        def nan_fuse(feats, block):
-            fused = real_fuse(feats, block)
-            fused.f_t[0, 0, 0] = np.nan
-            return fused
-
-        monkeypatch.setattr(fusion, "fuse", nan_fuse)
+    def test_non_finite_fusion_writes_nothing(self, tmp_path, clean_ppm, capsys):
+        # Finite weights so large that the shared MLP overflows float64.
+        block = FusionBlockParams.random(4, 2, 4, 4, SeededRng(5))
+        mlp = block.out_mlp
+        big = Mlp3(*(getattr(mlp, f.name) * 1e200 for f in dataclasses.fields(Mlp3)))
+        params = tmp_path / "params"
+        save_fusion_params(dataclasses.replace(block, out_mlp=big), params)
         out = tmp_path / "out"
-        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm,
-                    "--patch", 8, "--dim", 4, "--out", out) == 1
-        assert "fused thermal tensor contains non-finite values" in capsys.readouterr().err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                        "--dim", 4, "--params", params, "--out", out) == 1
+        assert ("error: features are too large: the fusion block overflows float64"
+                in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
 
     @pytest.mark.parametrize("edit, named", [
@@ -625,6 +626,20 @@ class TestEval:
         (tmp_path / "x").mkdir()
         code, got = _eval_boxes(tmp_path / "x", {"a.txt": ("0 0 0 10 10 0.9\n", "")})
         assert (code, got) == (0, {"map50": "0.0", "map75": "0.0", "map": "0.0"})
+
+    def test_listing_skips_subdirectories_and_sorts_names_as_strings(self, tmp_path, capsys):
+        files = {"B.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n"),
+                 "a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n")}
+        dirs = _box_dirs(tmp_path, files)
+        for d in dirs:
+            (d / "sub").mkdir()
+            (d / "sub" / "c.txt").write_text("not a box file\n")
+        assert _run("eval", "--dets", dirs[0], "--gts", dirs[1], "--out", tmp_path / "out") == 0
+        for name in files:
+            (dirs[0] / name).write_text("0 0 0 10 x 0.9\n")
+        assert _run("eval", "--dets", dirs[0], "--gts", dirs[1], "--out", tmp_path / "again") == 1
+        # uppercase sorts first: B.txt is read, and refused, before a.txt
+        assert f"{dirs[0] / 'B.txt'}: detection line 1: " in capsys.readouterr().err
 
     def test_nothing_to_do_rejected(self, tmp_path, capsys):
         assert _run("eval", "--out", tmp_path) == 1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,3 +209,15 @@ class TestValidation:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(lambda_box=-0.1)
+
+    def test_nan_weight_refused_by_name(self):
+        with pytest.raises(ValueError, match="^lambda_cls must be nonnegative"):
+            LossWeights(lambda_cls=math.nan)
+
+    @pytest.mark.parametrize("big", [1.7e308, math.inf])
+    def test_overflowing_total_refused_by_name(self, big):
+        pred, targets = TestTotalLoss()._lossy_case()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^weights are too large: the total loss"):
+                total_loss(pred, targets, LossWeights(lambda_box=big, lambda_cls=big))

@@ -359,13 +359,14 @@ class TestSample:
             sample(x_noise, np.zeros_like(x_noise), cfg, pred, on_step=on_step)
         assert calls == cfg.step_sequence()  # refused once, after the last hop
 
-    def test_overflowing_chain_warns_then_is_refused(self):
+    def test_overflowing_chain_is_refused_without_a_warning(self):
         # Finite inputs whose first division by sqrt(abar_t) leaves the
-        # float range: NumPy warns at the overflow, the chain end refuses.
+        # float range: no NumPy warning at the overflow, the chain end refuses.
         cfg = DiffusionConfig(schedule=make_schedule("linear", 100), n_sample_steps=4)
         x_noise = np.full((2, 2), 1.5e308)
-        with pytest.warns(RuntimeWarning, match="overflow"), \
+        with warnings.catch_warnings(), \
                 pytest.raises(ValueError, match="non-finite.*overflow"):
+            warnings.simplefilter("error")
             sample(x_noise, np.zeros((2, 2)), cfg, OraclePredictor(np.zeros((2, 2))),
                    on_step=lambda *hop: None)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -344,6 +345,15 @@ class TestFuse:
         big = ModalityFeatures(f_r=feats.f_r * 1e155, f_t=feats.f_t)
         _refused_as_features(lambda: fuse(big, params))
 
+    def test_overflowing_shared_mlp_refused_by_name(self):
+        feats, params = _small_case()
+        mlp = params.out_mlp
+        big = Mlp3(mlp.w1 * 1e200, mlp.b1, mlp.w2 * 1e200, mlp.b2, mlp.w3 * 1e200, mlp.b3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features are too large: the fusion block"):
+                fuse(feats, dataclasses.replace(params, out_mlp=big))
+
 
 class TestInject:
     def _feats(self, rng, n=3, c=4):
@@ -378,6 +388,13 @@ class TestInject:
         for k in (2, 3, 4):
             assert np.array_equal(out[k].f_r, backbone[k].f_r + fused[k].f_r)
             assert np.array_equal(out[k].f_t, backbone[k].f_t + fused[k].f_t)
+
+    def test_overflowing_sum_refused_by_name(self):
+        big = ModalityFeatures(f_r=np.full((1, 2, 2), 1.7e308), f_t=np.zeros((1, 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^features are too large: the injection"):
+                inject({2: big}, {2: big})
 
     def test_bad_level_rejected(self):
         rng = SeededRng(44)
@@ -482,6 +499,19 @@ class TestCountOps:
         attn_ops = [count_ops("attention_fusion", n, 32, 16) for n in ns]
         assert abs(fit_loglog_slope(ns, ss2d_ops) - 1.0) <= 0.05
         assert abs(fit_loglog_slope(ns, attn_ops) - 2.0) <= 0.05
+
+    @pytest.mark.parametrize("xs, ys, named", [
+        ([4.0, 4.0, 4.0], [1.0, 2.0, 3.0], "^xs must hold two distinct values"),
+        ([1.0, 2.0, 4.0], [1.0, -2.0, 3.0], "^xs and ys must be positive and finite"),
+        ([0.0, 2.0, 4.0], [1.0, 2.0, 3.0], "^xs and ys must be positive and finite"),
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "^xs and ys must be 1-D, of one length"),
+        ([1.0], [1.0], "^xs and ys must be 1-D, of one length, at least 2"),
+    ])
+    def test_slope_of_bad_points_refused_by_name(self, xs, ys, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=named):
+                fit_loglog_slope(xs, ys)
 
     def test_rejects_bad_sizes_and_path(self):
         with pytest.raises(ValueError):

@@ -353,6 +353,45 @@ class TestOverflow:
             with pytest.raises(ValueError, match="^x is too large"):
                 ss2d(x.reshape(2, 5, 3), Ss2dParams.random(3, 4, rng))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_reference_scan_refuses_non_finite_input_by_name(self, bad):
+        m = DiscreteSsm(a_bar=[0.9], b_bar=[1.0], c=[1.0])
+        with pytest.raises(ValueError, match="^x contains non-finite"):
+            scan(m, [0.0, bad])
+
+    # Finite inputs whose step leaves float64: each refused by name, with no
+    # NumPy warning and no silent Inf or NaN.
+    def test_convolution_overflow_refused_by_name(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x and taps are too large: their convolution"):
+                apply_kernel(np.full(3, 1e200), np.full(3, 1e200))
+            with pytest.raises(ValueError, match="^taps contains non-finite"):
+                apply_kernel(np.zeros(2), [0.0, math.nan])
+
+    def test_kernel_overflow_refused_by_name(self):
+        m = DiscreteSsm(a_bar=[10.0], b_bar=[1.0], c=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^m is too large for this length: its kernel"):
+                kernel(m, 400)
+            assert np.isfinite(kernel(m, 300)).all()
+
+    def test_discretize_overflow_refused_by_name(self):
+        m = ContinuousSsm(a=[1.0], b=[1.0], c=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^delta is too large: the discretized model"):
+                discretize(m, 1000.0)
+            assert np.isfinite(discretize(m, 700.0).b_bar).all()
+
+    @pytest.mark.parametrize("y", [math.nan, math.inf])
+    def test_softplus_inverse_of_non_finite_refused(self, y):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^y must be finite"):
+                softplus_inverse(y)
+
     def test_overflowing_decay_exponent_accepted(self):
         # Channel 1 has delta near 40 and a = -1e307, so delta * a overflows
         # to -inf at every step; a_bar = 0 is then the exact decay.

@@ -250,6 +250,16 @@ class TestSnowGenerator:
         with pytest.raises(ValueError, match="radius range must be finite"):
             gen_snow(64, 64, seed=1, density=0.01, radius_range=radius_range)
 
+    @pytest.mark.parametrize("radius_range", [(5e-324, 5e-324), (1e-160, 1.0), (1.0, 1.5e154)])
+    def test_radius_whose_square_leaves_float64_refused_by_name(self, radius_range):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=r"^flake radius range must lie in \[1e-150, 1e150\]"):
+                gen_snow(8, 8, seed=1, density=0.5, radius_range=radius_range)
+            for edge in ((1e-150, 1e-150), (1e150, 1e150)):
+                assert np.isfinite(gen_snow(8, 8, seed=1, density=0.5, radius_range=edge)[0]).all()
+
 
 class TestDepth:
     def test_constant_zero_gives_fog_identity(self):
