@@ -240,16 +240,19 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 
     swapped = fusion.shallow_swap(feats, residual=not args.pure_swap)
     fused = fusion.fuse(swapped, block)
+    rows = ["modality,channel,mean,variance\n"]
+    for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):
+        cols = np.ascontiguousarray(arr.reshape(-1, arr.shape[2]).T)  # (C, N): a row per channel
+        mean, var = tensor.finite_step(
+            "fused features are too large: their variance overflows float64",
+            lambda: (cols.mean(axis=1), cols.var(axis=1)))
+        rows += [f"{name},{c},{m!r},{v!r}\n"
+                 for c, (m, v) in enumerate(zip(mean.tolist(), var.tolist()))]
 
     _atomic_file(out / "fused_rgb.tsr",
                  lambda p: tensor_io.write_tensor(p, fused.f_r))
     _atomic_file(out / "fused_thermal.tsr",
                  lambda p: tensor_io.write_tensor(p, fused.f_t))
-    rows = ["modality,channel,mean,variance\n"]
-    for name, arr in (("rgb", fused.f_r), ("thermal", fused.f_t)):
-        for c in range(arr.shape[2]):
-            vals = arr[:, :, c]
-            rows.append(f"{name},{c},{float(vals.mean())!r},{float(vals.var())!r}\n")
     _atomic_text(out / "fuse_stats.csv", "".join(rows))
     print(f"fused {n_tokens} tokens x {dim} channels -> {out}")
     return 0

@@ -175,13 +175,10 @@ class TinyMlpPredictor:
     def __init__(self, seed: int):
         rng = SeededRng(seed)
         h = self.HIDDEN
-        self.w_xt = rng.normal(h)
-        self.w_cond = rng.normal(h)
-        self.w_sin = rng.normal(h)
-        self.w_cos = rng.normal(h)
-        self.bias = rng.normal(h)
-        self.w_out = rng.normal(h) / math.sqrt(h)
-        self.b_out = float(rng.normal(1)[0]) * 0.1
+        self.w_xt, self.w_cond, self.w_sin, self.w_cos, self.bias, w_out, b_out = rng.draws(
+            *[("normal", h)] * 6, ("normal", 1))
+        self.w_out = w_out / math.sqrt(h)
+        self.b_out = float(b_out[0]) * 0.1
 
     def __call__(self, x_t: np.ndarray, x_tilde: np.ndarray, t: int) -> np.ndarray:
         x_t = np.asarray(x_t, dtype=np.float64)

@@ -99,11 +99,13 @@ class PatchEmbedding:
     def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
                rng: SeededRng, use_cls: bool = False) -> "PatchEmbedding":
         k = patch * patch * c_in
+        w, e_pos, cls_token = rng.draws(("normal", k * dim),
+                                        ("normal", (n_patches + 1) * dim), ("normal", dim))
         return cls(
             patch=patch,
-            w=rng.normal(k * dim).reshape(k, dim) / math.sqrt(k),
-            e_pos=rng.normal((n_patches + 1) * dim).reshape(n_patches + 1, dim) * 0.02,
-            cls_token=rng.normal(dim) * 0.02,
+            w=w.reshape(k, dim) / math.sqrt(k),
+            e_pos=e_pos.reshape(n_patches + 1, dim) * 0.02,
+            cls_token=cls_token * 0.02,
             use_cls=use_cls,
         )
 
@@ -180,13 +182,15 @@ class Mlp3:
     @classmethod
     def random(cls, c: int, rng: SeededRng) -> "Mlp3":
         h = 2 * c
+        w1, b1, w2, b2, w3, b3 = rng.draws(("normal", c * h), ("normal", h), ("normal", h * h),
+                                           ("normal", h), ("normal", h * c), ("normal", c))
         return cls(
-            w1=rng.normal(c * h).reshape(c, h) / math.sqrt(c),
-            b1=rng.normal(h) * 0.01,
-            w2=rng.normal(h * h).reshape(h, h) / math.sqrt(h),
-            b2=rng.normal(h) * 0.01,
-            w3=rng.normal(h * c).reshape(h, c) / math.sqrt(h),
-            b3=rng.normal(c) * 0.01,
+            w1=w1.reshape(c, h) / math.sqrt(c),
+            b1=b1 * 0.01,
+            w2=w2.reshape(h, h) / math.sqrt(h),
+            b2=b2 * 0.01,
+            w3=w3.reshape(h, c) / math.sqrt(h),
+            b3=b3 * 0.01,
         )
 
     @classmethod
@@ -259,17 +263,17 @@ class FusionBlockParams:
                          w3=m.w3, b3=np.zeros(c))
             return m
 
-        def offset() -> np.ndarray:
-            v = 0.1 * rng.normal(c)
-            return np.zeros(c) if zero_offsets else v
+        def offset(v: np.ndarray) -> np.ndarray:
+            return np.zeros(c) if zero_offsets else 0.1 * v
 
+        scale_r, offset_r, scale_t, offset_t = rng.draws(*[("normal", c)] * 4)
         return cls(
             grid_h=grid_h,
             grid_w=grid_w,
-            norm_scale_r=1.0 + 0.1 * rng.normal(c),
-            norm_offset_r=offset(),
-            norm_scale_t=1.0 + 0.1 * rng.normal(c),
-            norm_offset_t=offset(),
+            norm_scale_r=1.0 + 0.1 * scale_r,
+            norm_offset_r=offset(offset_r),
+            norm_scale_t=1.0 + 0.1 * scale_t,
+            norm_offset_t=offset(offset_t),
             gate_r=mlp(),
             gate_t=mlp(),
             out_mlp=mlp(),
@@ -382,10 +386,11 @@ class AttentionFusionParams:
 
     @classmethod
     def random(cls, c: int, d_k: int, rng: SeededRng) -> "AttentionFusionParams":
+        w_q, w_k, w_v = rng.draws(("normal", c * d_k), ("normal", c * d_k), ("normal", c * c))
         return cls(
-            w_q=rng.normal(c * d_k).reshape(c, d_k) / math.sqrt(c),
-            w_k=rng.normal(c * d_k).reshape(c, d_k) / math.sqrt(c),
-            w_v=rng.normal(c * c).reshape(c, c) / math.sqrt(c),
+            w_q=w_q.reshape(c, d_k) / math.sqrt(c),
+            w_k=w_k.reshape(c, d_k) / math.sqrt(c),
+            w_v=w_v.reshape(c, c) / math.sqrt(c),
         )
 
 
@@ -518,10 +523,8 @@ def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
     rows: list[BenchRow] = []
     for n in n_values:
         gh, gw = _near_square_grid(n)
-        feats = ModalityFeatures(
-            f_r=rng.normal(n * c).reshape(1, n, c),
-            f_t=rng.normal(n * c).reshape(1, n, c),
-        )
+        f_r, f_t = rng.draws(("normal", n * c), ("normal", n * c))
+        feats = ModalityFeatures(f_r=f_r.reshape(1, n, c), f_t=f_t.reshape(1, n, c))
         block = FusionBlockParams.random(c, n_state, gh, gw, rng)
         attn = AttentionFusionParams.random(c, c, rng)
         wall_ss2d = _median_ns(lambda: fuse(feats, block), repeats)

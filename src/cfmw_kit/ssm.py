@@ -112,8 +112,8 @@ class ContinuousSsm:
     @classmethod
     def random(cls, n_state: int, rng: SeededRng) -> "ContinuousSsm":
         """Stable random model: evolution coefficients strictly negative."""
-        a = -(0.1 + 2.0 * rng.uniform(n_state))
-        return cls(a=a, b=rng.normal(n_state), c=rng.normal(n_state))
+        a, b, c = rng.draws(("uniform", n_state), ("normal", n_state), ("normal", n_state))
+        return cls(a=-(0.1 + 2.0 * a), b=b, c=c)
 
 
 @dataclass(frozen=True)
@@ -246,17 +246,7 @@ class SelectiveSsmParams:
 
     @classmethod
     def random(cls, d_channels: int, n_state: int, rng: SeededRng) -> "SelectiveSsmParams":
-        d, n = d_channels, n_state
-        sd = 1.0 / np.sqrt(d)
-        return cls(
-            a=-(0.1 + 2.0 * rng.uniform(d * n).reshape(d, n)),
-            w_delta=rng.normal(d * d).reshape(d, d) * sd,
-            u_delta=rng.normal(d) * 0.5,
-            w_b=rng.normal(n * d).reshape(n, d) * sd,
-            u_b=rng.normal(n) * 0.5,
-            w_c=rng.normal(n * d).reshape(n, d) * sd,
-            u_c=rng.normal(n) * 0.5,
-        )
+        return _random_scan_params(d_channels, n_state, rng, 1)[0]
 
     @classmethod
     def frozen(cls, m: ContinuousSsm, d_channels: int, delta: float) -> "SelectiveSsmParams":
@@ -273,6 +263,27 @@ class SelectiveSsmParams:
             w_c=np.zeros((n, d)),
             u_c=m.c.copy(),
         )
+
+
+def _random_scan_params(d: int, n: int, rng: SeededRng, count: int) -> list[SelectiveSsmParams]:
+    """``count`` successive :meth:`SelectiveSsmParams.random` draws, taken as one."""
+    sd = 1.0 / np.sqrt(d)
+    spec = (("uniform", d * n), ("normal", d * d), ("normal", d),
+            ("normal", n * d), ("normal", n), ("normal", n * d), ("normal", n))
+    drawn = rng.draws(*spec * count)
+    out = []
+    for i in range(0, len(drawn), len(spec)):
+        a, w_delta, u_delta, w_b, u_b, w_c, u_c = drawn[i:i + len(spec)]
+        out.append(SelectiveSsmParams(
+            a=-(0.1 + 2.0 * a.reshape(d, n)),
+            w_delta=w_delta.reshape(d, d) * sd,
+            u_delta=u_delta * 0.5,
+            w_b=w_b.reshape(n, d) * sd,
+            u_b=u_b * 0.5,
+            w_c=w_c.reshape(n, d) * sd,
+            u_c=u_c * 0.5,
+        ))
+    return out
 
 
 def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
@@ -456,8 +467,7 @@ class Ss2dParams:
 
     @classmethod
     def random(cls, d_channels: int, n_state: int, rng: SeededRng) -> "Ss2dParams":
-        return cls(*(SelectiveSsmParams.random(d_channels, n_state, rng)
-                     for _ in range(4)))
+        return cls(*_random_scan_params(d_channels, n_state, rng, 4))
 
 
 def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> np.ndarray:

@@ -68,6 +68,12 @@ class SeededRng:
     been consumed. Uniform doubles take the top 53 bits of a word; a draw of n
     normal variates is m = ceil(n / 2) Box-Muller pairs over 2m words: m
     radius uniforms in (0, 1], then m angle uniforms in [0, 1).
+
+    :meth:`draws` takes the words of several draws as one block, laid out as
+    successive :meth:`uniform` and :meth:`normal` calls would take them: each
+    entry in turn gets its n uniform words, or its m radius words then its m
+    angle words. So a batched draw and the same draws in turn give the same
+    bits and leave the same ``words_consumed``.
     """
 
     def __init__(self, seed: int):
@@ -85,27 +91,55 @@ class SeededRng:
         idx += self._base
         return _mix64(idx)
 
+    def draws(self, *spec: tuple[str, int]) -> list[np.ndarray]:
+        """One float64 array per ``("uniform" | "normal", n)`` entry of ``spec``,
+        from one block of words; one Box-Muller pass serves every normal entry."""
+        words, starts, total = [], [], 0
+        for kind, n in spec:
+            if kind not in ("uniform", "normal"):
+                raise ValueError(f"draw kind must be 'uniform' or 'normal', got {kind!r}")
+            if n < 0:
+                raise ValueError("draw count must be >= 0")
+            words.append(n if kind == "uniform" else 2 * ((n + 1) // 2))
+            starts.append(total)
+            total += words[-1]
+        top = self._raw(total)
+        top >>= _U64(11)
+        runs = [(s, w // 2) for (kind, _), s, w in zip(spec, starts, words) if kind == "normal"]
+        pairs = _box_muller(top, runs) if runs else None
+        out, first = [], 0
+        for (kind, n), s, w in zip(spec, starts, words):
+            if kind == "uniform":
+                out.append(top[s:s + n].astype(np.float64) * _TWO_NEG53)
+            else:
+                out.append(pairs[first:first + n])
+                first += w
+        return out
+
     def uniform(self, n: int) -> np.ndarray:
         """n i.i.d. doubles in [0, 1)."""
-        if n < 0:
-            raise ValueError("draw count must be >= 0")
-        return (self._raw(n) >> _U64(11)).astype(np.float64) * _TWO_NEG53
+        return self.draws(("uniform", n))[0]
 
     def normal(self, n: int) -> np.ndarray:
         """n i.i.d. standard normals via Box-Muller on uniform pairs."""
-        if n < 0:
-            raise ValueError("draw count must be >= 0")
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        m = (n + 1) // 2
-        top = self._raw(2 * m)  # m radius words, then m angle words
-        top >>= _U64(11)
-        r = np.sqrt(-2.0 * np.log((top[:m] + _U64(1)).astype(np.float64) * _TWO_NEG53))
-        theta = (2.0 * np.pi) * (top[m:].astype(np.float64) * _TWO_NEG53)
-        out = np.empty(2 * m, dtype=np.float64)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return self.draws(("normal", n))[0]
+
+
+def _box_muller(top: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
+    """The 2 * sum(m) normals of the ``(start, m)`` runs of 53-bit words ``top``,
+    each run m radius words then m angle words; a single run is read in place."""
+    if len(runs) == 1:
+        (start, m), = runs
+        rad, ang = top[start:start + m], top[start + m:start + 2 * m]
+    else:
+        rad = np.concatenate([top[s:s + m] for s, m in runs])
+        ang = np.concatenate([top[s + m:s + 2 * m] for s, m in runs])
+    r = np.sqrt(-2.0 * np.log((rad + _U64(1)).astype(np.float64) * _TWO_NEG53))
+    theta = (2.0 * np.pi) * (ang.astype(np.float64) * _TWO_NEG53)
+    pairs = np.empty(2 * r.size, dtype=np.float64)
+    pairs[0::2] = r * np.cos(theta)
+    pairs[1::2] = r * np.sin(theta)
+    return pairs
 
 
 def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:

@@ -106,17 +106,17 @@ def gen_rain(h: int, w: int, seed: int, density: float,
     rng = SeededRng(seed)
     mask = np.zeros((h, w), dtype=np.float64)
     n = int(round(density * h * w))
-    if n > 0:
-        xs = rng.uniform(n) * w
-        ys = rng.uniform(n) * h
-        strength = 0.55 + 0.45 * rng.uniform(n)
-        dx = math.cos(math.radians(angle_deg))
-        dy = math.sin(math.radians(angle_deg))
-        for k in range(streak_len_px + 1):
-            taper = 1.0 - 0.5 * k / streak_len_px
-            _splat_bilinear(mask, xs + k * dx, ys + k * dy, strength * taper)
-        np.clip(mask, 0.0, 1.0, out=mask)
-    base = 230.0 + 25.0 * rng.uniform(h * w).reshape(h, w)  # in [230, 255]: no clip
+    xs, ys, strength, base = rng.draws(*[("uniform", n)] * 3, ("uniform", h * w))
+    xs *= w
+    ys *= h
+    strength = 0.55 + 0.45 * strength
+    dx = math.cos(math.radians(angle_deg))
+    dy = math.sin(math.radians(angle_deg))
+    for k in range(streak_len_px + 1):
+        taper = 1.0 - 0.5 * k / streak_len_px
+        _splat_bilinear(mask, xs + k * dx, ys + k * dy, strength * taper)
+    np.clip(mask, 0.0, 1.0, out=mask)
+    base = 230.0 + 25.0 * base.reshape(h, w)  # in [230, 255]: no clip
     return mask, np.repeat(base[..., None], 3, axis=2)
 
 
@@ -156,23 +156,23 @@ def gen_snow(h: int, w: int, seed: int, density: float,
     rng = SeededRng(seed)
     mask = np.zeros((h, w), dtype=np.float64)
     n = int(round(density * h * w))
-    if n > 0:
-        xs = rng.uniform(n) * w
-        ys = rng.uniform(n) * h
-        radii = r_lo + (r_hi - r_lo) * rng.uniform(n)
-        for cx, cy, r in zip(xs, ys, radii):
-            x_lo = max(int(math.floor(cx - r)), 0)
-            x_hi = min(int(math.ceil(cx + r)) + 1, w)
-            y_lo = max(int(math.floor(cy - r)), 0)
-            y_hi = min(int(math.ceil(cy + r)) + 1, h)
-            if x_lo >= x_hi or y_lo >= y_hi:
-                continue
-            yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-            d2 = ((xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2) / (r * r)
-            patch = np.clip(1.0 - d2, 0.0, 1.0)
-            np.maximum(mask[y_lo:y_hi, x_lo:x_hi], patch,
-                       out=mask[y_lo:y_hi, x_lo:x_hi])
-    base = 232.0 + 18.0 * rng.uniform(h * w).reshape(h, w)
+    xs, ys, radii, base = rng.draws(*[("uniform", n)] * 3, ("uniform", h * w))
+    xs *= w
+    ys *= h
+    radii = r_lo + (r_hi - r_lo) * radii
+    for cx, cy, r in zip(xs, ys, radii):
+        x_lo = max(int(math.floor(cx - r)), 0)
+        x_hi = min(int(math.ceil(cx + r)) + 1, w)
+        y_lo = max(int(math.floor(cy - r)), 0)
+        y_hi = min(int(math.ceil(cy + r)) + 1, h)
+        if x_lo >= x_hi or y_lo >= y_hi:
+            continue
+        yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+        d2 = ((xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2) / (r * r)
+        patch = np.clip(1.0 - d2, 0.0, 1.0)
+        np.maximum(mask[y_lo:y_hi, x_lo:x_hi], patch,
+                   out=mask[y_lo:y_hi, x_lo:x_hi])
+    base = 232.0 + 18.0 * base.reshape(h, w)
     tint = np.array([0.96, 0.99, 1.04])  # slight blue cast
     return mask, np.clip(base[..., None] * tint, 0.0, 255.0)
 

@@ -386,6 +386,71 @@ class TestFuse:
                     "--out", tmp_path) == 1
         assert "error:" in capsys.readouterr().err
 
+    # sha256 of fused_rgb.tsr, fused_thermal.tsr and fuse_stats.csv from the
+    # per-field parameter draws and per-channel stats: batching the draws and
+    # taking the stats column-wise must keep every byte.
+    PINNED = {
+        "default": ((32, []), (
+            "3072c0f8bcaf94a199e29d8e391dd128179c4be3f981993ec1e0462484684ed1",
+            "7b1fc936f6bd1643041e5f9dc2848f0ec40b70c451b8b6afb8a63935bb9e8180",
+            "bc1ac9fd30248c2aae005d7165d7d35743928871fcdb48f8ab9c351a0992ffbc")),
+        "straight": ((32, ["--residual-mode", "straight"]), (
+            "5de5badeb28bb9925f85ea25bd01fa192f88522be1161b05abbed7f08c2438dc",
+            "5367a4edfe6ecd7ef84c18b310df3f260396f76a14d5c07d05276c307fed4752",
+            "54227f67dbce8fa19776741a9463385783f1fddaf86c6289792248b64f5be88f")),
+        "one_token": ((8, ["--dim", 2]), (
+            "971a1b0cf5ecac51b3f94da5b37129232b3890b2b3ff92c121886a43eeb2f36f",
+            "971a1b0cf5ecac51b3f94da5b37129232b3890b2b3ff92c121886a43eeb2f36f",
+            "a43b12a89b3ab274d68532c478c10e48c3cbbd00a299b2a40bd3399e80ae1f3c")),
+    }
+
+    @pytest.mark.parametrize("geometry", sorted(PINNED))
+    def test_pinned_output_digests(self, tmp_path, geometry):
+        (side, extra), want = self.PINNED[geometry]
+        rgb, thermal = tmp_path / "rgb.ppm", tmp_path / "thermal.ppm"
+        write_ppm(rgb, _clean_image(side, side))
+        write_ppm(thermal, _clean_image(side, side)[:, :, ::-1])
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", rgb, "--thermal", thermal, *extra, "--out", out) == 0
+        got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                    for name in ("fused_rgb.tsr", "fused_thermal.tsr", "fuse_stats.csv"))
+        assert got == want
+
+    @pytest.mark.parametrize("h, w, patch, dim", [(8, 8, 8, 2), (7, 143, 1, 6)])
+    def test_stats_equal_each_channel_alone(self, tmp_path, h, w, patch, dim):
+        from cfmw_kit.tensor_io import read_tensor
+        rgb, thermal = tmp_path / "rgb.ppm", tmp_path / "thermal.ppm"
+        write_ppm(rgb, _clean_image(h, w))
+        write_ppm(thermal, 255.0 - _clean_image(h, w))
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", rgb, "--thermal", thermal, "--patch", patch,
+                    "--dim", dim, "--d-state", 2, "--out", out) == 0
+        rows = (out / "fuse_stats.csv").read_text().splitlines()[1:]
+        want = []
+        for name in ("rgb", "thermal"):
+            arr = read_tensor(out / f"fused_{name}.tsr")
+            assert arr.shape == (1, h * w // patch ** 2, dim)
+            want += [(name, str(c), float(arr[:, :, c].mean()), float(arr[:, :, c].var()))
+                     for c in range(dim)]
+        got = [(mod, ch, float(mean), float(var))
+               for mod, ch, mean, var in (row.split(",") for row in rows)]
+        assert got == want
+
+    def test_overflowing_stats_write_nothing(self, tmp_path, clean_ppm, capsys):
+        # The block stays finite (features near 1e181), but their squares overflow.
+        block = FusionBlockParams.random(4, 2, 4, 4, SeededRng(5))
+        big = dataclasses.replace(block.out_mlp, w3=block.out_mlp.w3 * 1e180)
+        params = tmp_path / "params"
+        save_fusion_params(dataclasses.replace(block, out_mlp=big), params)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                        "--dim", 4, "--params", params, "--out", out) == 1
+        assert ("error: fused features are too large: their variance overflows float64"
+                in capsys.readouterr().err)
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestBench:
     def test_small_grid(self, tmp_path):

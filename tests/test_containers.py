@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 import cfmw_kit
+from cfmw_kit import diffusion, weather
 from cfmw_kit.detloss import GridTargets, PredictionGrid
-from cfmw_kit.diffusion import NoiseSchedule, make_schedule
+from cfmw_kit.diffusion import NoiseSchedule, TinyMlpPredictor, make_schedule
 from cfmw_kit.fusion import (
     AttentionFusionParams,
     FusionBlockParams,
@@ -23,7 +24,7 @@ from cfmw_kit.fusion import (
     PatchEmbedding,
 )
 from cfmw_kit.metrics import Detections, GroundTruth
-from cfmw_kit.ssm import ContinuousSsm, SelectiveSsmParams, discretize
+from cfmw_kit.ssm import ContinuousSsm, SelectiveSsmParams, Ss2dParams, discretize
 from cfmw_kit.tensor import SeededRng
 
 
@@ -94,3 +95,57 @@ def test_noise_schedule_derives_its_products():
     assert np.array_equal(sched.alpha_bar, np.cumprod(1.0 - beta))
     with pytest.raises(TypeError):
         NoiseSchedule(beta, alpha=[5.0, -3.0, 1.0])
+
+
+def _words(n: int, kind: str = "normal") -> int:
+    return n if kind == "uniform" else 2 * ((n + 1) // 2)
+
+
+def _scan_words(d: int, n: int) -> int:
+    return _words(d * n, "uniform") + sum(map(_words, (d * d, d, n * d, n, n * d, n)))
+
+
+def _mlp_words(c: int) -> int:
+    h = 2 * c
+    return sum(map(_words, (c * h, h, h * h, h, h * c, c)))
+
+
+# (factory, SeededRng._raw calls, words): each container, and each weather
+# generator, takes all its words in one batched draw, so per-field draws
+# cannot creep back. A fusion block takes one for its four norm vectors,
+# then one per MLP and per 2-D scan.
+_ONE_DRAW = {
+    "Mlp3": (lambda rng: Mlp3.random(5, rng), 1, _mlp_words(5)),
+    "SelectiveSsmParams": (lambda rng: SelectiveSsmParams.random(3, 5, rng), 1,
+                           _scan_words(3, 5)),
+    "Ss2dParams": (lambda rng: Ss2dParams.random(3, 5, rng), 1, 4 * _scan_words(3, 5)),
+    "ContinuousSsm": (lambda rng: ContinuousSsm.random(5, rng), 1,
+                      _words(5, "uniform") + 2 * _words(5)),
+    "PatchEmbedding": (lambda rng: PatchEmbedding.random(2, 3, 5, 7, rng), 1,
+                       _words(12 * 5) + _words(8 * 5) + _words(5)),
+    "AttentionFusionParams": (lambda rng: AttentionFusionParams.random(3, 5, rng), 1,
+                              2 * _words(15) + _words(9)),
+    "TinyMlpPredictor": (lambda rng: TinyMlpPredictor(9), 1, 6 * _words(8) + _words(1)),
+    "FusionBlockParams": (lambda rng: FusionBlockParams.random(3, 5, 2, 2, rng), 6,
+                          4 * _words(3) + 3 * _mlp_words(3) + 8 * _scan_words(3, 5)),
+    "gen_rain": (lambda rng: weather.gen_rain(4, 5, 9, 0.5), 1, 3 * 10 + 20),
+    "gen_snow": (lambda rng: weather.gen_snow(4, 5, 9, 0.5), 1, 3 * 10 + 20),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ONE_DRAW))
+def test_random_container_takes_its_words_in_one_draw(monkeypatch, name):
+    factory, calls, words = _ONE_DRAW[name]
+    raw, counted = SeededRng._raw, []
+
+    def counting_raw(self, n):
+        counted.append(n)
+        return raw(self, n)
+
+    monkeypatch.setattr(SeededRng, "_raw", counting_raw)
+    rng = SeededRng(9)
+    for module in (diffusion, weather):  # the predictor and generators seed their own
+        monkeypatch.setattr(module, "SeededRng", lambda seed: rng)
+    factory(rng)
+    assert len(counted) == calls
+    assert rng.words_consumed == sum(counted) == words
