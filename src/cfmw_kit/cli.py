@@ -71,20 +71,13 @@ def _require(args: argparse.Namespace, name: str):
     return value
 
 
-def _at_least(name: str, value: int, low: int) -> int:
-    """``value`` of option ``--name``, refused below ``low`` before any arithmetic."""
-    if value < low:
-        raise ValueError(f"--{name} must be >= {low}, got {value}")
-    return value
-
-
 # ---------------------------------------------------------------- synth
 
 def cmd_synth(args: argparse.Namespace) -> int:
     paths = _require(args, "input")
     kind = _require(args, "weather")
     out = args.out
-    threads = _at_least("threads", args.threads, 1)
+    threads = tensor.count("--threads", args.threads, 1)
     targets: dict[Path, Path] = {}
     for src in paths:
         dst = out / f"{src.stem}_{kind}.ppm"
@@ -219,9 +212,9 @@ def _embed_pair(rgb_path: Path, thermal_path: Path, patch: int, dim: int,
 def cmd_fuse(args: argparse.Namespace) -> int:
     rgb_path = _require(args, "rgb")
     thermal_path = _require(args, "thermal")
-    patch = _at_least("patch", args.patch, 1)
-    dim = _at_least("dim", args.dim, 2)
-    d_state = _at_least("d-state", args.d_state, 1)
+    patch = tensor.count("--patch", args.patch, 1)
+    dim = tensor.count("--dim", args.dim, 2)
+    d_state = tensor.count("--d-state", args.d_state, 1)
     out = args.out
 
     if dim % 2 != 0:
@@ -261,9 +254,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- bench
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    n_min = _at_least("n-min", args.n_min, 1)
-    c = _at_least("c", args.c, 2)
-    d_state = _at_least("d-state", args.d_state, 1)
+    n_min = tensor.count("--n-min", args.n_min, 1)
+    c = tensor.count("--c", args.c, 2)
+    d_state = tensor.count("--d-state", args.d_state, 1)
 
     sizes = []
     n = n_min

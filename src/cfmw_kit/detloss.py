@@ -45,9 +45,8 @@ class PredictionGrid:
     noobj_mask: np.ndarray   # (S*S, N) bool
 
     def __post_init__(self):
-        cells = self.s_grid * self.s_grid
-        slots = (cells, self.n_boxes)
         freeze_arrays(self)
+        slots = (self.s_grid * self.s_grid, self.n_boxes)
         boxes, conf, probs = self.boxes, self.confidence, self.class_probs
         obj = self.obj_mask.astype(bool)
         noobj = self.noobj_mask.astype(bool)

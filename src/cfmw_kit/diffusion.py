@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, finite_step, freeze_arrays
+from .tensor import SeededRng, check_finite, count, finite_step, freeze_arrays
 
 __all__ = [
     "NoiseSchedule",
@@ -35,13 +35,6 @@ SCHEDULE_KINDS = ("linear", "scaled_linear", "cosine")
 
 DEFAULT_BETA_START = 0.001
 DEFAULT_BETA_END = 0.02
-
-
-def _step_index(t) -> int:
-    """``t`` as an int; refuses bools and non-integer types (never truncates)."""
-    if isinstance(t, (bool, np.bool_)) or not isinstance(t, (int, np.integer)):
-        raise ValueError(f"step indices must be integers, got {t!r}")
-    return int(t)
 
 
 @dataclass(frozen=True)
@@ -76,16 +69,15 @@ class NoiseSchedule:
     def t_count(self) -> int:
         return self.beta.size
 
-    def _check_t(self, t: int) -> int:
-        t = _step_index(t)
-        if not 1 <= t <= self.t_count:
-            raise ValueError(f"step index {t} outside 1..{self.t_count}")
+    def _check_t(self, t: int, low: int = 1) -> int:
+        t = count("step index t", t, low)
+        if t > self.t_count:
+            raise ValueError(f"step index {t} outside {low}..{self.t_count}")
         return t
 
     def alpha_bar_at(self, t: int) -> float:
-        if t == 0:
-            return 1.0
-        return float(self.alpha_bar[self._check_t(t) - 1])
+        t = self._check_t(t, 0)
+        return 1.0 if t == 0 else float(self.alpha_bar[t - 1])
 
 
 def make_schedule(kind: str, t_count: int,
@@ -101,8 +93,7 @@ def make_schedule(kind: str, t_count: int,
     """
     if kind not in SCHEDULE_KINDS:
         raise ValueError(f"unknown schedule kind {kind!r}")
-    if t_count < 1:
-        raise ValueError("step count must be >= 1")
+    t_count = count("step count t_count", t_count, 1)
     if kind in ("linear", "scaled_linear"):
         if not 0.0 < beta_start <= beta_end < 1.0:
             raise ValueError("need 0 < beta_start <= beta_end < 1")
@@ -129,8 +120,10 @@ class DiffusionConfig:
     n_sample_steps: int
 
     def __post_init__(self):
-        if not 1 <= self.n_sample_steps <= self.schedule.t_count:
-            raise ValueError("need 1 <= sample steps <= schedule length")
+        freeze_arrays(self)
+        if self.n_sample_steps > self.schedule.t_count:
+            raise ValueError(f"n_sample_steps must be <= the schedule length "
+                             f"{self.schedule.t_count}, got {self.n_sample_steps}")
 
     def step_sequence(self) -> list[int]:
         """Descending visited steps: uniform stride from T down to 1.
@@ -254,9 +247,8 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
     memory with ``x_t``, the predicted noise or the other buffer. Returns
     ``out``.
     """
-    t, t_prev = _step_index(t), _step_index(t_prev)
-    if not t > t_prev >= 0:
-        raise ValueError(f"need t > t_prev >= 0, got {t} -> {t_prev}")
+    t_prev = count("step index t_prev", t_prev, 0)
+    t = count("step index t", t, t_prev + 1)
     x_t = np.asarray(x_t, dtype=np.float64)
     eps_hat = np.asarray(pred(x_t, x_tilde, t), dtype=np.float64)
     if eps_hat.shape != x_t.shape:

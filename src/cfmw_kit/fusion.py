@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, finite_step, freeze_arrays, silu
+from .tensor import SeededRng, check_finite, count, finite_step, freeze_arrays, silu
 from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
@@ -86,8 +86,6 @@ class PatchEmbedding:
     use_cls: bool = False
 
     def __post_init__(self):
-        if self.patch < 1:
-            raise ValueError("patch size must be >= 1")
         freeze_arrays(self)
         w, e_pos, cls_token = self.w, self.e_pos, self.cls_token
         if w.ndim != 2 or e_pos.ndim != 2 or cls_token.ndim != 1:
@@ -98,6 +96,8 @@ class PatchEmbedding:
     @classmethod
     def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
                rng: SeededRng, use_cls: bool = False) -> "PatchEmbedding":
+        patch, c_in = count("patch", patch, 1), count("c_in", c_in, 1)
+        dim, n_patches = count("dim", dim, 1), count("n_patches", n_patches, 1)
         k = patch * patch * c_in
         w, e_pos, cls_token = rng.draws(("normal", k * dim),
                                         ("normal", (n_patches + 1) * dim), ("normal", dim))
@@ -181,7 +181,7 @@ class Mlp3:
 
     @classmethod
     def random(cls, c: int, rng: SeededRng) -> "Mlp3":
-        h = 2 * c
+        h = 2 * count("c", c, 1)
         w1, b1, w2, b2, w3, b3 = rng.draws(("normal", c * h), ("normal", h), ("normal", h * h),
                                            ("normal", h), ("normal", h * c), ("normal", c))
         return cls(
@@ -195,7 +195,7 @@ class Mlp3:
 
     @classmethod
     def zero(cls, c: int) -> "Mlp3":
-        h = 2 * c
+        h = 2 * count("c", c, 1)
         return cls(w1=np.zeros((c, h)), b1=np.zeros(h), w2=np.zeros((h, h)),
                    b2=np.zeros(h), w3=np.zeros((h, c)), b3=np.zeros(c))
 
@@ -227,11 +227,9 @@ class FusionBlockParams:
     residual_mode: str = "crossed"
 
     def __post_init__(self):
-        if self.grid_h < 1 or self.grid_w < 1:
-            raise ValueError("grid extents must be >= 1")
+        freeze_arrays(self)
         if self.residual_mode not in ("crossed", "straight"):
             raise ValueError(f"unknown residual mode {self.residual_mode!r}")
-        freeze_arrays(self)
         c = self.ss2d_r.d_channels
         for name in _NORMS:
             if getattr(self, name).shape != (c,):
@@ -254,6 +252,7 @@ class FusionBlockParams:
                zero_offsets: bool = False) -> "FusionBlockParams":
         """Random weights; ``zero_offsets`` zeroes every bias and norm offset
         so the block maps all-zero features to all-zero features exactly."""
+        c, n_state = count("c", c, 1), count("n_state", n_state, 1)
 
         def mlp() -> Mlp3:
             m = Mlp3.random(c, rng)
@@ -386,6 +385,7 @@ class AttentionFusionParams:
 
     @classmethod
     def random(cls, c: int, d_k: int, rng: SeededRng) -> "AttentionFusionParams":
+        c, d_k = count("c", c, 1), count("d_k", d_k, 1)
         w_q, w_k, w_v = rng.draws(("normal", c * d_k), ("normal", c * d_k), ("normal", c * c))
         return cls(
             w_q=w_q.reshape(c, d_k) / math.sqrt(c),
@@ -394,16 +394,19 @@ class AttentionFusionParams:
         )
 
 
+# Query rows per score block of :func:`attention_fusion_baseline`.
+_ATTN_ROWS = 2048
+
+
 def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
-                              counter: OpCounter | None = None,
-                              block_rows: int = 2048) -> ModalityFeatures:
+                              counter: OpCounter | None = None) -> ModalityFeatures:
     """Single-head scaled dot-product fusion over the concatenated streams.
 
     Both token sequences are stacked to length 2N, attended with shared
-    Q/K/V projections, and split back. Row-blocked evaluation keeps memory
-    at O(block_rows * N) while preserving the quadratic operation count.
-    Features so large that the projections or scores overflow float64 are
-    refused.
+    Q/K/V projections, and split back. The scores are evaluated in fixed
+    blocks of 2048 query rows, which keeps memory at O(2048 N) while
+    preserving the quadratic operation count. Features so large that the
+    projections or scores overflow float64 are refused.
     """
     b, n, c = m.shape
     if c != p.c:
@@ -419,8 +422,8 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
             q = tokens @ p.w_q
             k = tokens @ p.w_k
             v = tokens @ p.w_v
-            for r0 in range(0, 2 * n, block_rows):
-                r1 = min(r0 + block_rows, 2 * n)
+            for r0 in range(0, 2 * n, _ATTN_ROWS):
+                r1 = min(r0 + _ATTN_ROWS, 2 * n)
                 scores = q[r0:r1] @ k.T
                 scores *= scale
                 scores -= scores.max(axis=1, keepdims=True)
@@ -452,12 +455,12 @@ def count_ops(path: str, n_tokens: int, c: int, n_state: int,
     reference recurrence's multiplies (see
     :func:`cfmw_kit.ssm.selective_scan_mac_count`).
     """
-    if n_tokens < 1 or c < 1 or n_state < 1:
-        raise ValueError("sizes must be positive")
+    n_tokens, c = count("n_tokens", n_tokens, 1), count("c", c, 1)
+    n_state = count("n_state", n_state, 1)
     if path == "ss2d_fusion":
         return 2 * 4 * selective_scan_mac_count(n_tokens, c, n_state) + 6 * n_tokens * c
     if path == "attention_fusion":
-        d_k = c if d_k is None else d_k
+        d_k = c if d_k is None else count("d_k", d_k, 1)
         n2 = 2 * n_tokens
         return n2 * n2 * d_k + n2 * n2 + n2 * n2 + n2 + n2 * n2 * c
     raise ValueError(f"unknown path {path!r}")
@@ -505,7 +508,7 @@ def _median_ns(fn, repeats: int) -> int:
     return (times[mid - 1] + times[mid]) // 2
 
 
-def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
+def scaling_benchmark(n_values: list[int], c: int, n_state: int, repeats: int,
                       seed: int) -> tuple[list[BenchRow], dict[str, float]]:
     """Time both fusion paths over a token-count grid, single-threaded.
 
@@ -514,11 +517,11 @@ def scaling_benchmark(n_values, c: int, n_state: int, repeats: int,
     median of ``repeats`` runs after one discarded warmup. Returns the rows
     plus fitted log-log slopes of ops and wall time per path.
     """
-    n_values = [int(n) for n in n_values]
+    n_values = [count("n_values entry", n, 1) for n in n_values]
     if len(n_values) < 4:
         raise ValueError("benchmark grid needs at least 4 sizes")
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    # n_state is refused by FusionBlockParams.random, before anything is timed
+    c, repeats = count("c", c, 1), count("repeats", repeats, 1)
     rng = SeededRng(seed)
     rows: list[BenchRow] = []
     for n in n_values:

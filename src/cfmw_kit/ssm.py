@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, finite_step, freeze_arrays, sigmoid, softplus
+from .tensor import SeededRng, check_finite, count, finite_step, freeze_arrays, sigmoid, softplus
 
 __all__ = [
     "OpCounter",
@@ -59,7 +59,7 @@ class OpCounter:
         self.macs = 0
 
     def add(self, n: int) -> None:
-        self.macs += int(n)
+        self.macs += count("n", n, 0)
 
 
 def _zoh_phi(z: np.ndarray) -> np.ndarray:
@@ -112,6 +112,7 @@ class ContinuousSsm:
     @classmethod
     def random(cls, n_state: int, rng: SeededRng) -> "ContinuousSsm":
         """Stable random model: evolution coefficients strictly negative."""
+        n_state = count("n_state", n_state, 1)
         a, b, c = rng.draws(("uniform", n_state), ("normal", n_state), ("normal", n_state))
         return cls(a=-(0.1 + 2.0 * a), b=b, c=c)
 
@@ -175,8 +176,7 @@ def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.
 
 def kernel(m: DiscreteSsm, length: int) -> np.ndarray:
     """Taps tap_j = sum_i c_i * a_bar_i**j * b_bar_i; refused if they overflow float64."""
-    if length < 1:
-        raise ValueError("kernel length must be >= 1")
+    length = count("kernel length", length, 1)
     return finite_step("m is too large for this length: its kernel overflows float64", lambda: (
         m.a_bar[None, :] ** np.arange(length, dtype=np.float64)[:, None] @ (m.c * m.b_bar)))
 
@@ -253,7 +253,7 @@ class SelectiveSsmParams:
         """Constant projections reproducing ``discretize(m, delta)`` per channel."""
         if not delta > 0.0:
             raise ValueError("delta must be positive")
-        d, n = d_channels, m.n_state
+        d, n = count("d_channels", d_channels, 1), m.n_state
         return cls(
             a=np.tile(m.a, (d, 1)),
             w_delta=np.zeros((d, d)),
@@ -265,12 +265,13 @@ class SelectiveSsmParams:
         )
 
 
-def _random_scan_params(d: int, n: int, rng: SeededRng, count: int) -> list[SelectiveSsmParams]:
-    """``count`` successive :meth:`SelectiveSsmParams.random` draws, taken as one."""
+def _random_scan_params(d: int, n: int, rng: SeededRng, copies: int) -> list[SelectiveSsmParams]:
+    """``copies`` successive :meth:`SelectiveSsmParams.random` draws, taken as one."""
+    d, n = count("d_channels", d, 1), count("n_state", n, 1)
     sd = 1.0 / np.sqrt(d)
     spec = (("uniform", d * n), ("normal", d * d), ("normal", d),
             ("normal", n * d), ("normal", n), ("normal", n * d), ("normal", n))
-    drawn = rng.draws(*spec * count)
+    drawn = rng.draws(*spec * copies)
     out = []
     for i in range(0, len(drawn), len(spec)):
         a, w_delta, u_delta, w_b, u_b, w_c, u_c = drawn[i:i + len(spec)]
@@ -505,9 +506,7 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
 
 def scan_mac_count(length: int, n_state: int) -> int:
     """Exact multiply count of :func:`scan`: 3 N per step."""
-    if length < 1 or n_state < 1:
-        raise ValueError("sizes must be positive")
-    return 3 * n_state * length
+    return 3 * count("n_state", n_state, 1) * count("length", length, 1)
 
 
 def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
@@ -519,12 +518,10 @@ def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
     + 4 N D (discretization: z, phi, delta*B, b_bar) + 3 N D (recurrence
     and output dot).
     """
-    if length < 1 or d_channels < 1 or n_state < 1:
-        raise ValueError("sizes must be positive")
-    per_token = d_channels * d_channels + 9 * n_state * d_channels
-    return per_token * length
+    d, n = count("d_channels", d_channels, 1), count("n_state", n_state, 1)
+    return (d * d + 9 * n * d) * count("length", length, 1)
 
 
 def ss2d_mac_count(h: int, w: int, d_channels: int, n_state: int) -> int:
     """Exact multiply count of :func:`ss2d`: four directional reference scans."""
-    return 4 * selective_scan_mac_count(h * w, d_channels, n_state)
+    return 4 * selective_scan_mac_count(count("h", h, 1) * count("w", w, 1), d_channels, n_state)

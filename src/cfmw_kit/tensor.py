@@ -5,14 +5,19 @@ and validated through this one. All operations are pure: equal inputs give
 bit-identical outputs on repeated calls, and no operation mutates its inputs.
 
 Array-field contract: every frozen parameter container in the kit calls
-:func:`freeze_arrays` in ``__post_init__`` before it reads an array, so each
+:func:`freeze_arrays` in ``__post_init__`` before it reads a field, so each
 ``init`` field hinted ``np.ndarray`` is stored as a float64 array, and a NaN
-or infinite entry is a ValueError naming the field. The containers check
-only their own shapes and value ranges.
+or infinite entry is a ValueError naming the field; each one hinted ``int``
+is a :func:`count` of at least 1. The containers check only their own shapes
+and value ranges.
 
 Overflow rule: a public numeric function returns a finite result or raises
 a ValueError naming the argument; :func:`finite_step` is the one place that
 silences NumPy's floating-point warnings.
+
+Domain rule: every public size, count, length and step-index argument, and
+every ``int`` field of a container, passes through :func:`count`, which
+refuses a bool, a non-integer and a value below the floor by name.
 
 Randomness is counter-based (SplitMix64 over a 64-bit counter) with normals
 produced by the Box-Muller transform, so a seed fully determines the stream
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import typing
 from typing import Sequence
 
@@ -35,6 +41,7 @@ __all__ = [
     "sigmoid",
     "softplus",
     "check_finite",
+    "count",
     "finite_step",
     "freeze_arrays",
 ]
@@ -98,8 +105,7 @@ class SeededRng:
         for kind, n in spec:
             if kind not in ("uniform", "normal"):
                 raise ValueError(f"draw kind must be 'uniform' or 'normal', got {kind!r}")
-            if n < 0:
-                raise ValueError("draw count must be >= 0")
+            n = count("draw count", n, 0)
             words.append(n if kind == "uniform" else 2 * ((n + 1) // 2))
             starts.append(total)
             total += words[-1]
@@ -142,13 +148,14 @@ def _box_muller(top: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
     return pairs
 
 
-def _check_shape(shape: Sequence[int]) -> tuple[int, ...]:
-    shape = tuple(int(s) for s in shape)
-    if len(shape) == 0:
-        raise ValueError("empty shape is not a valid tensor shape")
-    if any(s < 1 for s in shape):
-        raise ValueError(f"all extents must be >= 1, got {shape}")
-    return shape
+def count(name: str, value, low: int) -> int:
+    """``value`` as an ``int``; a bool, a non-integer (an integral float too)
+    or a value below ``low`` is a ValueError naming ``name``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be one of the integers >= {low}, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
 
 
 def _all(mask: np.ndarray) -> bool:
@@ -174,28 +181,28 @@ def finite_step(message: str, step, *args):
 
 
 @functools.cache
-def _array_fields(cls) -> tuple[str, ...]:
+def _fields(cls, hint) -> tuple[str, ...]:
     hints = typing.get_type_hints(cls)
-    return tuple(f.name for f in dataclasses.fields(cls)
-                 if f.init and hints[f.name] is np.ndarray)
+    return tuple(f.name for f in dataclasses.fields(cls) if f.init and hints[f.name] is hint)
 
 
 def freeze_arrays(obj) -> None:
-    """Store each ``np.ndarray``-hinted init field of the frozen dataclass
-    ``obj`` as a finite float64 array; a non-finite entry is a ValueError
-    naming its field."""
-    for name in _array_fields(type(obj)):
+    """Store each ``int``-hinted init field of the frozen dataclass ``obj`` as
+    a :func:`count` of at least 1, and each ``np.ndarray``-hinted one as a
+    finite float64 array; either refusal is a ValueError naming its field."""
+    for name in _fields(type(obj), int):
+        object.__setattr__(obj, name, count(name, getattr(obj, name), 1))
+    for name in _fields(type(obj), np.ndarray):
         arr = np.asarray(getattr(obj, name), dtype=np.float64)
         object.__setattr__(obj, name, check_finite(arr, name))
 
 
 def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:
     """I.i.d. standard-normal tensor, advancing ``rng`` deterministically."""
-    shape = _check_shape(shape)
-    n = 1
-    for s in shape:
-        n *= s
-    return rng.normal(n).reshape(shape)
+    shape = tuple(count(f"shape[{i}]", s, 1) for i, s in enumerate(shape))
+    if not shape:
+        raise ValueError("empty shape is not a valid tensor shape")
+    return rng.normal(math.prod(shape)).reshape(shape)
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:

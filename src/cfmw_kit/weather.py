@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .tensor import SeededRng, check_finite, finite_step
+from .tensor import SeededRng, check_finite, count, finite_step
 
 __all__ = [
     "apply_rain",
@@ -95,12 +95,10 @@ def gen_rain(h: int, w: int, seed: int, density: float,
     drawn as a bilinearly splatted segment of ``streak_len_px`` steps at
     ``angle_deg`` from the horizontal axis (90 degrees is vertical fall).
     """
-    if h < 1 or w < 1:
-        raise ValueError("image extents must be >= 1")
+    h, w = count("image extents h", h, 1), count("image extents w", w, 1)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
-    if streak_len_px < 1:
-        raise ValueError("streak length must be >= 1")
+    streak_len_px = count("streak_len_px", streak_len_px, 1)
     if not math.isfinite(angle_deg):
         raise ValueError(f"streak angle must be finite, got {angle_deg!r}")
     rng = SeededRng(seed)
@@ -143,8 +141,7 @@ def gen_snow(h: int, w: int, seed: int, density: float,
              radius_range: tuple[float, float] = (1.0, 3.0)
              ) -> tuple[np.ndarray, np.ndarray]:
     """Procedural snow: soft-disc flakes plus a bright, slightly blue RGB overlay."""
-    if h < 1 or w < 1:
-        raise ValueError("image extents must be >= 1")
+    h, w = count("image extents h", h, 1), count("image extents w", w, 1)
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
     r_lo, r_hi = float(radius_range[0]), float(radius_range[1])
@@ -180,8 +177,7 @@ def gen_snow(h: int, w: int, seed: int, density: float,
 def gen_depth(mode: str, h: int, w: int, value: float = 1.0,
               max_depth: float = 1.0) -> np.ndarray:
     """Depth maps: constant fill, top-to-bottom ramp, or distance from center."""
-    if h < 1 or w < 1:
-        raise ValueError("image extents must be >= 1")
+    h, w = count("image extents h", h, 1), count("image extents w", w, 1)
     if mode == "constant":
         if not 0.0 <= value < math.inf:
             raise ValueError(f"depth value must be finite and nonnegative, got {value!r}")

@@ -176,6 +176,17 @@ class TestSynth:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--threads", 0), "--threads must be >= 1, got 0"),
+        (("--streak-len", 0), "streak_len_px must be >= 1, got 0"),
+    ])
+    def test_bad_counts_rejected(self, tmp_path, clean_ppm, capsys, argv, message):
+        out = tmp_path / "out"
+        assert _run("synth", "--input", clean_ppm, "--weather", "rain", *argv,
+                    "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRestore:
     def test_oracle_round_trip(self, tmp_path, clean_ppm):
@@ -501,6 +512,15 @@ class TestBench:
         out = tmp_path / "out"
         assert _run("bench", *argv, "--repeats", 1, "--out", out) == 1
         assert "must be >= " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--c", 1), "--c must be >= 2, got 1"), (("--d-state", 0), "--d-state must be >= 1, got 0"),
+    ])
+    def test_bad_sizes_name_their_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        assert _run("bench", "--n-min", 8, "--n-max", 64, *argv, "--out", out) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_small_grid_rejected(self, tmp_path, capsys):

@@ -134,9 +134,9 @@ class TestQSample:
             # either one alone stays finite: each weight is at most 1
             assert np.isfinite(q_sample(huge, 4, np.zeros(3), sched)).all()
 
-    @pytest.mark.parametrize("t", [2.5, 2.0, True, np.bool_(True), "2"])
+    @pytest.mark.parametrize("t", [2.5, 2.0, True, np.bool_(True), "2", False, 0.0])
     def test_non_integral_or_bool_t_refused(self, t):
-        # int(t) would quietly run 2.5 as step 2 and True as step 1
+        # int(t) would quietly run 2.5 as step 2, True as step 1 and False as step 0
         sched = make_schedule("linear", 10)
         for call in (lambda: q_sample(np.zeros(2), t, np.zeros(2), sched),
                      lambda: sched.alpha_bar_at(t)):

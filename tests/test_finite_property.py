@@ -14,6 +14,7 @@ import inspect
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -83,6 +84,8 @@ EXEMPT = {
     "tensor.softplus": "elementwise: callers check at their own boundary",
     "tensor.freeze_arrays": "the containers' field check; test_containers.py holds it "
                             "for every container",
+    "tensor.count": "integer-valued domain check: test_domain_property.py holds it for "
+                    "every int parameter and field",
     "diffusion.ddim_step": "sample checks once after the chain; a check per hop would "
                            "add about 50 full-image passes per restore",
     "ssm.scan_mac_count": "integer-valued counter",
@@ -248,8 +251,12 @@ def _(draw):
     d_k, rows = draw(st.integers(1, 3)), draw(st.integers(1, 5))
     seed, s = draw(_SEEDS), draw(_SCALES)
     feats = _features(draw, b, n, c)
-    return lambda: fusion.attention_fusion_baseline(feats(), _scaled(
-        fusion.AttentionFusionParams.random(c, d_k, SeededRng(seed)), s), block_rows=rows)
+
+    def call():  # a score block of ``rows`` query rows, so blocks split the 2N tokens
+        with mock.patch.object(fusion, "_ATTN_ROWS", rows):
+            return fusion.attention_fusion_baseline(feats(), _scaled(
+                fusion.AttentionFusionParams.random(c, d_k, SeededRng(seed)), s))
+    return call
 
 
 @row("fusion.fit_loglog_slope", r"^(xs and ys|xs must)\b")

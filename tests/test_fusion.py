@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cfmw_kit import fusion
 from cfmw_kit.fusion import (
     AttentionFusionParams,
     FusionBlockParams,
@@ -417,9 +418,10 @@ class TestAttentionBaseline:
         assert np.abs(out.f_r[0, 0] - expected).max() < 1e-12
         assert np.abs(out.f_t[0, 0] - expected).max() < 1e-12
 
-    def test_softmax_rows_sum_to_one(self):
-        # The row-blocked result must equal a dense oracle whose weight rows
-        # are normalised to sum to one.
+    def test_softmax_rows_sum_to_one(self, monkeypatch):
+        # The row-blocked result (3 query rows per block) must equal a dense
+        # oracle whose weight rows are normalised to sum to one.
+        monkeypatch.setattr(fusion, "_ATTN_ROWS", 3)
         rng = SeededRng(46)
         feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4),
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
@@ -429,7 +431,7 @@ class TestAttentionBaseline:
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
         want = weights @ (tokens @ p.w_v)
-        out = attention_fusion_baseline(feats, p, block_rows=3)
+        out = attention_fusion_baseline(feats, p)
         assert np.abs(out.f_r[0] - want[:5]).max() < 1e-12
         assert np.abs(out.f_t[0] - want[5:]).max() < 1e-12
 
@@ -447,21 +449,23 @@ class TestAttentionBaseline:
         assert 3.8 <= counts[128] / counts[64] <= 4.0
         assert 3.8 <= counts[256] / counts[128] <= 4.0
 
-    def test_blocked_equals_unblocked(self):
+    def test_blocked_equals_unblocked(self, monkeypatch):
         rng = SeededRng(48)
         feats = ModalityFeatures(f_r=rng.normal(20 * 4).reshape(1, 20, 4),
                                  f_t=rng.normal(20 * 4).reshape(1, 20, 4))
         p = AttentionFusionParams.random(4, 4, rng)
-        full = attention_fusion_baseline(feats, p, block_rows=4096)
-        blocked = attention_fusion_baseline(feats, p, block_rows=7)
+        full = attention_fusion_baseline(feats, p)  # one block: 2N = 40 rows < 2048
+        monkeypatch.setattr(fusion, "_ATTN_ROWS", 7)
+        blocked = attention_fusion_baseline(feats, p)
         assert np.abs(full.f_r - blocked.f_r).max() < 1e-12
 
-    def test_overflowing_scores_refused(self):
+    def test_overflowing_scores_refused(self, monkeypatch):
+        monkeypatch.setattr(fusion, "_ATTN_ROWS", 3)
         rng = SeededRng(49)
         feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4) * 1e155,
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
         p = AttentionFusionParams.random(4, 4, rng)
-        _refused_as_features(lambda: attention_fusion_baseline(feats, p, block_rows=3))
+        _refused_as_features(lambda: attention_fusion_baseline(feats, p))
 
 
 class TestCountOps:
