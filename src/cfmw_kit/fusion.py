@@ -339,8 +339,7 @@ def inject(backbone: dict[int, ModalityFeatures],
 
     Levels absent from ``fused`` pass through unchanged; an overflowing sum is refused.
     """
-    allowed = {2, 3, 4}
-    if not set(backbone) <= allowed or not set(fused) <= allowed:
+    if not all(isinstance(k, (int, np.integer)) and k in (2, 3, 4) for k in (*backbone, *fused)):
         raise ValueError("levels must be a subset of {2, 3, 4}")
     if not set(fused) <= set(backbone):
         raise ValueError("fused levels must exist in the backbone map")

@@ -256,9 +256,16 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return inter / (_area(a) + _area(b) - inter)
 
 
-def _greedy_sweep(images: list[ImageBoxes], classes: list,
-                  grid: tuple[float, ...]) -> dict[float, list[float]]:
-    """AP of each of ``classes`` at each threshold of ``grid``.
+def _stack(images: list[ImageBoxes]) -> tuple[np.ndarray, ...]:
+    """The tables of ``images`` stacked as :func:`_greedy_sweep` takes them."""
+    dets, gts = ([pair[side].table for pair in images] for side in (0, 1))
+    return (np.concatenate([np.empty((0, 6)), *dets]), np.array([len(t) for t in dets], int),
+            np.concatenate([np.empty((0, 5)), *gts]), np.array([len(t) for t in gts], int))
+
+
+def _greedy_sweep(dets, n_det, gts, n_gt, classes: list, grid) -> dict[float, list[float]]:
+    """AP of each of ``classes`` at each threshold of ``grid``, over checked tables
+    stacked in image order: image i holds ``n_det[i]`` rows of ``dets``, ``n_gt[i]`` of ``gts``.
 
     Step j matches the j-th ranked detection of every image at every
     threshold at once, through a taken mask per (image, threshold, box).
@@ -271,21 +278,14 @@ def _greedy_sweep(images: list[ImageBoxes], classes: list,
     """
     if not all(0.0 < thr <= 1.0 for thr in grid):
         raise ValueError("IoU threshold must lie in (0, 1]")
-    if not images:
-        return {thr: [1.0] * len(classes) for thr in grid}
-    # Every row of every image, in image order, then row order. A detection of
-    # a class outside ``classes`` takes only boxes of its own class, which no
-    # AP here counts.
-    n_det, n_gt = (np.array([len(p.table) for p in side]) for side in zip(*images))
-    dets, gts = (np.concatenate([p.table for p in side]) for side in zip(*images))
-    d_img, g_img = (np.repeat(np.arange(len(images)), n) for n in (n_det, n_gt))
+    d_img, g_img = (np.repeat(np.arange(len(n_gt)), n) for n in (n_det, n_gt))
     ranked = np.argsort(-dets[:, 5], kind="stable")  # ties keep image, then input order
     by_image = ranked[np.argsort(d_img[ranked], kind="stable")]
     step = np.argsort(by_image) - (np.cumsum(n_det) - n_det)[d_img]  # rank in its image
     bucket = np.frexp(n_gt)[1]  # n_gt < 2 ** bucket
     by_bucket = np.lexsort((-n_det, bucket))
     slot = np.argsort(by_bucket)
-    order = np.argsort((bucket[d_img] * (len(d_img) + 1) + step) * len(images) + slot[d_img])
+    order = np.argsort((bucket[d_img] * (len(d_img) + 1) + step) * len(n_gt) + slot[d_img])
     g_col = np.arange(len(g_img)) - (np.cumsum(n_gt) - n_gt)[g_img]
     thresholds, hits = np.array(grid), np.zeros((len(d_img), len(grid)), dtype=bool)
     lo = n_det[n_gt == 0].sum()
@@ -335,7 +335,7 @@ def average_precision(images: list[ImageBoxes], class_id: int, iou_thr: float) -
     ``images`` holds one ``(Detections, GroundTruth)`` pair per image.
     Empty ground truth yields 1 with no detections and 0 otherwise.
     """
-    return _greedy_sweep(images, [class_id], (iou_thr,))[iou_thr][0]
+    return _greedy_sweep(*_stack(images), [class_id], (iou_thr,))[iou_thr][0]
 
 
 @dataclass(frozen=True)
@@ -353,14 +353,19 @@ def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> Mean
     the result mirrors the per-class convention (1 with no detections, 0
     otherwise). One sweep matches every distinct threshold; a bad grid raises.
     """
+    return _mean_ap(*_stack(images), thresholds)
+
+
+def _mean_ap(dets, n_det, gts, n_gt, thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
+    """:func:`mean_ap` over the stacked tables that :func:`_greedy_sweep` takes."""
     thresholds = tuple(thresholds)
     if not thresholds:
         raise ValueError("threshold grid must be nonempty")
-    classes = sorted({c for _, g in images for c in g.class_id.tolist()})
-    aps = _greedy_sweep(images, classes, tuple(dict.fromkeys(thresholds + (0.50, 0.75))))
-    if not classes:
-        value = 0.0 if any(d.class_id.size for d, _ in images) else 1.0
-        return MeanApResult(value, value, value)
+    classes = sorted(set(gts[:, 0].tolist()))
+    aps = _greedy_sweep(dets, n_det, gts, n_gt, classes,
+                        tuple(dict.fromkeys(thresholds + (0.50, 0.75))))
+    if not classes:  # the per-class convention: 1 with no detections, else 0
+        return MeanApResult(*[0.0 if len(dets) else 1.0] * 3)
     class_mean = {thr: sum(ap) / len(classes) for thr, ap in aps.items()}
     return MeanApResult(map50=class_mean[0.50], map75=class_mean[0.75],
                         map_mean=sum(class_mean[t] for t in thresholds) / len(thresholds))
@@ -373,9 +378,7 @@ def _parse(text: str, kind: str, container):
     only when that fails is each line checked in turn, and the first bad one
     named."""
     n = container._low.size
-    rows = list(map(str.split, text.splitlines()))
-    if "#" in text or not all(rows):
-        rows = [r for r in rows if r and r[0][0] != "#"]
+    rows = [r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#"]
     tokens = list(itertools.chain.from_iterable(rows))
     try:
         if set(map(len, rows)) - {n}:

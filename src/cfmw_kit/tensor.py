@@ -15,9 +15,10 @@ Overflow rule: a public numeric function returns a finite result or raises
 a ValueError naming the argument; :func:`finite_step` is the one place that
 silences NumPy's floating-point warnings.
 
-Domain rule: every public size, count, length and step-index argument, and
-every ``int`` field of a container, passes through :func:`count`, which
-refuses a bool, a non-integer and a value below the floor by name.
+Domain rule: every public size, count, length and step-index argument, every
+``int`` field of a container, and every seed (any integer, taken modulo
+2**64) passes through :func:`count`, which refuses a bool, a non-integer and
+a value below the floor by name.
 
 Randomness is counter-based (SplitMix64 over a 64-bit counter) with normals
 produced by the Box-Muller transform, so a seed fully determines the stream
@@ -84,7 +85,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        self._base = _U64(seed & 0xFFFFFFFFFFFFFFFF)
+        self._base = _U64(count("seed", seed, None) & 0xFFFFFFFFFFFFFFFF)
         self._consumed = 0
 
     @property
@@ -148,12 +149,13 @@ def _box_muller(top: np.ndarray, runs: list[tuple[int, int]]) -> np.ndarray:
     return pairs
 
 
-def count(name: str, value, low: int) -> int:
+def count(name: str, value, low: int | None) -> int:
     """``value`` as an ``int``; a bool, a non-integer (an integral float too)
-    or a value below ``low`` is a ValueError naming ``name``."""
+    or a value below ``low`` (if not None) is a ValueError naming ``name``."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be one of the integers >= {low}, got {value!r}")
-    if value < low:
+        floor = "" if low is None else f" >= {low}"
+        raise ValueError(f"{name} must be one of the integers{floor}, got {value!r}")
+    if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {value!r}")
     return int(value)
 
@@ -210,7 +212,7 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     e = np.abs(t, out=np.empty_like(t))
     np.exp(np.negative(e, out=e), out=e)
-    num = np.where(t >= 0, 1.0, e)
+    num = np.maximum(e, t >= 0, out=np.empty_like(t))  # 1 if t >= 0, else e (<= 1 or NaN)
     e += 1.0
     return np.divide(num, e, out=num)
 

@@ -11,6 +11,7 @@ import pytest
 from cfmw_kit.cli import _build_parser, _embed_pair, main
 from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops, save_fusion_params
 from cfmw_kit.imageio import write_ppm
+from cfmw_kit.metrics import mean_ap, parse_detections, parse_ground_truth
 from cfmw_kit.tensor import SeededRng
 from cfmw_kit.tensor_io import write_tensor
 
@@ -672,6 +673,45 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{tmp_path / 'dets' / 'b.txt'}: detection line 2: " in err
         assert "'x'" in err
+
+    def test_bad_line_in_a_later_file_names_that_file_and_its_own_line(self, tmp_path, capsys):
+        ok = ("0 0 0 10 10 0.9\n0 1 1 9 9 0.5\n", "0 0 0 10 10\n")
+        code, got = _eval_boxes(tmp_path, {
+            "a.txt": ok, "b.txt": ok,
+            "c.txt": ("# head\n0 0 0 10 10 0.9\n0 0 0 10 y 0.9\n", "0 0 0 10 10\n"),
+            "d.txt": ("0 0 0 10 z 0.9\n", "0 0 0 10 10\n")})
+        assert (code, got) == (1, None)
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'dets' / 'c.txt'}: detection line 3: "
+                       "could not convert string to float: 'y'\n")
+
+    def test_bad_dets_and_bad_gts_report_the_dets_file(self, tmp_path, capsys):
+        code, got = _eval_boxes(tmp_path, {
+            "a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10\n"),
+            "b.txt": ("0 0 0 10 10 0.9\n0 0 0 10 10\n", "0 0 0 10 10\n")})
+        assert (code, got) == (1, None)
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 'dets' / 'b.txt'}: detection line 2 needs 6 fields: "
+            "'0 0 0 10 10'\n")
+
+    def test_max_area_emptying_whole_images_matches_each_image_filtered(self, tmp_path):
+        big_d, big_g = "0 100 100 200 200 0.95\n", "0 100 100 200 200\n"
+        files = {"a.txt": ("0 0 0 10 10 0.9\n" + big_d, "0 0 0 10 10\n" + big_g),
+                 "b.txt": (big_d + big_d, big_g),              # both sides emptied
+                 "c.txt": (big_d, "1 0 0 10 10\n0 2 2 12 12\n"),  # only the detections
+                 "d.txt": ("1 0 0 10 10 0.4\n0 2 2 12 12 0.3\n", big_g)}  # only the truth
+        code, got = _eval_boxes(tmp_path, files, "--max-area", 2500)
+        assert code == 0
+
+        def kept(boxes):
+            b = boxes.table[:, 1:5]
+            return type(boxes)(boxes.table[(b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1]) < 2500])
+
+        result = mean_ap([(kept(parse_detections(d)), kept(parse_ground_truth(g)))
+                          for _, (d, g) in sorted(files.items())])
+        assert got == {"map50": repr(result.map50), "map75": repr(result.map75),
+                       "map": repr(result.map_mean)}
+        assert 0.0 < result.map50 < 1.0
 
     def test_binary_file_names_file(self, tmp_path, capsys):
         code, got = _eval_boxes(tmp_path, {"a.txt": ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n")})

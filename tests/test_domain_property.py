@@ -36,17 +36,12 @@ def _integer(v) -> bool:
 
 # Integer-valued arguments with no row, each with the reason.
 EXEMPT = {
-    "tensor.SeededRng.__init__(seed)": "a seed: any integer, taken modulo 2**64",
     "tensor.count(low)": "the rule's own floor, fixed by each caller; "
                          "test_count_refuses_what_is_not_an_integer holds count itself",
-    "diffusion.TinyMlpPredictor.__init__(seed)": "a seed: any integer",
     "diffusion.OraclePredictor.__call__(t)": "predictor protocol: ddim_step passes the "
                                              "step index it has checked",
     "diffusion.TinyMlpPredictor.__call__(t)": "predictor protocol: ddim_step passes the "
                                               "step index it has checked",
-    "weather.gen_rain(seed)": "a seed: any integer",
-    "weather.gen_snow(seed)": "a seed: any integer",
-    "fusion.scaling_benchmark(seed)": "a seed: any integer",
     "fusion.inject(backbone)": "backbone levels, checked against {2, 3, 4}",
     "fusion.inject(fused)": "backbone levels, checked against {2, 3, 4}",
     "metrics.average_precision(class_id)": "a class id: any integer, negative too; "
@@ -194,6 +189,18 @@ ROWS = {
 }
 
 
+# Seeds have no floor: any integer, taken modulo 2**64. Each passes through
+# ``tensor.count`` with no floor, so a bool or a non-integer is refused by
+# name, as "seed must be one of the integers, got ...".
+SEEDS = {
+    "tensor.SeededRng.__init__(seed)": lambda v: SeededRng(v),
+    "diffusion.TinyMlpPredictor.__init__(seed)": lambda v: diffusion.TinyMlpPredictor(v),
+    "weather.gen_rain(seed)": lambda v: weather.gen_rain(3, 3, v, 0.5),
+    "weather.gen_snow(seed)": lambda v: weather.gen_snow(3, 3, v, 0.5),
+    "fusion.scaling_benchmark(seed)": lambda v: fusion.scaling_benchmark(_GRID, 2, 1, 1, v),
+}
+
+
 # ------------------------------------------------------------- the table
 
 def _mentions_int(hint) -> bool:
@@ -229,9 +236,10 @@ def _int_arguments():
 
 def test_every_int_argument_has_a_row_or_an_exemption():
     public = set(_int_arguments())
-    assert sorted(public - ROWS.keys() - EXEMPT.keys()) == []
-    assert sorted((ROWS.keys() | EXEMPT.keys()) - public) == []
-    assert sorted(ROWS.keys() & EXEMPT.keys()) == []
+    rows = ROWS.keys() | SEEDS.keys()
+    assert sorted(public - rows - EXEMPT.keys()) == []
+    assert sorted((rows | EXEMPT.keys()) - public) == []
+    assert sorted(ROWS.keys() & SEEDS.keys()) == sorted(rows & EXEMPT.keys()) == []
 
 
 @pytest.mark.parametrize("key", sorted(ROWS))
@@ -264,6 +272,24 @@ def test_refused_by_name_unless_an_integer_at_or_above_the_floor(key):
         check(v)
 
     holds()
+
+
+@pytest.mark.parametrize("key", sorted(SEEDS))
+def test_seed_refused_by_name_unless_an_integer(key):
+    call = SEEDS[key]
+    for v in (True, False, np.bool_(False), 2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(ValueError, match=r"^seed must be one of the integers, got "):
+            call(v)
+    for v in (0, -5, 2 ** 70, np.int64(-5), np.uint64(2 ** 64 - 5)):
+        call(v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)))
+def test_seed_is_taken_modulo_2_to_the_64(seed):
+    want = SeededRng(int(seed) % 2 ** 64).draws(("uniform", 3), ("normal", 3))
+    got = SeededRng(seed).draws(("uniform", 3), ("normal", 3))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("value", [True, False, np.bool_(True), 3.0, np.float64(3.0), 2.5,

@@ -405,6 +405,19 @@ class TestInject:
         with pytest.raises(ValueError):
             inject(backbone, {3: self._feats(rng)})
 
+    @pytest.mark.parametrize("level", [2.0, np.float64(3.0), "4", np.bool_(True)])
+    def test_non_integer_level_refused(self, level):
+        feats = {level: self._feats(SeededRng(46))}
+        with pytest.raises(ValueError, match=r"^levels must be a subset of \{2, 3, 4\}$"):
+            inject(feats, feats)
+        with pytest.raises(ValueError, match=r"^levels must be a subset of \{2, 3, 4\}$"):
+            inject({2: self._feats(SeededRng(46))}, feats)
+
+    def test_numpy_integer_level_accepted(self):
+        backbone = {np.int64(2): self._feats(SeededRng(47))}
+        out = inject(backbone, backbone)
+        assert np.array_equal(out[2].f_r, 2.0 * backbone[2].f_r)
+
 
 class TestAttentionBaseline:
     def test_single_identical_tokens_return_v_projection(self):

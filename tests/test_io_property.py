@@ -1,5 +1,10 @@
 """Property tests for the file readers: round trips, and fuzzed input fails only with ValueError."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,10 +12,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
+from cfmw_kit.cli import main  # noqa: E402
 from cfmw_kit.imageio import read_ppm, write_ppm  # noqa: E402
 from cfmw_kit.metrics import (  # noqa: E402
     Detections,
     GroundTruth,
+    mean_ap,
     parse_detections,
     parse_ground_truth,
 )
@@ -143,3 +150,84 @@ def test_box_text_parsers_fail_only_with_value_error(text):
             parse(text)
         except ValueError:
             pass
+
+
+# ------------------------------------------------- eval over box directories
+
+_BAD_LINES = ["0 0 0 10 x 0.5", "0 0 0 10", "2.5 0 0 1 1 0.5", "0 5 5 1 1 0.5", "0 0 0 1 1 7",
+              "0 0 0 1 1 0.5 9", "0 0 0 1 1 0.\u00e9"]
+_names = st.lists(st.sampled_from(["a.txt", "B.txt", "c", "img10.txt", "img2.txt", "_z"]),
+                  min_size=1, max_size=5, unique=True)
+
+
+def _box_file(width: int, bad: bool = False):
+    """One box file: rows of ``width`` fields, blank lines and ``#`` comments,
+    each ended by LF or CRLF, the last one maybe not; empty files too. With
+    ``bad``, a line may also be one that no parser accepts."""
+    row = st.builds(
+        lambda sep, c, x, y, w, h, s: sep.join(map(str, [c, x, y, x + w, y + h, s][:width])),
+        st.sampled_from([" ", "\t", "  "]), st.integers(0, 2), st.integers(0, 12),
+        st.integers(0, 12), st.integers(1, 8), st.integers(1, 8), st.floats(0.0, 1.0))
+    line = st.one_of(row, row, st.sampled_from(["", "  ", "# note", "#0 0 0 1 1", " # x y"]),
+                     *[st.sampled_from(_BAD_LINES)] * bad)
+    lines = st.lists(st.tuples(line, st.sampled_from(["\n", "\r\n"])), max_size=5)
+    return st.builds(lambda ls, cut: "".join(t + end for t, end in ls)[:-len(ls[-1][1]) if cut and ls
+                                                                      else None],
+                     lines, st.booleans())
+
+
+def _box_dirs(scratch, data, bad=False):
+    """Fresh ``dets/`` and ``gts/`` dirs under ``scratch``, paired by name;
+    returns the root and ``{name: (dets text, gts text)}``."""
+    files = {name: (data.draw(_box_file(6, bad)), data.draw(_box_file(5, bad)))
+             for name in data.draw(_names)}
+    root = Path(tempfile.mkdtemp(dir=scratch))
+    for side, kind in enumerate(("dets", "gts")):
+        (root / kind).mkdir()
+        for name, texts in files.items():
+            (root / kind / name).write_bytes(texts[side].encode("latin-1"))
+    return root, files
+
+
+def _eval(root, *extra):
+    """``eval`` on ``root``'s box dirs: (exit code, metrics.csv bytes or None, stderr)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["eval", "--dets", str(root / "dets"), "--gts", str(root / "gts"),
+                     "--out", str(root / "out"), *map(str, extra)])
+    out = root / "out" / "metrics.csv"
+    return code, out.read_bytes() if out.exists() else None, err.getvalue()
+
+
+@SETTINGS
+@given(data=st.data(), max_area=st.sampled_from([None, 4.0, 20.0, 50.0]))
+def test_eval_over_box_dirs_equals_mean_ap_over_files(scratch, data, max_area):
+    root, files = _box_dirs(scratch, data)
+
+    def kept(boxes):  # each image filtered in turn
+        b = boxes.table[:, 1:5]
+        area = (b[:, 2] - b[:, 0]) * (b[:, 3] - b[:, 1])
+        return boxes if max_area is None else type(boxes)(boxes.table[area < max_area])
+
+    result = mean_ap([(kept(parse_detections(d)), kept(parse_ground_truth(g)))
+                      for _, (d, g) in sorted(files.items())])
+    want = (f"metric,value\nmap50,{result.map50!r}\nmap75,{result.map75!r}\n"
+            f"map,{result.map_mean!r}\n").encode()
+    assert _eval(root, *["--max-area", max_area] * (max_area is not None))[:2] == (0, want)
+
+
+@SETTINGS
+@given(data=st.data())
+def test_eval_names_the_first_bad_file_as_its_own_parse_does(scratch, data):
+    root, files = _box_dirs(scratch, data, bad=True)
+    want = None
+    for side, (kind, parse) in enumerate((("dets", parse_detections),
+                                          ("gts", parse_ground_truth))):
+        for name, texts in sorted(files.items()):
+            try:
+                parse(texts[side].encode("latin-1").decode("ascii"))
+            except ValueError as exc:
+                want = want or f"error: {root / kind / name}: {exc}\n"
+    code, out, err = _eval(root)
+    assert (code, err) == ((0, "") if want is None else (1, want))
+    assert (out is None) == (want is not None)

@@ -431,7 +431,7 @@ class TestMeanAp:
         seen = []
         sweep = metrics._greedy_sweep
         monkeypatch.setattr(metrics, "_greedy_sweep",
-                            lambda imgs, classes, grid: seen.append(grid) or sweep(imgs, classes, grid))
+                            lambda *args: seen.append(args[-1]) or sweep(*args))  # grid last
         full = mean_ap(images)
         assert seen == [DEFAULT_MAP_THRESHOLDS]  # one sweep, every class, each threshold once
         seen.clear()

@@ -67,14 +67,17 @@ class TestElementwise:
 
     @pytest.mark.filterwarnings("error")
     def test_sigmoid_bits_match_the_masked_form(self):
-        z = np.concatenate([randn([4096], SeededRng(7)) * 30.0,
-                            [np.inf, -np.inf, 0.0, -0.0, np.nan]])
+        z = np.concatenate([randn([4096], SeededRng(7)) * 30.0, randn([4096], SeededRng(9)) * 50.0,
+                            [np.inf, -np.inf, 0.0, -0.0, np.nan, 1e-300, -1e-300, 800.0, -800.0]])
         want = np.empty_like(z)
         pos = z >= 0
         want[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
         e = np.exp(z[~pos])
         want[~pos] = e / (1.0 + e)
         assert np.array_equal(sigmoid(z), want, equal_nan=True)
+        # and the numerator np.maximum(e, t >= 0) keeps the bits of np.where(t >= 0, 1, e)
+        e = np.exp(-np.abs(z))
+        assert sigmoid(z).tobytes() == (np.where(z >= 0, 1.0, e) / (1.0 + e)).tobytes()
 
     def test_silu_matches_definition(self):
         z = randn([100], SeededRng(6))
