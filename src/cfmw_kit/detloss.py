@@ -65,10 +65,6 @@ class PredictionGrid:
         object.__setattr__(self, "obj_mask", obj)
         object.__setattr__(self, "noobj_mask", noobj)
 
-    @property
-    def n_classes(self) -> int:
-        return self.class_probs.shape[2]
-
 
 @dataclass(frozen=True)
 class GridTargets:

@@ -95,7 +95,8 @@ class PatchEmbedding:
 
     @classmethod
     def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
-               rng: SeededRng, use_cls: bool = False) -> "PatchEmbedding":
+               rng: SeededRng) -> "PatchEmbedding":
+        """Random weights with no class token (``use_cls`` false)."""
         patch, c_in = count("patch", patch, 1), count("c_in", c_in, 1)
         dim, n_patches = count("dim", dim, 1), count("n_patches", n_patches, 1)
         k = patch * patch * c_in
@@ -106,7 +107,6 @@ class PatchEmbedding:
             w=w.reshape(k, dim) / math.sqrt(k),
             e_pos=e_pos.reshape(n_patches + 1, dim) * 0.02,
             cls_token=cls_token * 0.02,
-            use_cls=use_cls,
         )
 
 
@@ -192,12 +192,6 @@ class Mlp3:
             w3=w3.reshape(h, c) / math.sqrt(h),
             b3=b3 * 0.01,
         )
-
-    @classmethod
-    def zero(cls, c: int) -> "Mlp3":
-        h = 2 * count("c", c, 1)
-        return cls(w1=np.zeros((c, h)), b1=np.zeros(h), w2=np.zeros((h, h)),
-                   b2=np.zeros(h), w3=np.zeros((h, c)), b3=np.zeros(c))
 
 
 _NORMS = ("norm_scale_r", "norm_offset_r", "norm_scale_t", "norm_offset_t")
@@ -397,15 +391,15 @@ class AttentionFusionParams:
 _ATTN_ROWS = 2048
 
 
-def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
-                              counter: OpCounter | None = None) -> ModalityFeatures:
+def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams) -> ModalityFeatures:
     """Single-head scaled dot-product fusion over the concatenated streams.
 
     Both token sequences are stacked to length 2N, attended with shared
     Q/K/V projections, and split back. The scores are evaluated in fixed
-    blocks of 2048 query rows, which keeps memory at O(2048 N) while
-    preserving the quadratic operation count. Features so large that the
-    projections or scores overflow float64 are refused.
+    blocks of 2048 query rows, each written into one preallocated block,
+    which keeps memory at O(2048 N) while preserving the quadratic
+    operation count. Features so large that the projections or scores
+    overflow float64 are refused.
     """
     b, n, c = m.shape
     if c != p.c:
@@ -413,6 +407,7 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     scale = 1.0 / math.sqrt(p.d_k)
     out_r = np.empty_like(m.f_r)
     out_t = np.empty_like(m.f_t)
+    block = np.empty((min(_ATTN_ROWS, 2 * n), 2 * n))
     for i in range(b):
         tokens = np.vstack([m.f_r[i], m.f_t[i]])          # (2N, C)
         fused = np.empty((2 * n, c))
@@ -423,19 +418,13 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
             v = tokens @ p.w_v
             for r0 in range(0, 2 * n, _ATTN_ROWS):
                 r1 = min(r0 + _ATTN_ROWS, 2 * n)
-                scores = q[r0:r1] @ k.T
+                scores = np.matmul(q[r0:r1], k.T, out=block[:r1 - r0])
                 scores *= scale
                 scores -= scores.max(axis=1, keepdims=True)
                 np.exp(scores, out=scores)
                 inv = 1.0 / scores.sum(axis=1, keepdims=True)
                 scores *= inv
-                if counter is not None:
-                    rows = r1 - r0
-                    # score matmul, scale, normalize products, row reciprocals
-                    counter.add(rows * 2 * n * p.d_k + rows * 2 * n + rows * 2 * n + rows)
-                fused[r0:r1] = scores @ v
-                if counter is not None:
-                    counter.add((r1 - r0) * 2 * n * c)
+                np.matmul(scores, v, out=fused[r0:r1])
             return fused
         finite_step("features are too large: attention overflows float64", attend)
         out_r[i] = fused[:n]
@@ -443,14 +432,13 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams,
     return ModalityFeatures(f_r=out_r, f_t=out_t)
 
 
-def count_ops(path: str, n_tokens: int, c: int, n_state: int,
-              d_k: int | None = None) -> int:
+def count_ops(path: str, n_tokens: int, c: int, n_state: int) -> int:
     """Exact mechanism multiply count for one fusion pass over N tokens.
 
     ``ss2d_fusion`` counts both streams' four directional selective scans
     plus the gating nonlinearity and product; ``attention_fusion`` counts the
-    score matrix, softmax scaling/normalization, and value aggregation over
-    the 2N concatenated tokens (d_k defaults to C). The scan counts are the
+    score matrix (d_k = C), softmax scaling/normalization, and value
+    aggregation over the 2N concatenated tokens. The scan counts are the
     reference recurrence's multiplies (see
     :func:`cfmw_kit.ssm.selective_scan_mac_count`).
     """
@@ -458,10 +446,9 @@ def count_ops(path: str, n_tokens: int, c: int, n_state: int,
     n_state = count("n_state", n_state, 1)
     if path == "ss2d_fusion":
         return 2 * 4 * selective_scan_mac_count(n_tokens, c, n_state) + 6 * n_tokens * c
-    if path == "attention_fusion":
-        d_k = c if d_k is None else count("d_k", d_k, 1)
+    if path == "attention_fusion":  # scores, scale, normalize, reciprocals, values
         n2 = 2 * n_tokens
-        return n2 * n2 * d_k + n2 * n2 + n2 * n2 + n2 + n2 * n2 * c
+        return n2 * n2 * c + n2 * n2 + n2 * n2 + n2 + n2 * n2 * c
     raise ValueError(f"unknown path {path!r}")
 
 

@@ -345,30 +345,27 @@ class MeanApResult:
     map_mean: float
 
 
-def mean_ap(images: list[ImageBoxes], thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
-    """Class-mean AP at 0.50, at 0.75, and averaged over the threshold grid.
+def mean_ap(images: list[ImageBoxes]) -> MeanApResult:
+    """Class-mean AP at 0.50, at 0.75, and averaged over ``DEFAULT_MAP_THRESHOLDS``
+    (0.50:0.05:0.95).
 
     ``images`` holds one ``(Detections, GroundTruth)`` pair per image. The
     class set is inferred from the ground truth; with no ground truth at all
     the result mirrors the per-class convention (1 with no detections, 0
-    otherwise). One sweep matches every distinct threshold; a bad grid raises.
+    otherwise). One sweep matches every threshold of the grid.
     """
-    return _mean_ap(*_stack(images), thresholds)
+    return _mean_ap(*_stack(images))
 
 
-def _mean_ap(dets, n_det, gts, n_gt, thresholds=DEFAULT_MAP_THRESHOLDS) -> MeanApResult:
+def _mean_ap(dets, n_det, gts, n_gt) -> MeanApResult:
     """:func:`mean_ap` over the stacked tables that :func:`_greedy_sweep` takes."""
-    thresholds = tuple(thresholds)
-    if not thresholds:
-        raise ValueError("threshold grid must be nonempty")
     classes = sorted(set(gts[:, 0].tolist()))
-    aps = _greedy_sweep(dets, n_det, gts, n_gt, classes,
-                        tuple(dict.fromkeys(thresholds + (0.50, 0.75))))
     if not classes:  # the per-class convention: 1 with no detections, else 0
         return MeanApResult(*[0.0 if len(dets) else 1.0] * 3)
+    aps = _greedy_sweep(dets, n_det, gts, n_gt, classes, DEFAULT_MAP_THRESHOLDS)
     class_mean = {thr: sum(ap) / len(classes) for thr, ap in aps.items()}
     return MeanApResult(map50=class_mean[0.50], map75=class_mean[0.75],
-                        map_mean=sum(class_mean[t] for t in thresholds) / len(thresholds))
+                        map_mean=sum(class_mean.values()) / len(class_mean))
 
 
 def _parse(text: str, kind: str, container):

@@ -11,9 +11,8 @@ Conventions fixed here:
 * The initial hidden state is always zero.
 * The input-dependent projections are affine per token:
   ``delta = softplus(W_d x + u_d)``, ``B = W_b x + u_b``, ``C = W_c x + u_c``.
-* Multiply counts are tracked through an optional :class:`OpCounter`, and the
-  closed-form count functions below must agree exactly with the instrumented
-  counts (this is tested).
+* Multiply counts are closed forms (the ``*_mac_count`` functions below);
+  :func:`ss2d` also adds its count to an optional :class:`OpCounter`.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "selective_scan",
     "selective_scan_input_grad",
     "ss2d",
-    "scan_mac_count",
     "selective_scan_mac_count",
     "ss2d_mac_count",
     "softplus_inverse",
@@ -152,7 +150,7 @@ def discretize(m: ContinuousSsm, delta: float) -> DiscreteSsm:
     return DiscreteSsm(a_bar=a_bar, b_bar=b_bar, c=m.c.copy())
 
 
-def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.ndarray:
+def scan(m: DiscreteSsm, x: np.ndarray) -> np.ndarray:
     """Run the recurrence over a length-L scalar sequence from h_0 = 0; an
     ``x`` holding NaN or Inf, or so large that it overflows, is refused."""
     x = check_finite(np.asarray(x, dtype=np.float64), "x")
@@ -168,10 +166,7 @@ def scan(m: DiscreteSsm, x: np.ndarray, counter: OpCounter | None = None) -> np.
             h = m.a_bar * h + m.b_bar * x[t]
             y[t] = m.c @ h
         return y
-    y = finite_step(_SCAN_OVERFLOW, recur)
-    if counter is not None:
-        counter.add(scan_mac_count(length, n))
-    return y
+    return finite_step(_SCAN_OVERFLOW, recur)
 
 
 def kernel(m: DiscreteSsm, length: int) -> np.ndarray:
@@ -367,8 +362,7 @@ def _stacked_scan(xs: list[np.ndarray], ps: list[SelectiveSsmParams]) -> np.ndar
     return y
 
 
-def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
-                   counter: OpCounter | None = None) -> np.ndarray:
+def selective_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
     """Input-dependent scan over an (L, D) token sequence.
 
     Per channel d, with token-dependent step delta_{t,d} and projections
@@ -386,9 +380,8 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
     The result comes from a forward-only scan that runs the recurrence in
     sequence, one block of steps at a time, with no (L, D, N) array; the
     per-token loop behind :func:`selective_scan_input_grad` is the reference
-    it is tested against. ``counter`` receives
-    :func:`selective_scan_mac_count`. An ``x`` holding NaN or Inf is refused,
-    and so is one so large that its scan overflows float64.
+    it is tested against. An ``x`` holding NaN or Inf is refused, and so is
+    one so large that its scan overflows float64.
     """
     x = check_finite(np.asarray(x, dtype=np.float64), "x")
     if x.ndim != 2 or x.shape[0] < 1:
@@ -397,10 +390,7 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams,
         raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
     # delta * a may overflow to -inf, and a_bar = 0 is then the exact decay;
     # an overflow that reaches the output leaves it non-finite, and is refused.
-    y = finite_step(_SCAN_OVERFLOW, _stacked_scan, [x], [p])[0]
-    if counter is not None:
-        counter.add(selective_scan_mac_count(x.shape[0], p.d_channels, p.n_state))
-    return y
+    return finite_step(_SCAN_OVERFLOW, _stacked_scan, [x], [p])[0]
 
 
 def selective_scan_input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
@@ -504,15 +494,8 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
     return out
 
 
-def scan_mac_count(length: int, n_state: int) -> int:
-    """Exact multiply count of :func:`scan`: 3 N per step."""
-    return 3 * count("n_state", n_state, 1) * count("length", length, 1)
-
-
 def selective_scan_mac_count(length: int, d_channels: int, n_state: int) -> int:
     """Exact multiply count of the reference selective-scan recurrence.
-
-    This is what :func:`selective_scan` adds to its counter.
 
     Per token: D^2 (step projection) + 2 N D (input/output projections)
     + 4 N D (discretization: z, phi, delta*B, b_bar) + 3 N D (recurrence

@@ -25,6 +25,7 @@ from cfmw_kit.detloss import (
 from cfmw_kit.imageio import read_ppm, write_ppm
 from cfmw_kit.tensor import SeededRng, randn
 
+from test_fusion import zero_mlp
 from test_metrics import brute_force_ap
 
 
@@ -188,7 +189,7 @@ def test_criterion_7_fusion_block_algebra():
         grid_h=2, grid_w=2,
         norm_scale_r=base.norm_scale_r, norm_offset_r=base.norm_offset_r,
         norm_scale_t=base.norm_scale_t, norm_offset_t=base.norm_offset_t,
-        gate_r=fusion.Mlp3.zero(4), gate_t=fusion.Mlp3.zero(4),
+        gate_r=zero_mlp(base.gate_r), gate_t=zero_mlp(base.gate_t),
         out_mlp=base.out_mlp, ss2d_r=base.ss2d_r, ss2d_t=base.ss2d_t,
         residual_mode="straight")
     small = fusion.ModalityFeatures(f_r=rng.normal(16).reshape(1, 4, 4),

@@ -101,8 +101,6 @@ ROWS = {
         lambda v, rng: ssm.Ss2dParams.random(2, v, rng), 1, "n_state"),
     "ssm.kernel(length)": (
         lambda v, rng: ssm.kernel(ssm.discretize(_MODEL, 0.1), v), 1, "kernel length"),
-    "ssm.scan_mac_count(length)": (lambda v, rng: ssm.scan_mac_count(v, 3), 1, "length"),
-    "ssm.scan_mac_count(n_state)": (lambda v, rng: ssm.scan_mac_count(3, v), 1, "n_state"),
     "ssm.selective_scan_mac_count(length)": (
         lambda v, rng: ssm.selective_scan_mac_count(v, 2, 3), 1, "length"),
     "ssm.selective_scan_mac_count(d_channels)": (
@@ -126,7 +124,6 @@ ROWS = {
     "fusion.PatchEmbedding.random(n_patches)": (
         lambda v, rng: fusion.PatchEmbedding.random(2, 3, 4, v, rng), 1, "n_patches"),
     "fusion.Mlp3.random(c)": (lambda v, rng: fusion.Mlp3.random(v, rng), 1, "c"),
-    "fusion.Mlp3.zero(c)": (lambda v, rng: fusion.Mlp3.zero(v), 1, "c"),
     "fusion.FusionBlockParams.grid_h": (
         lambda v, rng: dataclasses.replace(_BLOCK, grid_h=v), 1, "grid_h"),
     "fusion.FusionBlockParams.grid_w": (
@@ -150,8 +147,6 @@ ROWS = {
     "fusion.count_ops(c)": (lambda v, rng: fusion.count_ops("attention_fusion", 4, v, 2), 1, "c"),
     "fusion.count_ops(n_state)": (
         lambda v, rng: fusion.count_ops("attention_fusion", 4, 4, v), 1, "n_state"),
-    "fusion.count_ops(d_k)": (
-        lambda v, rng: fusion.count_ops("attention_fusion", 4, 4, 2, d_k=v), 1, "d_k"),
     "fusion.scaling_benchmark(n_values)": (
         lambda v, rng: fusion.scaling_benchmark([1, 2, v, 8], 2, 1, 1, 0), 1, "n_values entry"),
     "fusion.scaling_benchmark(c)": (
@@ -266,7 +261,7 @@ def test_refused_by_name_unless_an_integer_at_or_above_the_floor(key):
                         st.sampled_from([np.bool_(True), np.bool_(False), float(low),
                                          np.float64(low), low + 0.5, str(low), None]))
 
-    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=12)
     @given(st.one_of(refused, st.sampled_from(accept).map(np.int64)))
     def holds(v):
         check(v)
@@ -284,7 +279,7 @@ def test_seed_refused_by_name_unless_an_integer(key):
         call(v)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@settings(max_examples=40)
 @given(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)))
 def test_seed_is_taken_modulo_2_to_the_64(seed):
     want = SeededRng(int(seed) % 2 ** 64).draws(("uniform", 3), ("normal", 3))

@@ -88,7 +88,6 @@ EXEMPT = {
                     "every int parameter and field",
     "diffusion.ddim_step": "sample checks once after the chain; a check per hop would "
                            "add about 50 full-image passes per restore",
-    "ssm.scan_mac_count": "integer-valued counter",
     "ssm.selective_scan_mac_count": "integer-valued counter",
     "ssm.ss2d_mac_count": "integer-valued counter",
     "fusion.count_ops": "integer-valued counter",
@@ -154,9 +153,17 @@ def _(draw):
     return lambda: ssm.scan(ssm.DiscreteSsm(*model), x)
 
 
+def _stable(draw):
+    """A discrete model with every a_bar in (0.5, 1]: its taps stay bounded."""
+    rng, n = SeededRng(draw(_SEEDS)), draw(st.integers(1, 3))
+    return 1.0 - 0.5 * rng.uniform(n), rng.normal(n), rng.normal(n)
+
+
 @row("ssm.kernel", r"^(m|a_bar|b_bar|c|kernel length)\b")
 def _(draw):
-    model, length = _discrete(draw), draw(st.integers(-1, 400))
+    # one case in two a stable model, which only a length below 1 makes refused
+    model = _stable(draw) if draw(st.booleans()) else _discrete(draw)
+    length = draw(st.integers(-1, 400))
     return lambda: ssm.kernel(ssm.DiscreteSsm(*model), length)
 
 
@@ -214,8 +221,8 @@ def _(draw):
     p, c_in, dim, gh, gw = (draw(st.integers(1, 3)) for _ in range(5))
     use_cls, seed, s = draw(st.booleans()), draw(_SEEDS), draw(_SCALES)
     image = draw(_values(gh * p, gw * p, c_in))
-    return lambda: fusion.patch_embed(image, _scaled(fusion.PatchEmbedding.random(
-        p, c_in, dim, gh * gw, SeededRng(seed), use_cls=use_cls), s))
+    return lambda: fusion.patch_embed(image, _scaled(dataclasses.replace(
+        fusion.PatchEmbedding.random(p, c_in, dim, gh * gw, SeededRng(seed)), use_cls=use_cls), s))
 
 
 @row("fusion.shallow_swap", _FEATURES)
@@ -380,17 +387,25 @@ def _(draw):
     return lambda: metrics.ssim(x, y)
 
 
+def _box(draw, coord):
+    """Four coordinates, put in (x1, y1, x2, y2) order one time in two."""
+    x1, y1, x2, y2 = (draw(coord) for _ in range(4))
+    if draw(st.booleans()):
+        x1, x2, y1, y2 = min(x1, x2), max(x1, x2), min(y1, y2), max(y1, y2)
+    return [x1, y1, x2, y2]
+
+
 @row("metrics.iou", r"^(a|b)\b")
 def _(draw):
     coord = _either(draw, -100.0, 100.0)
-    a, b = [draw(coord) for _ in range(4)], [draw(coord) for _ in range(4)]
+    a, b = _box(draw, coord), _box(draw, coord)
     return lambda: metrics.iou(a, b)
 
 
 @row("metrics.giou", r"^(a|b)\b")
 def _(draw):
     coord = _either(draw, -100.0, 100.0)
-    a, b = [draw(coord) for _ in range(4)], [draw(coord) for _ in range(4)]
+    a, b = _box(draw, coord), _box(draw, coord)
     return lambda: metrics.giou(a, b)
 
 
@@ -419,10 +434,10 @@ def _(draw):
     return lambda: metrics.average_precision(images(), class_id, thr)
 
 
-@row("metrics.mean_ap", r"^(table|IoU threshold|threshold grid)\b")
+@row("metrics.mean_ap", r"^table\b")
 def _(draw):
-    images, grid = _images(draw), draw(st.lists(_either(draw, 0.0, 1.0), max_size=3))
-    return lambda: metrics.mean_ap(images(), grid)
+    images = _images(draw)
+    return lambda: metrics.mean_ap(images())
 
 
 _TOKENS = st.sampled_from(["0", "1", "-3", "10", "0.5", "2.5", "1_0", "1e400", "nan",
@@ -542,7 +557,7 @@ def test_finite_result_or_refusal_naming_the_argument(name):
     case, names, examples = ROWS[name]
     accepted = []
 
-    @settings(max_examples=examples, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=examples)
     @given(st.data())
     def holds(data):
         call = case(data.draw)

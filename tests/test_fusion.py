@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -28,6 +29,11 @@ from cfmw_kit.ssm import OpCounter
 from cfmw_kit.tensor import SeededRng
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def zero_mlp(m: Mlp3) -> Mlp3:
+    """``m`` with every weight and bias zeroed: a gate that kills its branch."""
+    return Mlp3(*(np.zeros_like(getattr(m, f.name)) for f in dataclasses.fields(m)))
 
 
 # --------------------------------------------------------------------------
@@ -163,7 +169,7 @@ class TestPatchEmbed:
     def test_single_patch_and_cls(self):
         rng = SeededRng(31)
         image = rng.normal(3 * 3 * 2).reshape(3, 3, 2)
-        pe = PatchEmbedding.random(3, 2, 5, 1, rng, use_cls=True)
+        pe = dataclasses.replace(PatchEmbedding.random(3, 2, 5, 1, rng), use_cls=True)
         tokens = patch_embed(image, pe)
         assert tokens.shape == (2, 5)
         assert np.array_equal(tokens[0], pe.cls_token + pe.e_pos[0])
@@ -171,7 +177,7 @@ class TestPatchEmbed:
     def test_brute_force_oracle(self):
         rng = SeededRng(32)
         image = rng.normal(4 * 4 * 3).reshape(4, 4, 3)
-        pe = PatchEmbedding.random(2, 3, 6, 4, rng, use_cls=False)
+        pe = PatchEmbedding.random(2, 3, 6, 4, rng)
         tokens = patch_embed(image, pe)
         idx = 0
         for pi in range(2):
@@ -192,7 +198,8 @@ class TestPatchEmbed:
 
     @pytest.mark.parametrize("use_cls", [False, True])
     def test_overflowing_image_refused_by_name(self, use_cls):
-        pe = PatchEmbedding.random(2, 3, 4, 4, SeededRng(35), use_cls=use_cls)
+        pe = dataclasses.replace(PatchEmbedding.random(2, 3, 4, 4, SeededRng(35)),
+                                 use_cls=use_cls)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="^image is too large: its embedding overflows"):
@@ -259,7 +266,7 @@ class TestFuse:
             grid_h=2, grid_w=2,
             norm_scale_r=base.norm_scale_r, norm_offset_r=base.norm_offset_r,
             norm_scale_t=base.norm_scale_t, norm_offset_t=base.norm_offset_t,
-            gate_r=Mlp3.zero(4), gate_t=Mlp3.zero(4), out_mlp=base.out_mlp,
+            gate_r=zero_mlp(base.gate_r), gate_t=zero_mlp(base.gate_t), out_mlp=base.out_mlp,
             ss2d_r=base.ss2d_r, ss2d_t=base.ss2d_t, residual_mode="straight")
         feats = ModalityFeatures(f_r=rng.normal(16).reshape(1, 4, 4),
                                  f_t=rng.normal(16).reshape(1, 4, 4))
@@ -274,7 +281,7 @@ class TestFuse:
             grid_h=2, grid_w=2,
             norm_scale_r=base.norm_scale_r, norm_offset_r=base.norm_offset_r,
             norm_scale_t=base.norm_scale_t, norm_offset_t=base.norm_offset_t,
-            gate_r=Mlp3.zero(4), gate_t=Mlp3.zero(4), out_mlp=base.out_mlp,
+            gate_r=zero_mlp(base.gate_r), gate_t=zero_mlp(base.gate_t), out_mlp=base.out_mlp,
             ss2d_r=base.ss2d_r, ss2d_t=base.ss2d_t, residual_mode="crossed")
         feats = ModalityFeatures(f_r=rng.normal(16).reshape(1, 4, 4),
                                  f_t=rng.normal(16).reshape(1, 4, 4))
@@ -448,19 +455,44 @@ class TestAttentionBaseline:
         assert np.abs(out.f_r[0] - want[:5]).max() < 1e-12
         assert np.abs(out.f_t[0] - want[5:]).max() < 1e-12
 
-    def test_counted_ops_scale_quadratically(self):
+    def test_counted_ops_scale_quadratically(self, monkeypatch):
+        # The closed form is the work the baseline does: its two score-sized
+        # products, counted from the shapes np.matmul is handed, plus a scale
+        # and a normalise per score and a reciprocal per query row.
+        matmul = np.matmul
+        macs = []
+
+        def counting(a, b, **kwargs):
+            macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(fusion, "_ATTN_ROWS", 48)  # several blocks, a short last one
+        monkeypatch.setattr(np, "matmul", counting)
         rng = SeededRng(47)
         counts = {}
         for n in (64, 128, 256):
             feats = ModalityFeatures(f_r=rng.normal(n * 4).reshape(1, n, 4),
                                      f_t=rng.normal(n * 4).reshape(1, n, 4))
-            p = AttentionFusionParams.random(4, 8, rng)
-            counter = OpCounter()
-            attention_fusion_baseline(feats, p, counter=counter)
-            assert counter.macs == count_ops("attention_fusion", n, 4, 1, d_k=8)
-            counts[n] = counter.macs
+            macs.clear()
+            attention_fusion_baseline(feats, AttentionFusionParams.random(4, 4, rng))
+            counts[n] = count_ops("attention_fusion", n, 4, 1)
+            assert counts[n] == sum(macs) + 2 * (2 * n) ** 2 + 2 * n
         assert 3.8 <= counts[128] / counts[64] <= 4.0
         assert 3.8 <= counts[256] / counts[128] <= 4.0
+
+    @pytest.mark.parametrize("rows", [1, 39, 40, 41])
+    def test_any_block_height_equals_one_block(self, monkeypatch, rows):
+        # 2N = 40 query rows: a block per row, a last block of one row, one
+        # exact block, and a block taller than 2N, whose buffer is cut to 2N.
+        rng = SeededRng(51)
+        feats = ModalityFeatures(f_r=rng.normal(20 * 4).reshape(1, 20, 4),
+                                 f_t=rng.normal(20 * 4).reshape(1, 20, 4))
+        p = AttentionFusionParams.random(4, 4, rng)
+        full = attention_fusion_baseline(feats, p)
+        monkeypatch.setattr(fusion, "_ATTN_ROWS", rows)
+        blocked = attention_fusion_baseline(feats, p)
+        assert np.abs(full.f_r - blocked.f_r).max() < 1e-12
+        assert np.abs(full.f_t - blocked.f_t).max() < 1e-12
 
     def test_blocked_equals_unblocked(self, monkeypatch):
         rng = SeededRng(48)
@@ -479,6 +511,23 @@ class TestAttentionBaseline:
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
         p = AttentionFusionParams.random(4, 4, rng)
         _refused_as_features(lambda: attention_fusion_baseline(feats, p))
+
+    def test_holds_one_score_block(self):
+        # 2N = 4200 query rows make three blocks; one score block reused for
+        # each keeps the traced peak near its bytes, where a block allocated
+        # anew per step holds two at once.
+        n, c = 2100, 4
+        rng = SeededRng(50)
+        feats = ModalityFeatures(f_r=rng.normal(n * c).reshape(1, n, c),
+                                 f_t=rng.normal(n * c).reshape(1, n, c))
+        p = AttentionFusionParams.random(c, c, rng)
+        tracemalloc.start()
+        try:
+            attention_fusion_baseline(feats, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * fusion._ATTN_ROWS * 2 * n * 8
 
 
 class TestCountOps:

@@ -28,7 +28,7 @@ from cfmw_kit.tensor_io import (  # noqa: E402
     write_manifest,
 )
 
-SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=150)
 
 _ascii = st.characters(max_codepoint=127)
 _plain = st.characters(min_codepoint=33, max_codepoint=126)

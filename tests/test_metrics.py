@@ -434,26 +434,17 @@ class TestMeanAp:
                             lambda *args: seen.append(args[-1]) or sweep(*args))  # grid last
         full = mean_ap(images)
         assert seen == [DEFAULT_MAP_THRESHOLDS]  # one sweep, every class, each threshold once
-        seen.clear()
-        # a grid without 0.5 and 0.75 still reports them, bit for bit
-        custom = mean_ap(images, thresholds=(0.6, 0.8, 0.6))
-        assert seen == [(0.6, 0.8, 0.5, 0.75)]
-        assert (custom.map50, custom.map75) == (full.map50, full.map75)
 
         def class_mean(thr):
             return sum(average_precision(images, c, thr) for c in (0, 1)) / 2
 
-        assert custom.map_mean == (class_mean(0.6) + class_mean(0.8) + class_mean(0.6)) / 3
+        assert (full.map50, full.map75) == (class_mean(0.5), class_mean(0.75))
         assert full.map_mean == sum(class_mean(t) for t in DEFAULT_MAP_THRESHOLDS) / 10
 
     @pytest.mark.parametrize("gts", [[], [((0, 0, 5, 5), 0)]])
-    def test_bad_grid_refused(self, gts):
+    def test_bad_threshold_refused(self, gts):
         images = [pair([((0, 0, 5, 5), 0, 0.9)], gts)]
-        with pytest.raises(ValueError, match="nonempty"):
-            mean_ap(images, thresholds=())
         for thr in (0.0, -0.5, 1.5, math.nan):
-            with pytest.raises(ValueError, match="threshold"):
-                mean_ap(images, thresholds=(0.5, thr))
             with pytest.raises(ValueError, match="threshold"):
                 average_precision(images, 0, thr)
 

@@ -26,7 +26,7 @@ from cfmw_kit.metrics import (  # noqa: E402
     ssim,
 )
 
-SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=400)
 
 @st.composite
 def image_pairs(draw):
@@ -121,7 +121,7 @@ def greedy_ap(images, class_id, thr):
     return ap
 
 
-def greedy_map(images, thresholds):
+def greedy_map(images):
     classes = sorted({row[0] for _, gts in images for row in gts.table.tolist()})
     if not classes:
         value = 0.0 if any(len(dets.table) for dets, _ in images) else 1.0
@@ -131,7 +131,7 @@ def greedy_map(images, thresholds):
         return sum(greedy_ap(images, c, thr) for c in classes) / len(classes)
 
     return (class_mean(0.5), class_mean(0.75),
-            sum(class_mean(t) for t in thresholds) / len(thresholds))
+            sum(class_mean(t) for t in DEFAULT_MAP_THRESHOLDS) / len(DEFAULT_MAP_THRESHOLDS))
 
 
 @st.composite
@@ -164,8 +164,8 @@ _grids = st.one_of(st.just(DEFAULT_MAP_THRESHOLDS),
 @example([(Detections([(0, 1, 0, 3, 2, 0.9), (0, 0, 0, 2, 2, 0.8)]),
            GroundTruth([(0, 0, 0, 2, 2), (0, 2, 0, 4, 2)]))], (1 / 3,))
 def test_one_sweep_equals_per_class_per_threshold_matching(images, grid):
-    got = mean_ap(images, thresholds=grid)
-    assert (got.map50, got.map75, got.map_mean) == greedy_map(images, grid)
+    got = mean_ap(images)
+    assert (got.map50, got.map75, got.map_mean) == greedy_map(images)
     for class_id in (0, 1, 2):
         for thr in grid:
             assert average_precision(images, class_id, thr) == greedy_ap(images, class_id, thr)
@@ -187,11 +187,14 @@ def test_mean_ap_ignores_image_order_with_distinct_confidences(images, data):
 
 # Derandomized sweep property: more and larger images than the cases above,
 # so buckets of several widths and uneven detection counts meet in one call.
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(st.lists(_image(max_dets=30, max_gts=12), min_size=1, max_size=8), _grids)
 def test_lockstep_sweep_equals_greedy_oracle_on_uneven_images(images, grid):
-    got = mean_ap(images, thresholds=grid)
-    assert (got.map50, got.map75, got.map_mean) == greedy_map(images, grid)
+    got = mean_ap(images)
+    assert (got.map50, got.map75, got.map_mean) == greedy_map(images)
+    for class_id in (0, 1, 2):
+        for thr in grid:
+            assert average_precision(images, class_id, thr) == greedy_ap(images, class_id, thr)
 
 
 def test_ap_is_a_left_to_right_sum_over_ranked_flags_with_ties():

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cfmw_kit.tensor import SeededRng  # noqa: E402
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 
 _SPEC = st.lists(st.tuples(st.sampled_from(["uniform", "normal"]), st.integers(0, 41)),
                  max_size=12)

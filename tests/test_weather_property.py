@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from cfmw_kit.weather import apply_fog, apply_rain, apply_snow  # noqa: E402
 
-SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+SETTINGS = settings(max_examples=300)
 
 _MAX = float(np.finfo(np.float64).max)
 
