@@ -36,8 +36,6 @@ PROB_FLOOR = 1e-12  # applied before the logarithm in the class loss
 class PredictionGrid:
     """Predicted boxes, confidences, and class distributions per grid slot."""
 
-    s_grid: int
-    n_boxes: int
     boxes: np.ndarray        # (S*S, N, 4)
     confidence: np.ndarray   # (S*S, N) in [0, 1]
     class_probs: np.ndarray  # (S*S, N, K), rows sum to 1
@@ -46,12 +44,12 @@ class PredictionGrid:
 
     def __post_init__(self):
         freeze_arrays(self)
-        slots = (self.s_grid * self.s_grid, self.n_boxes)
         boxes, conf, probs = self.boxes, self.confidence, self.class_probs
         obj = self.obj_mask.astype(bool)
         noobj = self.noobj_mask.astype(bool)
-        if boxes.shape != slots + (4,):
-            raise ValueError(f"boxes must have shape {slots + (4,)}")
+        if boxes.ndim != 3 or boxes.shape[2] != 4:
+            raise ValueError("boxes must have shape (S*S, N, 4)")
+        slots = boxes.shape[:2]
         if conf.shape != slots or obj.shape != slots or noobj.shape != slots:
             raise ValueError(f"per-slot arrays must have shape {slots}")
         if probs.ndim != 3 or probs.shape[:2] != slots:

@@ -134,12 +134,9 @@ class DiffusionConfig:
         t, s = self.schedule.t_count, self.n_sample_steps
         if s == 1:
             return [t]
-        values = np.linspace(t, 1, s)
-        steps = [int(round(v)) for v in values]
-        for prev, nxt in zip(steps, steps[1:]):
-            if nxt >= prev:
-                raise ValueError("step sequence failed to be strictly decreasing")
-        return steps
+        # s <= t makes the stride (t - 1) / (s - 1) at least 1, so the
+        # rounded steps decrease strictly
+        return [int(round(v)) for v in np.linspace(t, 1, s)]
 
 
 class OraclePredictor:

@@ -93,22 +93,6 @@ class PatchEmbedding:
         if e_pos.shape[1] != w.shape[1] or cls_token.size != w.shape[1]:
             raise ValueError("projection width D must match e_pos and cls_token")
 
-    @classmethod
-    def random(cls, patch: int, c_in: int, dim: int, n_patches: int,
-               rng: SeededRng) -> "PatchEmbedding":
-        """Random weights with no class token (``use_cls`` false)."""
-        patch, c_in = count("patch", patch, 1), count("c_in", c_in, 1)
-        dim, n_patches = count("dim", dim, 1), count("n_patches", n_patches, 1)
-        k = patch * patch * c_in
-        w, e_pos, cls_token = rng.draws(("normal", k * dim),
-                                        ("normal", (n_patches + 1) * dim), ("normal", dim))
-        return cls(
-            patch=patch,
-            w=w.reshape(k, dim) / math.sqrt(k),
-            e_pos=e_pos.reshape(n_patches + 1, dim) * 0.02,
-            cls_token=cls_token * 0.02,
-        )
-
 
 def patch_embed(image: np.ndarray, pe: PatchEmbedding) -> np.ndarray:
     """Embed an (H, W, C_in) image into a (J [+1], D) token sequence.
@@ -354,7 +338,7 @@ def inject(backbone: dict[int, ModalityFeatures],
 
 @dataclass(frozen=True)
 class AttentionFusionParams:
-    """Shared single-head projections for the attention fusion baseline."""
+    """Shared single-head (C, C) projections for the attention fusion baseline."""
 
     w_q: np.ndarray
     w_k: np.ndarray
@@ -362,29 +346,19 @@ class AttentionFusionParams:
 
     def __post_init__(self):
         freeze_arrays(self)
-        w_q, w_k, w_v = self.w_q, self.w_k, self.w_v
-        if w_q.ndim != 2 or w_q.shape != w_k.shape:
-            raise ValueError("w_q and w_k must be equal-shape (C, d_k)")
-        if w_v.ndim != 2 or w_v.shape[0] != w_q.shape[0] or w_v.shape[0] != w_v.shape[1]:
-            raise ValueError("w_v must be (C, C) matching the channel count")
+        if self.w_q.ndim != 2 or any(w.shape != (self.c, self.c)
+                                     for w in (self.w_q, self.w_k, self.w_v)):
+            raise ValueError("w_q, w_k and w_v must all be (C, C)")
 
     @property
     def c(self) -> int:
         return self.w_q.shape[0]
 
-    @property
-    def d_k(self) -> int:
-        return self.w_q.shape[1]
-
     @classmethod
-    def random(cls, c: int, d_k: int, rng: SeededRng) -> "AttentionFusionParams":
-        c, d_k = count("c", c, 1), count("d_k", d_k, 1)
-        w_q, w_k, w_v = rng.draws(("normal", c * d_k), ("normal", c * d_k), ("normal", c * c))
-        return cls(
-            w_q=w_q.reshape(c, d_k) / math.sqrt(c),
-            w_k=w_k.reshape(c, d_k) / math.sqrt(c),
-            w_v=w_v.reshape(c, c) / math.sqrt(c),
-        )
+    def random(cls, c: int, rng: SeededRng) -> "AttentionFusionParams":
+        c = count("c", c, 1)
+        w_q, w_k, w_v = rng.draws(*[("normal", c * c)] * 3)
+        return cls(*(w.reshape(c, c) / math.sqrt(c) for w in (w_q, w_k, w_v)))
 
 
 # Query rows per score block of :func:`attention_fusion_baseline`.
@@ -404,7 +378,7 @@ def attention_fusion_baseline(m: ModalityFeatures, p: AttentionFusionParams) -> 
     b, n, c = m.shape
     if c != p.c:
         raise ValueError(f"channel mismatch: features have {c}, params {p.c}")
-    scale = 1.0 / math.sqrt(p.d_k)
+    scale = 1.0 / math.sqrt(c)
     out_r = np.empty_like(m.f_r)
     out_t = np.empty_like(m.f_t)
     block = np.empty((min(_ATTN_ROWS, 2 * n), 2 * n))
@@ -515,7 +489,7 @@ def scaling_benchmark(n_values: list[int], c: int, n_state: int, repeats: int,
         f_r, f_t = rng.draws(("normal", n * c), ("normal", n * c))
         feats = ModalityFeatures(f_r=f_r.reshape(1, n, c), f_t=f_t.reshape(1, n, c))
         block = FusionBlockParams.random(c, n_state, gh, gw, rng)
-        attn = AttentionFusionParams.random(c, c, rng)
+        attn = AttentionFusionParams.random(c, rng)
         wall_ss2d = _median_ns(lambda: fuse(feats, block), repeats)
         wall_attn = _median_ns(lambda: attention_fusion_baseline(feats, attn), repeats)
         rows.append(BenchRow("ss2d_fusion", n, c,

@@ -5,6 +5,7 @@ Color images travel as H x W x 3 float64 arrays in [0, 255], stored 8-bit.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,13 @@ __all__ = [
     "write_ppm",
     "read_ppm",
 ]
+
+# Header fields are separated by whitespace and by comments, each a "#" that
+# runs to the end of its line; one whitespace byte ends maxval, then the
+# payload starts. A comment must end at its newline, so that no backtracking
+# reads part of a comment as a field.
+_SKIP = rb"(?:\s|#[^\n]*\n)*"
+_P6_HEADER = re.compile(_SKIP + rb"P6\s" + (_SKIP + rb"(\S+)\s") * 3)
 
 
 def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
@@ -27,51 +35,17 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     Path(path).write_bytes(header + body.tobytes(order="C"))
 
 
-class _Tokens:
-    """Whitespace/comment-aware header tokenizer for netpbm files."""
-
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def next(self) -> bytes:
-        blob, i = self.blob, self.pos
-        while i < len(blob):
-            c = blob[i:i + 1]
-            if c == b"#":
-                while i < len(blob) and blob[i:i + 1] != b"\n":
-                    i += 1
-            elif c.isspace():
-                i += 1
-            else:
-                break
-        start = i
-        while i < len(blob) and not blob[i:i + 1].isspace():
-            i += 1
-        if start == i:
-            raise ValueError("truncated netpbm header")
-        self.pos = i + 1  # consume the single whitespace after the token
-        return blob[start:i]
-
-
-def _read_header(blob: bytes, magic: bytes) -> tuple[int, int, int, _Tokens]:
-    toks = _Tokens(blob)
-    if toks.next() != magic:
-        raise ValueError(f"expected {magic.decode()} file")
-    w = int(toks.next())
-    h = int(toks.next())
-    maxval = int(toks.next())
-    if w < 1 or h < 1:
-        raise ValueError("netpbm extents must be >= 1")
-    return w, h, maxval, toks
-
-
 def read_ppm(path: str | Path) -> np.ndarray:
     blob = Path(path).read_bytes()
-    w, h, maxval, toks = _read_header(blob, b"P6")
+    header = _P6_HEADER.match(blob)
+    if header is None:
+        raise ValueError("expected a P6 header: P6, width, height and maxval")
+    w, h, maxval = map(int, header.groups())
+    if w < 1 or h < 1:
+        raise ValueError("netpbm extents must be >= 1")
     if maxval != 255:
         raise ValueError("only 8-bit P6 supported")
-    body = blob[toks.pos:]
-    if len(body) != w * h * 3:
+    body = np.frombuffer(blob, np.uint8, offset=header.end())
+    if body.size != w * h * 3:
         raise ValueError("P6 payload size mismatch")
-    return np.frombuffer(body, dtype=np.uint8).reshape(h, w, 3).astype(np.float64)
+    return body.reshape(h, w, 3).astype(np.float64)

@@ -305,7 +305,7 @@ def test_criterion_10_detection_losses():
     noobj = np.zeros((cells, n), dtype=bool)
     noobj[2, 1] = True
 
-    perfect = PredictionGrid(s_grid=2, n_boxes=n, boxes=boxes,
+    perfect = PredictionGrid(boxes=boxes,
                              confidence=np.where(obj, 1.0, 0.0),
                              class_probs=probs, obj_mask=obj, noobj_mask=noobj)
     targets = GridTargets(boxes=boxes.copy(), class_probs=probs.copy())
@@ -318,7 +318,7 @@ def test_criterion_10_detection_losses():
     conf = np.where(obj, 1.0, 0.0)
     conf[2, 1] = 0.3
     conf[1, 0] = 0.6
-    lossy = PredictionGrid(s_grid=2, n_boxes=n, boxes=boxes, confidence=conf,
+    lossy = PredictionGrid(boxes=boxes, confidence=conf,
                            class_probs=lossy_probs, obj_mask=obj,
                            noobj_mask=noobj)
     lossy_targets = GridTargets(boxes=t_boxes, class_probs=probs.copy())

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cfmw_kit import diffusion
 from cfmw_kit.cli import _build_parser, _embed_pair, main
 from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops, save_fusion_params
 from cfmw_kit.imageio import write_ppm
@@ -391,6 +392,14 @@ class TestFuse:
         assert (grid_h, grid_w) == (64, 128) and feats.shape == (1, 64 * 128, 32)
         assert peak < 3 * 512 * 1024 * 3 * 8
 
+    def test_indivisible_image_rejected_before_any_output(self, tmp_path, capsys):
+        image, out = tmp_path / "odd.ppm", tmp_path / "out"
+        write_ppm(image, np.zeros((24, 20, 3)))
+        assert _run("fuse", "--rgb", image, "--thermal", image, "--patch", 8,
+                    "--out", out) == 1
+        assert "error: image size 24x20 not divisible by patch 8" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mismatched_images_rejected(self, tmp_path, clean_ppm, capsys):
         small = tmp_path / "small.ppm"
         write_ppm(small, np.zeros((16, 16, 3)))
@@ -772,6 +781,16 @@ class TestEval:
 
 
 class TestCliPlumbing:
+    def test_programming_error_is_not_a_refusal(self, tmp_path, monkeypatch):
+        # Only ValueError and OSError are refusals that exit 1; a KeyError is
+        # a fault and keeps its traceback.
+        def broken(*args):
+            raise KeyError("key")
+
+        monkeypatch.setattr(diffusion, "make_schedule", broken)
+        with pytest.raises(KeyError, match="key"):
+            _run("schedule", "--out", tmp_path)
+
     def test_failed_run_leaves_no_partial_outputs(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = _run("eval", "--clean", tmp_path / "missing.ppm",

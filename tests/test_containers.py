@@ -21,11 +21,11 @@ from cfmw_kit.fusion import (
     FusionBlockParams,
     ModalityFeatures,
     Mlp3,
-    PatchEmbedding,
 )
 from cfmw_kit.metrics import Detections, GroundTruth
 from cfmw_kit.ssm import ContinuousSsm, SelectiveSsmParams, Ss2dParams, discretize
 from cfmw_kit.tensor import SeededRng
+from test_fusion import random_embedding
 
 
 def _samples():
@@ -37,14 +37,14 @@ def _samples():
         discretize(m, 0.1),
         SelectiveSsmParams.random(2, 3, rng),
         ModalityFeatures(f_r=np.ones((1, 2, 2)), f_t=np.zeros((1, 2, 2))),
-        PatchEmbedding.random(1, 1, 2, 1, rng),
+        random_embedding(1, 1, 2, 1, rng),
         Mlp3.random(2, rng),
         FusionBlockParams.random(2, 1, 1, 1, rng),
-        AttentionFusionParams.random(2, 2, rng),
+        AttentionFusionParams.random(2, rng),
         make_schedule("linear", 3),
-        PredictionGrid(s_grid=1, n_boxes=2, boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]],
-                       confidence=[[1.0, 0.0]], class_probs=[[[1.0], [1.0]]],
-                       obj_mask=[[True, False]], noobj_mask=[[False, True]]),
+        PredictionGrid(boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]], confidence=[[1.0, 0.0]],
+                       class_probs=[[[1.0], [1.0]]], obj_mask=[[True, False]],
+                       noobj_mask=[[False, True]]),
         GridTargets(boxes=[[[0, 0, 1, 1], [0, 0, 2, 2]]], class_probs=[[[1.0], [1.0]]]),
         GroundTruth(table=[[0, 0, 0, 1, 1], [3, 1, 1, 2, 4]]),
         Detections(table=[[0, 0, 0, 1, 1, 0.5], [3, 1, 1, 2, 4, 1.0]]),
@@ -121,10 +121,8 @@ _ONE_DRAW = {
     "Ss2dParams": (lambda rng: Ss2dParams.random(3, 5, rng), 1, 4 * _scan_words(3, 5)),
     "ContinuousSsm": (lambda rng: ContinuousSsm.random(5, rng), 1,
                       _words(5, "uniform") + 2 * _words(5)),
-    "PatchEmbedding": (lambda rng: PatchEmbedding.random(2, 3, 5, 7, rng), 1,
-                       _words(12 * 5) + _words(8 * 5) + _words(5)),
-    "AttentionFusionParams": (lambda rng: AttentionFusionParams.random(3, 5, rng), 1,
-                              2 * _words(15) + _words(9)),
+    "AttentionFusionParams": (lambda rng: AttentionFusionParams.random(3, rng), 1,
+                              3 * _words(9)),
     "TinyMlpPredictor": (lambda rng: TinyMlpPredictor(9), 1, 6 * _words(8) + _words(1)),
     "FusionBlockParams": (lambda rng: FusionBlockParams.random(3, 5, 2, 2, rng), 6,
                           4 * _words(3) + 3 * _mlp_words(3) + 8 * _scan_words(3, 5)),

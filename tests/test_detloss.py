@@ -37,7 +37,7 @@ def _grid(s=2, n=2, k=3, obj=(), noobj=(), boxes=None, conf=None, probs=None,
         t_boxes = boxes.copy()
     if t_probs is None:
         t_probs = probs.copy()
-    pred = PredictionGrid(s_grid=s, n_boxes=n, boxes=boxes, confidence=conf,
+    pred = PredictionGrid(boxes=boxes, confidence=conf,
                           class_probs=probs, obj_mask=obj_mask, noobj_mask=noobj_mask)
     targets = GridTargets(boxes=t_boxes, class_probs=t_probs)
     return pred, targets
@@ -174,7 +174,7 @@ class TestValidation:
         mask = np.zeros((cells, n), dtype=bool)
         mask[0, 0] = True
         with pytest.raises(ValueError):
-            PredictionGrid(s_grid=2, n_boxes=n, boxes=np.zeros((cells, n, 4)),
+            PredictionGrid(boxes=np.zeros((cells, n, 4)),
                            confidence=np.zeros((cells, n)), class_probs=probs,
                            obj_mask=mask, noobj_mask=mask)
 
@@ -189,7 +189,7 @@ class TestValidation:
         cells, n = 4, 2
         probs = np.full((cells, n, 3), 0.5)
         with pytest.raises(ValueError):
-            PredictionGrid(s_grid=2, n_boxes=n, boxes=np.zeros((cells, n, 4)),
+            PredictionGrid(boxes=np.zeros((cells, n, 4)),
                            confidence=np.zeros((cells, n)), class_probs=probs,
                            obj_mask=np.zeros((cells, n), bool),
                            noobj_mask=np.zeros((cells, n), bool))

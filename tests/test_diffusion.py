@@ -76,6 +76,16 @@ class TestSchedules:
         full = DiffusionConfig(schedule=make_schedule("linear", 20), n_sample_steps=20)
         assert full.step_sequence() == list(range(20, 0, -1))
 
+    def test_every_step_count_descends_strictly_from_t_to_1(self):
+        # s <= t keeps the stride at or above one step, so no two rounded steps meet
+        for t in range(1, 201):
+            sched = make_schedule("linear", t)
+            assert DiffusionConfig(schedule=sched, n_sample_steps=1).step_sequence() == [t]
+            for s in range(2, t + 1):
+                steps = DiffusionConfig(schedule=sched, n_sample_steps=s).step_sequence()
+                assert len(steps) == s and steps[0] == t and steps[-1] == 1, (t, s)
+                assert all(a > b for a, b in zip(steps, steps[1:])), (t, s)
+
     def test_config_bounds(self):
         sched = make_schedule("linear", 10)
         with pytest.raises(ValueError):

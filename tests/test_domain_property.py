@@ -26,7 +26,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import cfmw_kit  # noqa: E402
-from cfmw_kit import detloss, diffusion, fusion, ssm, tensor, weather  # noqa: E402
+from cfmw_kit import diffusion, fusion, ssm, tensor, weather  # noqa: E402
 from cfmw_kit.tensor import SeededRng  # noqa: E402
 
 
@@ -53,7 +53,7 @@ EXEMPT = {
 }
 
 _MODEL = ssm.ContinuousSsm.random(2, SeededRng(1))
-_EMBEDDING = fusion.PatchEmbedding.random(2, 1, 2, 1, SeededRng(2))
+_EMBEDDING = fusion.PatchEmbedding(2, np.zeros((4, 2)), np.zeros((2, 2)), np.zeros(2))
 _BLOCK = fusion.FusionBlockParams.random(2, 1, 1, 2, SeededRng(3))
 _SCHEDULE = diffusion.make_schedule("linear", 10)
 _GRID = [1, 2, 4, 8]
@@ -62,17 +62,6 @@ _GRID = [1, 2, 4, 8]
 def _step(t, t_prev):
     return diffusion.ddim_step(np.ones(2), np.zeros(2), t, t_prev,
                                diffusion.OraclePredictor(np.ones(2)), _SCHEDULE)
-
-
-def _size(v):
-    """``v`` where it is a valid extent, else 1: the arrays of a refused grid."""
-    return v if _integer(v) and v >= 1 else 1
-
-
-def _prediction_grid(s_grid, n_boxes):
-    slots = (_size(s_grid) ** 2, _size(n_boxes))
-    return detloss.PredictionGrid(s_grid, n_boxes, np.zeros(slots + (4,)), np.zeros(slots),
-                                  np.ones(slots + (1,)), np.ones(slots), np.zeros(slots))
 
 
 # "module.Callable(param)" or "module.Class.field" -> (call(value, rng), floor,
@@ -115,14 +104,6 @@ ROWS = {
 
     "fusion.PatchEmbedding.patch": (
         lambda v, rng: dataclasses.replace(_EMBEDDING, patch=v), 1, "patch"),
-    "fusion.PatchEmbedding.random(patch)": (
-        lambda v, rng: fusion.PatchEmbedding.random(v, 3, 4, 2, rng), 1, "patch"),
-    "fusion.PatchEmbedding.random(c_in)": (
-        lambda v, rng: fusion.PatchEmbedding.random(2, v, 4, 2, rng), 1, "c_in"),
-    "fusion.PatchEmbedding.random(dim)": (
-        lambda v, rng: fusion.PatchEmbedding.random(2, 3, v, 2, rng), 1, "dim"),
-    "fusion.PatchEmbedding.random(n_patches)": (
-        lambda v, rng: fusion.PatchEmbedding.random(2, 3, 4, v, rng), 1, "n_patches"),
     "fusion.Mlp3.random(c)": (lambda v, rng: fusion.Mlp3.random(v, rng), 1, "c"),
     "fusion.FusionBlockParams.grid_h": (
         lambda v, rng: dataclasses.replace(_BLOCK, grid_h=v), 1, "grid_h"),
@@ -139,9 +120,7 @@ ROWS = {
     "fusion.FusionBlockParams.random(grid_w)": (
         lambda v, rng: fusion.FusionBlockParams.random(2, 1, 2, v, SeededRng(4)), 1, "grid_w"),
     "fusion.AttentionFusionParams.random(c)": (
-        lambda v, rng: fusion.AttentionFusionParams.random(v, 2, rng), 1, "c"),
-    "fusion.AttentionFusionParams.random(d_k)": (
-        lambda v, rng: fusion.AttentionFusionParams.random(2, v, rng), 1, "d_k"),
+        lambda v, rng: fusion.AttentionFusionParams.random(v, rng), 1, "c"),
     "fusion.count_ops(n_tokens)": (
         lambda v, rng: fusion.count_ops("attention_fusion", v, 4, 2), 1, "n_tokens"),
     "fusion.count_ops(c)": (lambda v, rng: fusion.count_ops("attention_fusion", 4, v, 2), 1, "c"),
@@ -178,9 +157,6 @@ ROWS = {
         lambda v, rng: weather.gen_depth("radial", v, 3), 1, "image extents h"),
     "weather.gen_depth(w)": (
         lambda v, rng: weather.gen_depth("radial", 3, v), 1, "image extents w"),
-
-    "detloss.PredictionGrid.s_grid": (lambda v, rng: _prediction_grid(v, 2), 1, "s_grid"),
-    "detloss.PredictionGrid.n_boxes": (lambda v, rng: _prediction_grid(2, v), 1, "n_boxes"),
 }
 
 

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import inspect
 from pathlib import Path
@@ -9,17 +10,23 @@ import cfmw_kit
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Exported names that no code in src/ or perfbench/ reaches, each with the
-# reason it stays public.
+# Exported names and classmethods that no code in src/ or perfbench/ reaches,
+# each with the reason it stays public.
 KEEP = {
     "ssm.discretize": "criterion oracle: criteria 1 and 2",
     "ssm.scan": "criterion oracle: criteria 1 and 2",
     "ssm.kernel": "criterion oracle: criterion 1",
     "ssm.apply_kernel": "criterion oracle: criterion 1",
+    "ssm.selective_scan": "criterion oracle: criterion 3; perfbench's tracer rebinds it by name",
     "ssm.selective_scan_input_grad": "criterion oracle: criterion 3",
+    "ssm.ContinuousSsm.random": "criterion oracle: criteria 1, 2 and 3",
+    "ssm.SelectiveSsmParams.random": "criterion oracle: criterion 3",
+    "ssm.SelectiveSsmParams.frozen": "criterion oracle: criterion 3",
     "fusion.inject": "documented API: the multi-level residual injection",
     "fusion.save_fusion_params": "documented API: the writer of fuse --params bundles",
+    "metrics.iou": "oracle of metrics._iou_matrix; perfbench's tracer rebinds it by name",
     "metrics.average_precision": "criterion oracle: criterion 9",
+    "metrics.mean_ap": "criterion oracle: criterion 9; perfbench's tracer rebinds it by name",
     "detloss.total_loss": "criterion oracle: criterion 10",
 }
 
@@ -41,85 +48,125 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
-def _references(stmt: ast.stmt) -> set[str]:
-    """Names, attributes, imported names and exact string constants in ``stmt``."""
-    found = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name):
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            found.add(node.attr)
-        elif isinstance(node, ast.alias):
-            found.add(node.name)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            found.add(node.value)  # e.g. the tracer's ("metrics", ("iou",))
+def _scan(source: str, module: str | None) -> list[tuple[str, frozenset, ast.Call | None]]:
+    """(kit name, enclosing definitions, call or None) of every reference to
+    a kit name in ``source``, the text of kit module ``module`` (None outside
+    the kit); a call's entry carries the call.
+
+    A receiver resolves as follows. An attribute named after a kit module is
+    that module (``cfmw_kit.fusion``, perfbench's ``kit.fusion``), and an
+    attribute of a kit module or class is its member (``fusion.fuse``,
+    ``PatchEmbedding.random``). A name is what binds it: an import from the
+    kit, a module-level definition in ``module``, or an assignment of a
+    resolved value. Strings and same-named functions outside the kit resolve
+    to nothing. Enclosing definitions are named like kit names.
+    """
+    tree = ast.parse(source)
+    env: dict[str, str] = {}
+    for stmt in tree.body if module else ():
+        names = ([stmt.name] if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                 else [t.id for t in getattr(stmt, "targets", ()) if isinstance(t, ast.Name)])
+        env.update((name, f"{module}.{name}") for name in names)
+
+    def resolve(node) -> str | None:
+        if isinstance(node, ast.Attribute):
+            if node.attr in cfmw_kit._SUBMODULES:
+                return node.attr
+            base = resolve(node.value)
+            return base and f"{base}.{node.attr}"
+        return env.get(node.id) if isinstance(node, ast.Name) else None
+
+    nodes = list(ast.walk(tree))
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cfmw_kit"):
+            package = (node.module or "").removeprefix("cfmw_kit").lstrip(".")
+            env.update((a.asname or a.name, f"{package}.{a.name}".lstrip("."))
+                       for a in node.names)
+    for node in nodes:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                pairs = (zip(target.elts, node.value.elts)
+                         if isinstance(target, ast.Tuple) and isinstance(node.value, ast.Tuple)
+                         else [(target, node.value)])
+                env.update((t.id, resolve(v)) for t, v in pairs
+                           if isinstance(t, ast.Name) and resolve(v))
+    found = []
+
+    def visit(node, enclosing, qualname):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            qualname = f"{qualname}.{node.name}"
+            enclosing = enclosing | {qualname}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load) \
+                and resolve(node):
+            found.append((resolve(node), enclosing, None))
+        elif isinstance(node, ast.Call) and resolve(node.func):
+            found.append((resolve(node.func), enclosing, node))
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, qualname)
+
+    visit(tree, frozenset(), module or "")
     return found
 
 
-def _defines(stmt: ast.stmt, names) -> bool:
-    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-        return stmt.name in names
-    if isinstance(stmt, ast.Assign):
-        return any(isinstance(t, ast.Name) and t.id in names for t in stmt.targets)
-    return False
+@pytest.mark.parametrize("source, module, want", [
+    ("import cfmw_kit\ncfmw_kit.fusion.fuse(x)", None, "fusion.fuse"),
+    ("from cfmw_kit import fusion\nfusion.fuse(x)", None, "fusion.fuse"),
+    ("fusion, ssm = kit.fusion, kit.ssm\nfusion.fuse(x)", None, "fusion.fuse"),
+    ("from cfmw_kit.fusion import fuse as f\nf(x)", None, "fusion.fuse"),
+    ("from .fusion import PatchEmbedding\nPatchEmbedding.random(x)", "cli",
+     "fusion.PatchEmbedding.random"),
+    ("def fuse(x):\n    pass\nfuse(x)", "fusion", "fusion.fuse"),
+    ("def fuse(x):\n    pass\nfuse(x)", None, None),   # same name outside the kit
+    ("import reference\nreference.fuse(x)", None, None),
+    ("getattr(fusion_module, 'fuse')(x)", None, None),  # a string names nothing
+])
+def test_a_receiver_resolves(source, module, want):
+    calls = [key for key, _, call in _scan(source, module) if call is not None]
+    assert calls == ([want] if want else [])
 
 
 def _sources() -> list[Path]:
     return sorted((ROOT / "src" / "cfmw_kit").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 
 
-def test_every_exported_name_has_a_caller():
-    # No public name that only tests call: each one is used by the kit or the
-    # benchmark outside its own definition, or KEEP says why it stays.
-    files = _sources()
-    statements = [(f, stmt, _references(stmt)) for f in files
-                  for stmt in ast.parse(f.read_text()).body]
-    unused = set()
-    for module in cfmw_kit._SUBMODULES:
-        home = ROOT / "src" / "cfmw_kit" / f"{module}.py"
-        for name in getattr(importlib.import_module(f"cfmw_kit.{module}"), "__all__", ()):
-            if not any(name in refs and not (f == home and _defines(stmt, (name, "__all__")))
-                       for f, stmt, refs in statements):
-                unused.add(f"{module}.{name}")
-    assert sorted(unused - KEEP.keys()) == []
-    # A kept name that gained a caller or left __all__ leaves KEEP too.
-    assert sorted(KEEP.keys() - unused) == []
+@functools.cache
+def _references() -> list[tuple[str, frozenset, ast.Call | None]]:
+    """The references to kit names in src/ and perfbench/, leaving out those
+    inside the module-level definition that the name belongs to."""
+    found = []
+    for f in _sources():
+        module = f.stem if f.parent.name == "cfmw_kit" else None
+        found += [(key, enclosing, call) for key, enclosing, call in _scan(f.read_text(), module)
+                  if ".".join(key.split(".")[:2]) not in enclosing]
+    return found
 
 
-def _public_callables():
-    """(key, module, name, function, positional offset) of every exported
-    function and every public method or classmethod of an exported class; a
-    bound call's first argument is the function's second parameter."""
+def _exports():
+    """(kit name, object) of every exported name and of every public method,
+    classmethod or staticmethod of an exported class."""
     for module in cfmw_kit._SUBMODULES:
         mod = importlib.import_module(f"cfmw_kit.{module}")
         for name in getattr(mod, "__all__", ()):
             obj = getattr(mod, name)
-            if inspect.isfunction(obj):
-                yield f"{module}.{name}", module, name, obj, 0
-            elif inspect.isclass(obj):
+            yield f"{module}.{name}", obj
+            if inspect.isclass(obj):
                 for attr, member in vars(obj).items():
-                    fn = getattr(member, "__func__", member)
-                    if inspect.isfunction(fn) and not attr.startswith("_"):
-                        offset = 0 if isinstance(member, staticmethod) else 1
-                        yield f"{module}.{name}.{attr}", module, attr, fn, offset
+                    if not attr.startswith("_") and inspect.isfunction(
+                            getattr(member, "__func__", member)):
+                        yield f"{module}.{name}.{attr}", member
 
 
-def _calls(path: Path):
-    """(called name, enclosing function names, call) of every call in ``path``."""
-    found = []
-
-    def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Call):
-            func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            found.append((name, enclosing, node))
-        for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
-
-    visit(ast.parse(path.read_text()), frozenset())
-    return found
+def test_every_exported_name_has_a_caller():
+    # No public name or classmethod that only tests call: each one is used by
+    # the kit or the benchmark outside its own definition, or KEEP says why
+    # it stays.
+    names = {key for key, obj in _exports()
+             if key.count(".") == 1 or isinstance(obj, classmethod)}
+    unused = names - {key for key, _, _ in _references()}
+    assert sorted(unused - KEEP.keys()) == []
+    # A kept name that gained a caller or left the API leaves KEEP too.
+    assert sorted(KEEP.keys() - unused) == []
 
 
 def _sets(call: ast.Call, param: inspect.Parameter, index: int) -> bool:
@@ -151,18 +198,20 @@ def test_a_call_sets_a_parameter(source, kind, want):
 def test_every_defaulted_parameter_has_a_caller():
     # No knob that only tests turn: every defaulted parameter of the public
     # API is set by some call in the kit or the benchmark, outside the
-    # function's own definition, or KEEP_KNOBS says why it stays. Dataclass
+    # function's own definition, or KEEP_KNOBS says why it stays. An instance
+    # method's receiver never resolves, so its knobs need an entry. Dataclass
     # fields are out of scope: constructors and bundles set them.
-    calls = [(f, *c) for f in _sources() for c in _calls(f)]
     unset = set()
-    for key, module, name, fn, offset in _public_callables():
-        home = ROOT / "src" / "cfmw_kit" / f"{module}.py"
+    for key, obj in _exports():
+        fn = getattr(obj, "__func__", obj)
+        if not inspect.isfunction(fn):
+            continue
+        # a call through a class or instance fills the second parameter first
+        offset = key.count(".") == 2 and not isinstance(obj, staticmethod)
+        calls = [call for called, _, call in _references() if called == key and call]
         for index, param in enumerate(inspect.signature(fn).parameters.values()):
-            if param.default is inspect.Parameter.empty:
-                continue
-            if not any(called == name and not (f == home and name in enclosing)
-                       and _sets(call, param, index - offset)
-                       for f, called, enclosing, call in calls):
+            if param.default is not inspect.Parameter.empty and \
+                    not any(_sets(call, param, index - offset) for call in calls):
                 unset.add(f"{key}({param.name})")
     assert sorted(unset - KEEP_KNOBS.keys()) == []
     # A kept knob that gained a caller or left the API leaves KEEP_KNOBS too.

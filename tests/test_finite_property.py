@@ -26,6 +26,7 @@ from hypothesis.extra import numpy as hnp  # noqa: E402
 import cfmw_kit  # noqa: E402
 from cfmw_kit import detloss, diffusion, fusion, metrics, ssm, tensor, weather  # noqa: E402
 from cfmw_kit.tensor import SeededRng  # noqa: E402
+from test_fusion import random_embedding  # noqa: E402
 
 _SEEDS = st.integers(0, 2 ** 32)
 _SCALES = st.sampled_from([1.0, 1e-300, 1e100, 1e155, 1e200, 1e300])
@@ -118,7 +119,12 @@ def _(draw):
 
 @row("tensor.check_finite", r"^t contains non-finite values$")
 def _(draw):
-    t = draw(_floats(draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+    # finite doubles, with one entry poisoned one case in two
+    t = draw(hnp.arrays(np.float64, (draw(st.integers(1, 4)), draw(st.integers(1, 3))),
+                        elements=st.floats(allow_nan=False, allow_infinity=False)))
+    if draw(st.booleans()):
+        t.flat[draw(st.integers(0, t.size - 1))] = draw(st.sampled_from([math.nan, math.inf,
+                                                                          -math.inf]))
     return lambda: tensor.check_finite(t, "t")
 
 
@@ -222,7 +228,7 @@ def _(draw):
     use_cls, seed, s = draw(st.booleans()), draw(_SEEDS), draw(_SCALES)
     image = draw(_values(gh * p, gw * p, c_in))
     return lambda: fusion.patch_embed(image, _scaled(dataclasses.replace(
-        fusion.PatchEmbedding.random(p, c_in, dim, gh * gw, SeededRng(seed)), use_cls=use_cls), s))
+        random_embedding(p, c_in, dim, gh * gw, SeededRng(seed)), use_cls=use_cls), s))
 
 
 @row("fusion.shallow_swap", _FEATURES)
@@ -255,14 +261,14 @@ def _(draw):
 @row("fusion.attention_fusion_baseline", r"^(features|f_r|f_t|w_q|w_k|w_v)\b")
 def _(draw):
     b, n, c = draw(st.integers(1, 2)), draw(st.integers(1, 4)), draw(st.sampled_from([2, 4]))
-    d_k, rows = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 5))
     seed, s = draw(_SEEDS), draw(_SCALES)
     feats = _features(draw, b, n, c)
 
     def call():  # a score block of ``rows`` query rows, so blocks split the 2N tokens
         with mock.patch.object(fusion, "_ATTN_ROWS", rows):
             return fusion.attention_fusion_baseline(feats(), _scaled(
-                fusion.AttentionFusionParams.random(c, d_k, SeededRng(seed)), s))
+                fusion.AttentionFusionParams.random(c, SeededRng(seed)), s))
     return call
 
 
@@ -420,8 +426,7 @@ def _table(draw, coord, confidence):
     return np.array(rows, dtype=np.float64)
 
 
-def _images(draw):
-    coord, unit = _either(draw, -100.0, 100.0), _either(draw, 0.0, 1.0)
+def _images(draw, coord, unit):
     tables = [(_table(draw, coord, unit), _table(draw, coord, None))
               for _ in range(draw(st.integers(0, 3)))]
     return lambda: [(metrics.Detections(d), metrics.GroundTruth(g)) for d, g in tables]
@@ -429,14 +434,22 @@ def _images(draw):
 
 @row("metrics.average_precision", r"^(table|IoU threshold)\b")
 def _(draw):
-    images, class_id = _images(draw), draw(st.integers(0, 2))
-    thr = draw(_either(draw, 0.0, 1.0))
+    # one case in two, edge-case tables at a threshold outside (0, 1]; else
+    # tables of moderate boxes at a threshold inside it
+    if draw(st.booleans()):
+        images = _images(draw, _either(draw, -100.0, 100.0), _either(draw, 0.0, 1.0))
+        thr = draw(st.one_of(st.floats(max_value=0.0), st.floats(min_value=1.0, exclude_min=True),
+                             st.just(math.nan)))
+    else:
+        images = _images(draw, st.floats(-100.0, 100.0), st.floats(0.0, 1.0))
+        thr = draw(st.floats(0.0, 1.0, exclude_min=True))
+    class_id = draw(st.integers(0, 2))
     return lambda: metrics.average_precision(images(), class_id, thr)
 
 
 @row("metrics.mean_ap", r"^table\b")
 def _(draw):
-    images = _images(draw)
+    images = _images(draw, _either(draw, -100.0, 100.0), _either(draw, 0.0, 1.0))
     return lambda: metrics.mean_ap(images())
 
 
@@ -487,7 +500,7 @@ def _loss_case(draw):
     coord = _either(draw, -100.0, 100.0)
     boxes, target_boxes = _boxes(draw, coord, cells, slots), _boxes(draw, coord, cells, slots)
     confidence = draw(hnp.arrays(np.float64, (cells, slots), elements=_either(draw, 0.0, 1.0)))
-    return (lambda: detloss.PredictionGrid(s, slots, boxes, confidence, probs,
+    return (lambda: detloss.PredictionGrid(boxes, confidence, probs,
                                            u[0] < 0.5, (u[0] >= 0.5) & (u[1] < 0.5)),
             lambda: detloss.GridTargets(target_boxes, onehot))
 

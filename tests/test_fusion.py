@@ -36,6 +36,16 @@ def zero_mlp(m: Mlp3) -> Mlp3:
     return Mlp3(*(np.zeros_like(getattr(m, f.name)) for f in dataclasses.fields(m)))
 
 
+def random_embedding(patch: int, c_in: int, dim: int, n_patches: int,
+                     rng: SeededRng) -> PatchEmbedding:
+    """Random projection, positional table and class token (``use_cls`` false)."""
+    k = patch * patch * c_in
+    w, e_pos, cls_token = rng.draws(("normal", k * dim), ("normal", (n_patches + 1) * dim),
+                                    ("normal", dim))
+    return PatchEmbedding(patch, w.reshape(k, dim) / math.sqrt(k),
+                          e_pos.reshape(n_patches + 1, dim) * 0.02, cls_token * 0.02)
+
+
 # --------------------------------------------------------------------------
 # Straight-line reference implementation (plain Python loops, no shared code
 # with the library's vectorized paths beyond parameter containers).
@@ -169,7 +179,7 @@ class TestPatchEmbed:
     def test_single_patch_and_cls(self):
         rng = SeededRng(31)
         image = rng.normal(3 * 3 * 2).reshape(3, 3, 2)
-        pe = dataclasses.replace(PatchEmbedding.random(3, 2, 5, 1, rng), use_cls=True)
+        pe = dataclasses.replace(random_embedding(3, 2, 5, 1, rng), use_cls=True)
         tokens = patch_embed(image, pe)
         assert tokens.shape == (2, 5)
         assert np.array_equal(tokens[0], pe.cls_token + pe.e_pos[0])
@@ -177,7 +187,7 @@ class TestPatchEmbed:
     def test_brute_force_oracle(self):
         rng = SeededRng(32)
         image = rng.normal(4 * 4 * 3).reshape(4, 4, 3)
-        pe = PatchEmbedding.random(2, 3, 6, 4, rng)
+        pe = random_embedding(2, 3, 6, 4, rng)
         tokens = patch_embed(image, pe)
         idx = 0
         for pi in range(2):
@@ -190,7 +200,7 @@ class TestPatchEmbed:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_image_refused(self, bad):
-        pe = PatchEmbedding.random(2, 1, 4, 4, SeededRng(34))
+        pe = random_embedding(2, 1, 4, 4, SeededRng(34))
         image = np.zeros((4, 4, 1))
         image[3, 0, 0] = bad
         with pytest.raises(ValueError, match="^image contains non-finite"):
@@ -198,7 +208,7 @@ class TestPatchEmbed:
 
     @pytest.mark.parametrize("use_cls", [False, True])
     def test_overflowing_image_refused_by_name(self, use_cls):
-        pe = dataclasses.replace(PatchEmbedding.random(2, 3, 4, 4, SeededRng(35)),
+        pe = dataclasses.replace(random_embedding(2, 3, 4, 4, SeededRng(35)),
                                  use_cls=use_cls)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -207,7 +217,7 @@ class TestPatchEmbed:
             assert np.isfinite(patch_embed(np.full((4, 4, 3), 255.0), pe)).all()
 
     def test_indivisible_size_rejected(self):
-        pe = PatchEmbedding.random(3, 1, 4, 4, SeededRng(33))
+        pe = random_embedding(3, 1, 4, 4, SeededRng(33))
         with pytest.raises(ValueError):
             patch_embed(np.zeros((4, 6, 1)), pe)
 
@@ -430,7 +440,7 @@ class TestAttentionBaseline:
     def test_single_identical_tokens_return_v_projection(self):
         rng = SeededRng(45)
         token = rng.normal(4)
-        p = AttentionFusionParams.random(4, 3, rng)
+        p = AttentionFusionParams.random(4, rng)
         feats = ModalityFeatures(f_r=token.reshape(1, 1, 4),
                                  f_t=token.reshape(1, 1, 4))
         out = attention_fusion_baseline(feats, p)
@@ -445,9 +455,9 @@ class TestAttentionBaseline:
         rng = SeededRng(46)
         feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4),
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
-        p = AttentionFusionParams.random(4, 4, rng)
+        p = AttentionFusionParams.random(4, rng)
         tokens = np.vstack([feats.f_r[0], feats.f_t[0]])
-        scores = (tokens @ p.w_q) @ (tokens @ p.w_k).T / math.sqrt(p.d_k)
+        scores = (tokens @ p.w_q) @ (tokens @ p.w_k).T / math.sqrt(p.c)
         weights = np.exp(scores - scores.max(axis=1, keepdims=True))
         weights /= weights.sum(axis=1, keepdims=True)
         want = weights @ (tokens @ p.w_v)
@@ -474,7 +484,7 @@ class TestAttentionBaseline:
             feats = ModalityFeatures(f_r=rng.normal(n * 4).reshape(1, n, 4),
                                      f_t=rng.normal(n * 4).reshape(1, n, 4))
             macs.clear()
-            attention_fusion_baseline(feats, AttentionFusionParams.random(4, 4, rng))
+            attention_fusion_baseline(feats, AttentionFusionParams.random(4, rng))
             counts[n] = count_ops("attention_fusion", n, 4, 1)
             assert counts[n] == sum(macs) + 2 * (2 * n) ** 2 + 2 * n
         assert 3.8 <= counts[128] / counts[64] <= 4.0
@@ -487,7 +497,7 @@ class TestAttentionBaseline:
         rng = SeededRng(51)
         feats = ModalityFeatures(f_r=rng.normal(20 * 4).reshape(1, 20, 4),
                                  f_t=rng.normal(20 * 4).reshape(1, 20, 4))
-        p = AttentionFusionParams.random(4, 4, rng)
+        p = AttentionFusionParams.random(4, rng)
         full = attention_fusion_baseline(feats, p)
         monkeypatch.setattr(fusion, "_ATTN_ROWS", rows)
         blocked = attention_fusion_baseline(feats, p)
@@ -498,7 +508,7 @@ class TestAttentionBaseline:
         rng = SeededRng(48)
         feats = ModalityFeatures(f_r=rng.normal(20 * 4).reshape(1, 20, 4),
                                  f_t=rng.normal(20 * 4).reshape(1, 20, 4))
-        p = AttentionFusionParams.random(4, 4, rng)
+        p = AttentionFusionParams.random(4, rng)
         full = attention_fusion_baseline(feats, p)  # one block: 2N = 40 rows < 2048
         monkeypatch.setattr(fusion, "_ATTN_ROWS", 7)
         blocked = attention_fusion_baseline(feats, p)
@@ -509,7 +519,7 @@ class TestAttentionBaseline:
         rng = SeededRng(49)
         feats = ModalityFeatures(f_r=rng.normal(5 * 4).reshape(1, 5, 4) * 1e155,
                                  f_t=rng.normal(5 * 4).reshape(1, 5, 4))
-        p = AttentionFusionParams.random(4, 4, rng)
+        p = AttentionFusionParams.random(4, rng)
         _refused_as_features(lambda: attention_fusion_baseline(feats, p))
 
     def test_holds_one_score_block(self):
@@ -520,7 +530,7 @@ class TestAttentionBaseline:
         rng = SeededRng(50)
         feats = ModalityFeatures(f_r=rng.normal(n * c).reshape(1, n, c),
                                  f_t=rng.normal(n * c).reshape(1, n, c))
-        p = AttentionFusionParams.random(c, c, rng)
+        p = AttentionFusionParams.random(c, rng)
         tracemalloc.start()
         try:
             attention_fusion_baseline(feats, p)

@@ -107,6 +107,67 @@ class TestPpm:
             write_ppm(tmp_path / "b.ppm", np.zeros((4, 4)))
 
 
+# (header, payload length, (H, W) read or None for a ValueError): header
+# spellings, each outcome as a tokenizing reader with the same rules gives it.
+# Fields are separated by whitespace and by "#" comments that run to the end
+# of their line; one whitespace byte after maxval starts the payload.
+PPM_HEADERS = [
+    (b'P6\n2 1\n255\n', 6, (1, 2)),
+    (b'P6 2 1 255 ', 6, (1, 2)),
+    (b'P6\t2\t1\t255\t', 6, (1, 2)),
+    (b'P6\r2\r1\r255\r', 6, (1, 2)),
+    (b'P6\x0b2\x0b1\x0b255\x0b', 6, (1, 2)),
+    (b'P6\x0c2\x0c1\x0c255\x0c', 6, (1, 2)),
+    (b'P6\r\n2 1\r\n255\n', 6, (1, 2)),
+    (b'P6\r\n2 1\r\n255\r\n', 6, None),
+    (b'P6\r\n2 1\r\n255\r\n', 5, (1, 2)),
+    (b'P6\n# comment\n2 1\n255\n', 6, (1, 2)),
+    (b'# lead\nP6 2 1 255\n', 6, (1, 2)),
+    (b' \t\nP6 2 1 255\n', 6, (1, 2)),
+    (b'P6\n#\n2\n#\n1\n#\n255\n', 6, (1, 2)),
+    (b'P6 2 1\n# before maxval\n255\n', 6, (1, 2)),
+    (b'P6#c\n2 1 255\n', 6, None),
+    (b'P6 2#c\n1 255\n', 6, None),
+    (b'P6 2 1 255#c\n', 6, None),
+    (b'P6 2 1 255 #c\n', 6, None),
+    (b'P6 2 1 255 #c\n', 3, (1, 2)),
+    (b'P6 +2 1 255\n', 6, (1, 2)),
+    (b'P6 2 1 +255\n', 6, (1, 2)),
+    (b'P6 1_0 1 255\n', 30, (1, 10)),
+    (b'P6 2 1 2_55\n', 6, (1, 2)),
+    (b'P6 002 01 0255\n', 6, (1, 2)),
+    (b'P6 -2 1 255\n', 6, None),
+    (b'P6 0 1 255\n', 0, None),
+    (b'P6 2x 1 255\n', 6, None),
+    (b'P6 2\xa01 255\n', 6, None),
+    (b'P6 2 1 65535\n', 6, None),
+    (b'P6 2 1 254\n', 6, None),
+    (b'P5 2 1 255\n', 6, None),
+    (b'', 0, None),
+    (b'P6', 0, None),
+    (b'P6 2', 0, None),
+    (b'P6 2 1', 0, None),
+    (b'P6 2 1 255', 0, None),
+    (b'P6 2 1 #c\n', 6, None),
+    (b'P6 2 1 # no newline', 0, None),
+    (b'P6 2 1 255\n', 5, None),
+    (b'P6 2 1 255\n', 7, None),
+]
+
+
+@pytest.mark.parametrize("header, n, want", PPM_HEADERS)
+def test_ppm_header_spellings(tmp_path, header, n, want):
+    blob = header + bytes(range(40, 40 + n))
+    (tmp_path / "h.ppm").write_bytes(blob)
+    if want is None:
+        with pytest.raises(ValueError):
+            read_ppm(tmp_path / "h.ppm")
+        return
+    got = read_ppm(tmp_path / "h.ppm")
+    assert got.shape == (*want, 3)
+    assert got.ravel().tolist() == list(blob[len(blob) - got.size:])
+
+
 @pytest.mark.parametrize("write, shape", [(write_ppm, (2, 2, 3))])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_netpbm_writers_refuse_non_finite_pixels(tmp_path, write, shape, bad):
