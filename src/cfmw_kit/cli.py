@@ -221,9 +221,14 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     feats, grid_h, grid_w = _embed_pair(rgb_path, thermal_path, patch, dim, rng)
     n_tokens = grid_h * grid_w
     if args.params is not None:
-        block = fusion.load_fusion_params(args.params)
-        if block.c != dim or block.n_tokens != n_tokens:
+        block = tensor_io.load_params(fusion.FusionBlockParams, args.params)
+        if block.n_tokens != n_tokens:
             raise ValueError("loaded fusion params do not match the image geometry")
+        for flag, given, stored in (("--dim", dim, block.c),
+                                    ("--d-state", d_state, block.ss2d_r.n_state),
+                                    ("--residual-mode", args.residual_mode, block.residual_mode)):
+            if given != stored:
+                raise ValueError(f"{flag} {given} differs from the bundle's {stored}")
     else:
         block = fusion.FusionBlockParams.random(dim, d_state, grid_h, grid_w, rng,
                                                 residual_mode=args.residual_mode,

@@ -18,12 +18,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .tensor import SeededRng, check_finite, count, finite_step, freeze_arrays, silu
-from .tensor_io import _build, _flatten, load_bundle, save_bundle
 from .ssm import OpCounter, Ss2dParams, selective_scan_mac_count, ss2d
 
 __all__ = [
@@ -41,8 +39,6 @@ __all__ = [
     "BenchRow",
     "scaling_benchmark",
     "fit_loglog_slope",
-    "save_fusion_params",
-    "load_fusion_params",
 ]
 
 _LN_EPS = 1e-6
@@ -506,14 +502,3 @@ def scaling_benchmark(n_values: list[int], c: int, n_state: int, repeats: int,
             [r.n_tokens for r in sub], [r.wall_ns for r in sub])
     return rows, slopes
 
-
-def save_fusion_params(p: FusionBlockParams, directory: str | Path) -> None:
-    """Store every weight tensor as a bundle, with the grid and residual mode as meta.
-
-    A nested weight is named ``<field>.<key>``, e.g. ``ss2d_t.col_bwd.u_c``.
-    """
-    save_bundle(directory, *_flatten(p))
-
-
-def load_fusion_params(directory: str | Path) -> FusionBlockParams:
-    return _build(FusionBlockParams, *load_bundle(directory))

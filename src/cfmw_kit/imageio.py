@@ -30,6 +30,8 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     if pixels.ndim != 3 or pixels.shape[2] != 3:
         raise ValueError(f"PPM needs an H x W x 3 array, got {pixels.shape}")
     h, w, _ = pixels.shape
+    if h < 1 or w < 1:
+        raise ValueError("netpbm extents must be >= 1")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
     body = np.rint(np.clip(check_finite(pixels, "image"), 0.0, 255.0)).astype(np.uint8)
     Path(path).write_bytes(header + body.tobytes(order="C"))

@@ -9,11 +9,12 @@ TSR1 layout, all little-endian:
 
 Round-trips are bit-exact.
 
-A bundle is a directory holding one TSR1 file per named tensor plus
+A parameter bundle is a directory holding one TSR1 file per array plus
 ``manifest.txt``: ``meta.<key>=<value>`` lines, then one
-``tensor.<name>=<name>.tsr`` line per tensor, each group in insertion order.
-A parameter dataclass is stored field by field, in field order: arrays as
-tensors, nested dataclasses as ``<field>.<key>`` entries, anything else as meta.
+``tensor.<name>=<name>.tsr`` line per array. :func:`save_params` stores the
+init fields of a parameter dataclass in field order: arrays as tensors,
+nested dataclasses as ``<field>.<key>`` entries, ``int`` and ``str`` fields as
+meta; a field of any other type is refused. :func:`load_params` is its inverse.
 """
 
 from __future__ import annotations
@@ -28,21 +29,19 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "tensor_to_bytes",
-    "tensor_from_bytes",
     "write_tensor",
     "read_tensor",
     "write_manifest",
     "read_manifest",
-    "save_bundle",
-    "load_bundle",
+    "save_params",
+    "load_params",
 ]
 
 MAGIC = b"TSR1"
 _MANIFEST = "manifest.txt"
 
 
-def tensor_to_bytes(arr: np.ndarray) -> bytes:
+def write_tensor(path: str | Path, arr: np.ndarray) -> None:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     if arr.ndim == 0:
         raise ValueError("rank-0 tensors cannot be serialized")
@@ -50,10 +49,11 @@ def tensor_to_bytes(arr: np.ndarray) -> bytes:
         raise ValueError(f"TSR1 extents must be >= 1, got {arr.shape}")
     header = MAGIC + struct.pack("<I", arr.ndim)
     header += struct.pack(f"<{arr.ndim}I", *arr.shape)
-    return header + arr.astype("<f8", copy=False).tobytes(order="C")
+    Path(path).write_bytes(header + arr.astype("<f8", copy=False).tobytes(order="C"))
 
 
-def tensor_from_bytes(blob: bytes) -> np.ndarray:
+def read_tensor(path: str | Path) -> np.ndarray:
+    blob = Path(path).read_bytes()
     if len(blob) < 8 or blob[:4] != MAGIC:
         raise ValueError("not a TSR1 tensor: bad magic")
     (rank,) = struct.unpack_from("<I", blob, 4)
@@ -72,14 +72,6 @@ def tensor_from_bytes(blob: bytes) -> np.ndarray:
         raise ValueError("TSR1 payload size does not match extents")
     data = np.frombuffer(blob, dtype="<f8", count=count, offset=need)
     return data.astype(np.float64, copy=True).reshape(shape)
-
-
-def write_tensor(path: str | Path, arr: np.ndarray) -> None:
-    Path(path).write_bytes(tensor_to_bytes(arr))
-
-
-def read_tensor(path: str | Path) -> np.ndarray:
-    return tensor_from_bytes(Path(path).read_bytes())
 
 
 def write_manifest(path: str | Path, entries: dict[str, str]) -> None:
@@ -124,31 +116,52 @@ def read_manifest(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _tensor_file(name: str) -> str:
-    """``<name>.tsr``; a name holding ``/``, ``\\`` or ``..`` could leave the bundle."""
-    if not name or "/" in name or "\\" in name or ".." in name:
-        raise ValueError(f"tensor name {name!r} is not a plain file name")
-    return name + ".tsr"
+def _init_fields(cls) -> list[tuple[str, type]]:
+    """Name and type of each init field of ``cls``, in field order.
+
+    A field that is not an array, a nested dataclass, an ``int`` or a ``str``
+    is refused by name: ``str`` of it would not read back as the same value.
+    """
+    hints = typing.get_type_hints(cls)
+    fields = [(f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init]
+    for name, hint in fields:
+        if hint not in (np.ndarray, int, str) and not dataclasses.is_dataclass(hint):
+            raise ValueError(f"{cls.__name__}.{name} is not an array, a dataclass, an int "
+                             f"or a str, so a bundle cannot store it")
+    return fields
 
 
-def save_bundle(directory: str | Path, meta: dict[str, str],
-                tensors: dict[str, np.ndarray]) -> None:
-    """Write ``meta`` entries and named tensors as a bundle in ``directory``.
+def save_params(obj, directory: str | Path) -> None:
+    """Write the parameter dataclass ``obj`` as a bundle in ``directory``.
 
+    A nested array is named ``<field>.<key>``, e.g. ``ss2d_t.col_bwd.u_c``.
     The files go to a sibling temp directory that is then renamed into place,
     so a failed save leaves nothing behind. A ``directory`` that exists and
     is not empty is refused, so stale tensors never sit beside new ones.
     """
+    manifest: dict[str, str] = {}
+    tensors: dict[str, np.ndarray] = {}
+
+    def walk(obj, prefix: str) -> None:
+        for name, hint in _init_fields(type(obj)):
+            value = getattr(obj, name)
+            if dataclasses.is_dataclass(hint):
+                walk(value, f"{prefix}{name}.")
+            elif hint is np.ndarray:
+                tensors[prefix + name] = value
+            else:
+                manifest[f"meta.{prefix}{name}"] = str(value)
+
+    walk(obj, "")
     directory = Path(directory)
     if directory.is_dir() and any(directory.iterdir()):
         raise ValueError(f"bundle directory {directory} exists and is not empty")
-    manifest = {f"meta.{key}": value for key, value in meta.items()}
     tmp = directory.parent / f".{directory.name}.{os.getpid()}.tmp"
     tmp.mkdir(parents=True)
     try:
         for name, arr in tensors.items():
-            manifest[f"tensor.{name}"] = _tensor_file(name)
-            write_tensor(tmp / _tensor_file(name), arr)
+            write_tensor(tmp / f"{name}.tsr", arr)
+            manifest[f"tensor.{name}"] = f"{name}.tsr"
         write_manifest(tmp / _MANIFEST, manifest)
         os.replace(tmp, directory)
     except BaseException:
@@ -156,72 +169,39 @@ def save_bundle(directory: str | Path, meta: dict[str, str],
         raise
 
 
-def load_bundle(directory: str | Path) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """Read a bundle back as its ``meta`` entries and its tensors by name.
+def load_params(cls, directory: str | Path):
+    """The ``cls`` instance stored in the bundle ``directory``, each entry used once.
 
-    Every manifest key must be ``meta.*`` or ``tensor.*``, and tensor
-    ``name`` must be stored as ``<name>.tsr`` inside ``directory``.
+    Every manifest key must be ``meta.*`` or ``tensor.*``; tensor ``name``
+    must be a plain file name stored as ``<name>.tsr`` inside ``directory``.
+    Meta values are cast with their field's type. An entry ``cls`` needs but
+    the bundle lacks, one left over, or a meta value the cast refuses is a
+    ValueError naming it in full.
     """
     directory = Path(directory)
-    meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
-    for key, value in read_manifest(directory / _MANIFEST).items():
+    entries = read_manifest(directory / _MANIFEST)
+    for key, value in entries.items():
         group, _, name = key.partition(".")
-        if group == "meta" and name:
-            meta[name] = value
-        elif group == "tensor" and value == _tensor_file(name):
-            tensors[name] = read_tensor(directory / value)
-        elif group == "tensor":
-            raise ValueError(f"tensor {name!r} must be stored as {name}.tsr, not {value!r}")
-        else:
+        if group == "tensor" and ("/" in name or "\\" in name or ".." in name
+                                  or value != f"{name}.tsr"):
+            raise ValueError(f"tensor {name!r} must be a plain file name stored as "
+                             f"{name}.tsr, not {value!r}")
+        if group not in ("meta", "tensor") or not name:
             raise ValueError(f"unknown manifest key {key!r} in {directory}")
-    return meta, tensors
 
-
-def _flatten(obj) -> tuple[dict[str, str], dict[str, np.ndarray]]:
-    """A parameter dataclass as bundle ``meta`` entries and tensors, in field order.
-
-    An array field is a tensor under its own name, a nested dataclass adds
-    its own entries as ``<field>.<key>``, and any other field is a meta entry
-    written with ``str``.
-    """
-    meta: dict[str, str] = {}
-    tensors: dict[str, np.ndarray] = {}
-    for field in dataclasses.fields(obj):
-        value = getattr(obj, field.name)
-        if isinstance(value, np.ndarray):
-            tensors[field.name] = value
-        elif dataclasses.is_dataclass(value):
-            sub_meta, sub_tensors = _flatten(value)
-            meta.update((f"{field.name}.{k}", v) for k, v in sub_meta.items())
-            tensors.update((f"{field.name}.{k}", v) for k, v in sub_tensors.items())
-        else:
-            meta[field.name] = str(value)
-    return meta, tensors
-
-
-def _build(cls, meta: dict[str, str], tensors: dict[str, np.ndarray]):
-    """Inverse of :func:`_flatten`: ``cls`` from bundle entries, each used once.
-
-    Meta values are cast with their field's type hint. An entry ``cls`` needs
-    but the bundle lacks, one left over, or a meta value the cast refuses is
-    a ValueError naming it in full.
-    """
-    meta, tensors = dict(meta), dict(tensors)
-
-    def take(cls, prefix: str):
+    def build(cls, prefix: str):
         fields = {}
-        for name, hint in typing.get_type_hints(cls).items():
+        for name, hint in _init_fields(cls):
             key = prefix + name
-            pool = tensors if hint is np.ndarray else meta
+            entry = ("tensor." if hint is np.ndarray else "meta.") + key
             if dataclasses.is_dataclass(hint):
-                fields[name] = take(hint, key + ".")
-            elif key not in pool:
+                fields[name] = build(hint, key + ".")
+            elif entry not in entries:
                 raise ValueError(f"bundle is missing {key!r}")
-            elif pool is tensors:
-                fields[name] = pool.pop(key)
+            elif hint is np.ndarray:
+                fields[name] = read_tensor(directory / entries.pop(entry))
             else:
-                value = pool.pop(key)
+                value = entries.pop(entry)
                 try:
                     fields[name] = hint(value)
                 except ValueError:
@@ -229,8 +209,9 @@ def _build(cls, meta: dict[str, str], tensors: dict[str, np.ndarray]):
                                      f"{hint.__name__}: {value!r}") from None
         return cls(**fields)
 
-    built = take(cls, "")
-    for kind, left in (("tensor", tensors), ("meta entry", meta)):
+    built = build(cls, "")
+    for group, kind in (("tensor.", "tensor"), ("meta.", "meta entry")):
+        left = [key[len(group):] for key in entries if key.startswith(group)]
         if left:
             raise ValueError(f"bundle has unexpected {kind} {min(left)!r}")
     return built

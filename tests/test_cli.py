@@ -10,11 +10,11 @@ import pytest
 
 from cfmw_kit import diffusion
 from cfmw_kit.cli import _build_parser, _embed_pair, main
-from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops, save_fusion_params
+from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops
 from cfmw_kit.imageio import write_ppm
 from cfmw_kit.metrics import mean_ap, parse_detections, parse_ground_truth
 from cfmw_kit.tensor import SeededRng
-from cfmw_kit.tensor_io import write_tensor
+from cfmw_kit.tensor_io import save_params, write_tensor
 
 
 def _clean_image(h=32, w=32):
@@ -302,12 +302,12 @@ class TestFuse:
         mlp = block.out_mlp
         big = Mlp3(*(getattr(mlp, f.name) * 1e200 for f in dataclasses.fields(Mlp3)))
         params = tmp_path / "params"
-        save_fusion_params(dataclasses.replace(block, out_mlp=big), params)
+        save_params(dataclasses.replace(block, out_mlp=big), params)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
-                        "--dim", 4, "--params", params, "--out", out) == 1
+                        "--dim", 4, "--d-state", 2, "--params", params, "--out", out) == 1
         assert ("error: features are too large: the fusion block overflows float64"
                 in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
@@ -319,10 +319,8 @@ class TestFuse:
         (lambda m: m + "meta.grid_h=4\n", "key 'meta.grid_h' given twice"),
     ])
     def test_bad_params_bundle_writes_nothing(self, tmp_path, clean_ppm, capsys, edit, named):
-        from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
-        from cfmw_kit.tensor import SeededRng
         params = tmp_path / "params"
-        save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), params)
+        save_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), params)
         (tmp_path / "norm_scale_r.tsr").write_bytes((params / "norm_scale_r.tsr").read_bytes())
         manifest = params / "manifest.txt"
         manifest.write_text(edit(manifest.read_text()))
@@ -358,12 +356,27 @@ class TestFuse:
         assert not out.exists()
 
     def test_params_bundle_round_trip(self, tmp_path, clean_ppm):
-        from cfmw_kit.fusion import FusionBlockParams, save_fusion_params
-        from cfmw_kit.tensor import SeededRng
-        save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), tmp_path / "p")
-        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
-                    "--dim", 4, "--params", tmp_path / "p", "--out", tmp_path / "out") == 0
+        save_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), tmp_path / "p")
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8, "--dim", 4,
+                    "--d-state", 2, "--params", tmp_path / "p", "--out", tmp_path / "out") == 0
         assert (tmp_path / "out" / "fuse_stats.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--dim", 6, "--d-state", 2), "--dim 6 differs from the bundle's 4"),
+        (("--dim", 4, "--d-state", 8), "--d-state 8 differs from the bundle's 2"),
+        (("--dim", 4, "--d-state", 2, "--residual-mode", "straight"),
+         "--residual-mode straight differs from the bundle's crossed"),
+    ])
+    def test_params_bundle_refuses_other_block_flags(self, tmp_path, clean_ppm, capsys,
+                                                     flags, message):
+        # The bundle fixes the channel count, state size and residual mode, so
+        # a flag that differs from it is refused with both values named.
+        save_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), tmp_path / "p")
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                    *flags, "--params", tmp_path / "p", "--out", out) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, value", [
@@ -462,12 +475,12 @@ class TestFuse:
         block = FusionBlockParams.random(4, 2, 4, 4, SeededRng(5))
         big = dataclasses.replace(block.out_mlp, w3=block.out_mlp.w3 * 1e180)
         params = tmp_path / "params"
-        save_fusion_params(dataclasses.replace(block, out_mlp=big), params)
+        save_params(dataclasses.replace(block, out_mlp=big), params)
         out = tmp_path / "out"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
-                        "--dim", 4, "--params", params, "--out", out) == 1
+                        "--dim", 4, "--d-state", 2, "--params", params, "--out", out) == 1
         assert ("error: fused features are too large: their variance overflows float64"
                 in capsys.readouterr().err)
         assert not out.exists() or list(out.iterdir()) == []
@@ -969,7 +982,7 @@ def inputs(tmp_path):
     files["eps"] = root / "eps.tsr"
     write_tensor(files["eps"], SeededRng(3).normal(32 * 32 * 3).reshape(32, 32, 3))
     files["params"] = root / "params"
-    save_fusion_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), files["params"])
+    save_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), files["params"])
     files["dets"], files["gts"] = _box_dirs(root, {
         "a.txt": ("0 0 0 10 10 0.9\n1 20 20 60 60 0.4\n", "0 0 0 10 10\n1 20 20 60 61\n"),
         "b.txt": ("0 5 5 9 9 0.8\n", "0 5 5 9 10\n")})

@@ -23,11 +23,11 @@ KEEP = {
     "ssm.SelectiveSsmParams.random": "criterion oracle: criterion 3",
     "ssm.SelectiveSsmParams.frozen": "criterion oracle: criterion 3",
     "fusion.inject": "documented API: the multi-level residual injection",
-    "fusion.save_fusion_params": "documented API: the writer of fuse --params bundles",
     "metrics.iou": "oracle of metrics._iou_matrix; perfbench's tracer rebinds it by name",
     "metrics.average_precision": "criterion oracle: criterion 9",
     "metrics.mean_ap": "criterion oracle: criterion 9; perfbench's tracer rebinds it by name",
     "detloss.total_loss": "criterion oracle: criterion 10",
+    "tensor_io.save_params": "documented API: the writer of fuse --params bundles",
 }
 
 # Defaulted parameters that no call in src/ or perfbench/ sets, each with the

@@ -94,18 +94,14 @@ EXEMPT = {
     "fusion.count_ops": "integer-valued counter",
     "fusion.scaling_benchmark": "wall-clock timing of fuse and attention_fusion_baseline, "
                                 "which have rows",
-    "fusion.save_fusion_params": "file I/O: writes container fields, already finite",
-    "fusion.load_fusion_params": "file I/O: the container refuses non-finite tensors",
     "imageio.write_ppm": "file I/O: refuses non-finite pixels (test_io.py)",
     "imageio.read_ppm": "file I/O: 8-bit samples, always finite",
-    "tensor_io.tensor_to_bytes": "bit-exact serialisation: TSR1 holds any double",
-    "tensor_io.tensor_from_bytes": "bit-exact serialisation: TSR1 holds any double",
     "tensor_io.write_tensor": "bit-exact serialisation: TSR1 holds any double",
     "tensor_io.read_tensor": "bit-exact serialisation: TSR1 holds any double",
     "tensor_io.write_manifest": "text I/O: no numbers",
     "tensor_io.read_manifest": "text I/O: no numbers",
-    "tensor_io.save_bundle": "file I/O over write_tensor",
-    "tensor_io.load_bundle": "file I/O over read_tensor",
+    "tensor_io.save_params": "file I/O over write_tensor: writes container fields, already finite",
+    "tensor_io.load_params": "file I/O over read_tensor: the container refuses non-finite tensors",
 }
 
 

@@ -20,13 +20,12 @@ from cfmw_kit.fusion import (
     fit_loglog_slope,
     fuse,
     inject,
-    load_fusion_params,
     patch_embed,
-    save_fusion_params,
     shallow_swap,
 )
 from cfmw_kit.ssm import OpCounter
 from cfmw_kit.tensor import SeededRng
+from cfmw_kit.tensor_io import load_params, save_params
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -599,8 +598,8 @@ class TestCountOps:
 class TestParamsIO:
     def test_save_load_round_trip(self, tmp_path):
         feats, params = _small_case(91)
-        save_fusion_params(params, tmp_path / "blk")
-        loaded = load_fusion_params(tmp_path / "blk")
+        save_params(params, tmp_path / "blk")
+        loaded = load_params(FusionBlockParams, tmp_path / "blk")
         a = fuse(feats, params)
         b = fuse(feats, loaded)
         assert np.array_equal(a.f_r, b.f_r)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import re
 import warnings
@@ -5,16 +6,15 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmw_kit.fusion import FusionBlockParams, load_fusion_params, save_fusion_params
+from cfmw_kit.diffusion import NoiseSchedule
+from cfmw_kit.fusion import FusionBlockParams, PatchEmbedding
 from cfmw_kit.imageio import read_ppm, write_ppm
 from cfmw_kit.tensor import SeededRng, randn
 from cfmw_kit.tensor_io import (
-    load_bundle,
+    load_params,
     read_manifest,
     read_tensor,
-    save_bundle,
-    tensor_from_bytes,
-    tensor_to_bytes,
+    save_params,
     write_manifest,
     write_tensor,
 )
@@ -29,33 +29,38 @@ class TestTsr1:
         assert back.shape == arr.shape
         assert np.array_equal(back, arr)
         # byte-level determinism of the encoding itself
-        assert tensor_to_bytes(arr) == tensor_to_bytes(back)
+        write_tensor(tmp_path / "u.tsr", back)
+        assert (tmp_path / "u.tsr").read_bytes() == path.read_bytes()
 
     def test_rank1(self, tmp_path):
         arr = np.array([1.5, -2.25, 3.0])
         write_tensor(tmp_path / "v.tsr", arr)
         assert np.array_equal(read_tensor(tmp_path / "v.tsr"), arr)
 
-    def test_header_layout(self):
-        blob = tensor_to_bytes(np.zeros((2, 3)))
+    def test_header_layout(self, tmp_path):
+        write_tensor(tmp_path / "t.tsr", np.zeros((2, 3)))
+        blob = (tmp_path / "t.tsr").read_bytes()
         assert blob[:4] == b"TSR1"
         assert blob[4:8] == (2).to_bytes(4, "little")
         assert blob[8:12] == (2).to_bytes(4, "little")
         assert blob[12:16] == (3).to_bytes(4, "little")
         assert len(blob) == 16 + 6 * 8
 
-    def test_bad_magic(self):
+    def test_bad_magic(self, tmp_path):
+        (tmp_path / "t.tsr").write_bytes(b"NOPE" + bytes(12))
         with pytest.raises(ValueError):
-            tensor_from_bytes(b"NOPE" + bytes(12))
+            read_tensor(tmp_path / "t.tsr")
 
-    def test_truncated_payload(self):
-        blob = tensor_to_bytes(np.zeros((2, 2)))
+    def test_truncated_payload(self, tmp_path):
+        write_tensor(tmp_path / "t.tsr", np.zeros((2, 2)))
+        (tmp_path / "t.tsr").write_bytes((tmp_path / "t.tsr").read_bytes()[:-8])
         with pytest.raises(ValueError):
-            tensor_from_bytes(blob[:-8])
+            read_tensor(tmp_path / "t.tsr")
 
-    def test_zero_extent_refused_by_writer(self):
+    def test_zero_extent_refused_by_writer(self, tmp_path):
         with pytest.raises(ValueError, match="extents"):
-            tensor_to_bytes(np.zeros((0, 3)))
+            write_tensor(tmp_path / "t.tsr", np.zeros((0, 3)))
+        assert not (tmp_path / "t.tsr").exists()
 
 
 class TestManifest:
@@ -105,6 +110,13 @@ class TestPpm:
     def test_bad_shape(self, tmp_path):
         with pytest.raises(ValueError):
             write_ppm(tmp_path / "b.ppm", np.zeros((4, 4)))
+
+    @pytest.mark.parametrize("shape", [(0, 5, 3), (5, 0, 3)])
+    def test_zero_extent_refused_by_writer(self, tmp_path, shape):
+        # read_ppm refuses such a header, so the writer must not produce one
+        with pytest.raises(ValueError, match="netpbm extents must be >= 1"):
+            write_ppm(tmp_path / "z.ppm", np.zeros(shape))
+        assert not (tmp_path / "z.ppm").exists()
 
 
 # (header, payload length, (H, W) read or None for a ValueError): header
@@ -187,11 +199,22 @@ def _digest(directory):
     return h.hexdigest()
 
 
+@dataclasses.dataclass(frozen=True)
+class _Demo:
+    kind: str
+    a: np.ndarray
+    b: np.ndarray
+
+
 def _bundle(tmp_path):
     """A two-tensor bundle and the path of its manifest."""
-    save_bundle(tmp_path / "b", {"kind": "demo"},
-                {"a": np.arange(3.0), "b": np.ones((2, 2))})
+    save_params(_Demo("demo", np.arange(3.0), np.ones((2, 2))), tmp_path / "b")
     return tmp_path / "b", tmp_path / "b" / "manifest.txt"
+
+
+def _fusion_bundle(directory):
+    save_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), directory)
+    return directory / "manifest.txt"
 
 
 class TestBundle:
@@ -200,19 +223,19 @@ class TestBundle:
         assert manifest.read_text() == ("meta.kind=demo\n"
                                         "tensor.a=a.tsr\ntensor.b=b.tsr\n")
         assert sorted(f.name for f in directory.iterdir()) == ["a.tsr", "b.tsr", "manifest.txt"]
-        meta, tensors = load_bundle(directory)
-        assert meta == {"kind": "demo"}
-        assert list(tensors) == ["a", "b"]
-        assert np.array_equal(tensors["b"], np.ones((2, 2)))
+        demo = load_params(_Demo, directory)
+        assert demo.kind == "demo"
+        assert np.array_equal(demo.a, np.arange(3.0))
+        assert np.array_equal(demo.b, np.ones((2, 2)))
 
     def test_savers_keep_their_bytes(self, tmp_path):
         # Bundles already on disk must keep loading and new ones must match
         # them, so the layout and bytes of every saver are pinned.
         # The fusion bundle nests all eight Ss2dParams directions, so its
         # digest also pins the scan-parameter tensors.
-        save_fusion_params(FusionBlockParams.random(4, 2, 2, 2, SeededRng(31),
-                                                    residual_mode="straight"),
-                           tmp_path / "fusion")
+        save_params(FusionBlockParams.random(4, 2, 2, 2, SeededRng(31),
+                                             residual_mode="straight"),
+                    tmp_path / "fusion")
         assert _digest(tmp_path / "fusion") \
             == "0bb81980153b78ab2e8ea9ffcbf5f21bd9e1299ab5f9e13991e987d8b58cc979"
 
@@ -232,59 +255,62 @@ class TestBundle:
         line = line.format(abs=tmp_path / "outside_a.tsr")
         manifest.write_text(manifest.read_text().replace("tensor.a=a.tsr", line))
         with pytest.raises(ValueError, match=re.escape(named)):
-            load_bundle(directory)
+            load_params(_Demo, directory)
 
-    @pytest.mark.parametrize("save, load, name", [
-        (lambda d: save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), d),
-         load_fusion_params, "ss2d_t.col_bwd.u_c"),
-        (lambda d: save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), d),
-         load_fusion_params, "norm_scale_r"),
-    ])
-    def test_load_names_a_missing_or_extra_tensor(self, tmp_path, save, load, name):
-        directory = tmp_path / "b"
-        save(directory)
-        manifest = directory / "manifest.txt"
+    @pytest.mark.parametrize("name", ["ss2d_t.col_bwd.u_c", "norm_scale_r"])
+    def test_load_names_a_missing_or_extra_tensor(self, tmp_path, name):
+        manifest = _fusion_bundle(tmp_path / "b")
         full = manifest.read_text()
         manifest.write_text(full.replace(f"tensor.{name}={name}.tsr\n", ""))
         with pytest.raises(ValueError, match=f"missing '{re.escape(name)}'"):
-            load(directory)
-        write_tensor(directory / "stray.tsr", np.zeros(1))
+            load_params(FusionBlockParams, tmp_path / "b")
+        write_tensor(tmp_path / "b" / "stray.tsr", np.zeros(1))
         manifest.write_text(full + "tensor.stray=stray.tsr\n")
         with pytest.raises(ValueError, match="unexpected tensor 'stray'"):
-            load(directory)
+            load_params(FusionBlockParams, tmp_path / "b")
 
     def test_load_names_a_missing_meta_entry(self, tmp_path):
-        save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), tmp_path / "b")
-        manifest = tmp_path / "b" / "manifest.txt"
+        manifest = _fusion_bundle(tmp_path / "b")
         manifest.write_text(manifest.read_text().replace("meta.grid_w=2\n", ""))
         with pytest.raises(ValueError, match="grid_w"):
-            load_fusion_params(tmp_path / "b")
+            load_params(FusionBlockParams, tmp_path / "b")
 
     def test_load_names_an_extra_meta_entry(self, tmp_path):
-        save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(1)), tmp_path / "b")
-        manifest = tmp_path / "b" / "manifest.txt"
+        manifest = _fusion_bundle(tmp_path / "b")
         manifest.write_text("meta.stray=1\n" + manifest.read_text())
         with pytest.raises(ValueError, match="unexpected meta entry 'stray'"):
-            load_fusion_params(tmp_path / "b")
+            load_params(FusionBlockParams, tmp_path / "b")
 
-    @pytest.mark.parametrize("meta, tensors", [
-        ({}, {"a": np.zeros(2), "b": np.zeros((0, 2))}),
-        ({"note": "x\ny"}, {"a": np.zeros(2)}),
-        ({}, {"a": np.zeros(2), "../b": np.zeros(2)}),
-    ])
-    def test_failed_save_leaves_nothing(self, tmp_path, meta, tensors):
+    @pytest.mark.parametrize("kind, b", [("demo", np.zeros((0, 2))), ("x\ny", np.zeros(2))],
+                             ids=["zero_extent_tensor", "line_break_in_meta"])
+    def test_failed_save_leaves_nothing(self, tmp_path, kind, b):
         with pytest.raises(ValueError):
-            save_bundle(tmp_path / "out" / "b", meta, tensors)
+            save_params(_Demo(kind, np.zeros(2), b), tmp_path / "out" / "b")
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_save_refuses_a_non_empty_directory(self, tmp_path):
-        save_fusion_params(FusionBlockParams.random(2, 1, 1, 2, SeededRng(4)), tmp_path / "p")
+        _fusion_bundle(tmp_path / "p")
         before = {f.name: f.read_bytes() for f in (tmp_path / "p").iterdir()}
         with pytest.raises(ValueError, match="not empty"):
-            save_bundle(tmp_path / "p", {"kind": "demo"}, {"a": np.zeros(2)})
+            save_params(_Demo("demo", np.zeros(2), np.zeros(2)), tmp_path / "p")
         assert {f.name: f.read_bytes() for f in (tmp_path / "p").iterdir()} == before
 
     def test_save_into_an_empty_directory(self, tmp_path):
         (tmp_path / "b").mkdir()
         directory, _ = _bundle(tmp_path)
-        assert load_bundle(directory)[0] == {"kind": "demo"}
+        assert load_params(_Demo, directory).kind == "demo"
+
+    def test_save_refuses_a_field_it_cannot_store(self, tmp_path):
+        # str(False) would read back as bool("False"), which is True
+        pe = PatchEmbedding(patch=1, w=np.ones((3, 2)), e_pos=np.zeros((2, 2)),
+                            cls_token=np.zeros(2), use_cls=False)
+        with pytest.raises(ValueError, match=r"PatchEmbedding\.use_cls"):
+            save_params(pe, tmp_path / "pe")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_init_fields_are_stored(self, tmp_path):
+        schedule = NoiseSchedule(np.linspace(1e-4, 0.02, 10))
+        save_params(schedule, tmp_path / "s")
+        assert (tmp_path / "s" / "manifest.txt").read_text() == "tensor.beta=beta.tsr\n"
+        back = load_params(NoiseSchedule, tmp_path / "s")
+        assert np.array_equal(back.alpha_bar, schedule.alpha_bar)

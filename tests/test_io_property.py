@@ -23,9 +23,9 @@ from cfmw_kit.metrics import (  # noqa: E402
 )
 from cfmw_kit.tensor_io import (  # noqa: E402
     read_manifest,
-    tensor_from_bytes,
-    tensor_to_bytes,
+    read_tensor,
     write_manifest,
+    write_tensor,
 )
 
 SETTINGS = settings(max_examples=150)
@@ -44,8 +44,9 @@ def scratch(tmp_path_factory):
 
 @SETTINGS
 @given(arr=hnp.arrays(np.float64, _shapes))
-def test_tsr1_round_trip_is_bit_exact(arr):
-    back = tensor_from_bytes(tensor_to_bytes(arr))
+def test_tsr1_round_trip_is_bit_exact(scratch, arr):
+    write_tensor(scratch / "t.tsr", arr)
+    back = read_tensor(scratch / "t.tsr")
     assert back.shape == arr.shape
     assert back.tobytes() == arr.tobytes()
 
@@ -53,9 +54,10 @@ def test_tsr1_round_trip_is_bit_exact(arr):
 @SETTINGS
 @given(blob=st.one_of(st.binary(max_size=64),
                       st.binary(max_size=48).map(lambda b: b"TSR1" + b)))
-def test_tsr1_reader_fails_only_with_value_error(blob):
+def test_tsr1_reader_fails_only_with_value_error(scratch, blob):
+    (scratch / "fuzz.tsr").write_bytes(blob)
     try:
-        tensor_from_bytes(blob)
+        read_tensor(scratch / "fuzz.tsr")
     except ValueError:
         pass
 

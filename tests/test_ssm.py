@@ -28,7 +28,7 @@ from cfmw_kit.ssm import (
 )
 from cfmw_kit.fusion import FusionBlockParams, Mlp3
 from cfmw_kit.tensor import SeededRng, softplus
-from cfmw_kit.tensor_io import _build, _flatten
+from cfmw_kit.tensor_io import load_params, read_manifest, save_params
 
 
 def simpson(f, a, b, n=2048):
@@ -559,42 +559,45 @@ class TestSs2dStackedScan:
         assert peak < 16 * 2 ** 20
 
 
-def _assert_round_trip(p):
-    meta, tensors = _flatten(p)
-    q = _build(type(p), meta, tensors)
-    q_meta, q_tensors = _flatten(q)
-    assert q_meta == meta
-    assert list(q_tensors) == list(tensors)
-    for name, arr in tensors.items():
-        assert np.array_equal(arr, q_tensors[name])
-    return meta, tensors, q
+def _assert_round_trip(p, tmp_path):
+    """Save ``p``, load it back and save that again: the same manifest and tensor files."""
+    save_params(p, tmp_path / "p")
+    q = load_params(type(p), tmp_path / "p")
+    save_params(q, tmp_path / "q")
+    files = sorted(f.name for f in (tmp_path / "p").iterdir())
+    assert sorted(f.name for f in (tmp_path / "q").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "q" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+    manifest = read_manifest(tmp_path / "p" / "manifest.txt")
+    meta = {k[5:]: v for k, v in manifest.items() if k.startswith("meta.")}
+    return meta, [k[7:] for k in manifest if k.startswith("tensor.")], q
 
 
 class TestParamsSerialization:
-    def test_selective_round_trip(self):
+    def test_selective_round_trip(self, tmp_path):
         p = SelectiveSsmParams.random(3, 4, SeededRng(23))
-        meta, tensors, _ = _assert_round_trip(p)
+        meta, tensors, _ = _assert_round_trip(p, tmp_path)
         assert meta == {}
-        assert list(tensors) == ["a", "w_delta", "u_delta", "w_b", "u_b", "w_c", "u_c"]
+        assert tensors == ["a", "w_delta", "u_delta", "w_b", "u_b", "w_c", "u_c"]
 
-    def test_ss2d_round_trip(self):
+    def test_ss2d_round_trip(self, tmp_path):
         rng = SeededRng(24)
         p = Ss2dParams.random(2, 3, rng)
-        _, tensors, q = _assert_round_trip(p)
-        assert len(tensors) == 4 * 7 and tensors["col_bwd.u_c"] is p.col_bwd.u_c
+        _, tensors, q = _assert_round_trip(p, tmp_path)
+        assert len(tensors) == 4 * 7 and np.array_equal(q.col_bwd.u_c, p.col_bwd.u_c)
         x = rng.normal(2 * 3 * 2).reshape(2, 3, 2)
         assert np.array_equal(ss2d(x, p), ss2d(x, q))
 
-    def test_mlp_round_trip(self):
+    def test_mlp_round_trip(self, tmp_path):
         p = Mlp3.random(3, SeededRng(25))
-        meta, tensors, _ = _assert_round_trip(p)
+        meta, tensors, _ = _assert_round_trip(p, tmp_path)
         assert meta == {}
-        assert list(tensors) == ["w1", "b1", "w2", "b2", "w3", "b3"]
+        assert tensors == ["w1", "b1", "w2", "b2", "w3", "b3"]
 
-    def test_fusion_round_trip(self):
+    def test_fusion_round_trip(self, tmp_path):
         p = FusionBlockParams.random(2, 3, 2, 3, SeededRng(26), residual_mode="straight")
-        meta, tensors, q = _assert_round_trip(p)
+        meta, tensors, q = _assert_round_trip(p, tmp_path)
         assert meta == {"grid_h": "2", "grid_w": "3", "residual_mode": "straight"}
         assert (q.grid_h, q.grid_w, q.residual_mode) == (2, 3, "straight")
         assert len(tensors) == 4 + 3 * 6 + 2 * 4 * 7
-        assert tensors["ss2d_t.col_bwd.u_c"] is p.ss2d_t.col_bwd.u_c
+        assert np.array_equal(q.ss2d_t.col_bwd.u_c, p.ss2d_t.col_bwd.u_c)
