@@ -222,8 +222,9 @@ def cmd_fuse(args: argparse.Namespace) -> int:
     n_tokens = grid_h * grid_w
     if args.params is not None:
         block = tensor_io.load_params(fusion.FusionBlockParams, args.params)
-        if block.n_tokens != n_tokens:
-            raise ValueError("loaded fusion params do not match the image geometry")
+        if (block.grid_h, block.grid_w) != (grid_h, grid_w):
+            raise ValueError(f"the image's {grid_h}x{grid_w} patch grid differs from the "
+                             f"bundle's {block.grid_h}x{block.grid_w}")
         for flag, given, stored in (("--dim", dim, block.c),
                                     ("--d-state", d_state, block.ss2d_r.n_state),
                                     ("--residual-mode", args.residual_mode, block.residual_mode)):
@@ -266,8 +267,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
     while n <= args.n_max:
         sizes.append(n)
         n *= 2
-    if len(sizes) < 4:
-        raise ValueError("benchmark grid needs at least 4 doubling sizes")
 
     # Timing is defined single-threaded.
     rows, slopes = fusion.scaling_benchmark(sizes, c, d_state, args.repeats, args.seed)
@@ -286,35 +285,30 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 # ----------------------------------------------------------------- eval
 
-def _load_box_files(path: Path, parse, max_area) -> tuple[list[str], np.ndarray, np.ndarray]:
+def _load_box_files(path: Path, container, max_area) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The file ``path``, or each file in it in name order: the names, all rows
-    of area below ``max_area`` (if not None) as one table checked by one ``parse``
-    call, and each file's count of them. Only if that call fails is each file
-    parsed in turn, and the first bad one named."""
-    def read(f) -> str:  # a UnicodeDecodeError is a ValueError too
-        with open(f, "rb", buffering=0) as fh:
-            return fh.read().decode("ascii")
+    of area below ``max_area`` (if not None) as one ``container`` table checked
+    by one :func:`metrics._parse` call, and each file's count of them. Each
+    file is read once; a non-ASCII one is named unless an earlier one is bad."""
     listed = path.is_dir()  # names stay strings: a Path per file costs more than the listing
     files = (sorted((e.name, e.path) for e in os.scandir(path) if e.is_file()) if listed
              else [(path.name, path)])
     if not files:
         raise ValueError(f"{path}: directory holds no files")
-    try:
-        texts = [read(f) for _, f in files]
-        table = parse("".join(t if t.endswith("\n") else t + "\n" for t in texts)).table
-    except ValueError:
-        for name, f in files:
+    head = str(path / "_")[:-1]  # path / name is head + name
+    labels = [head + name for name, _ in files] if listed else [str(path)]
+    texts = []
+    for label, (_, f) in zip(labels, files):
+        with open(f, "rb", buffering=0) as fh:
             try:
-                parse(read(f))
-            except ValueError as exc:
-                raise ValueError(f"{path / name if listed else path}: {exc}") from exc
-        raise  # not reached: the joined text fails only where one file's own text does
-    # parse checked every line's field count: with no comment, a file has tokens / width rows
-    counts = [len(t.split()) // table.shape[1] if "#" not in t else
-              sum(p[0][0] != "#" for p in map(str.split, t.splitlines()) if p) for t in texts]
-    keep = slice(None) if max_area is None else metrics._area(table[:, 1:5].T) < max_area
+                texts.append(fh.read().decode("ascii"))
+            except UnicodeDecodeError as exc:
+                metrics._parse(texts, labels, container)  # names a bad line before this file
+                raise ValueError(f"{label}: {exc}") from exc
+    parsed, counts = metrics._parse(texts, labels, container)
+    keep = slice(None) if max_area is None else metrics._area(parsed.boxes.T) < max_area
     image = np.repeat(np.arange(len(files)), counts)[keep]  # each kept row's file
-    return [name for name, _ in files], table[keep], np.bincount(image, minlength=len(files))
+    return [name for name, _ in files], parsed.table[keep], np.bincount(image, minlength=len(files))
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -330,8 +324,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.dets is not None:
         if args.max_area is not None and not 0.0 < args.max_area < math.inf:
             raise ValueError(f"--max-area must be finite and > 0, got {args.max_area!r}")
-        det_names, dets, n_det = _load_box_files(args.dets, metrics.parse_detections, args.max_area)
-        gt_names, gts, n_gt = _load_box_files(args.gts, metrics.parse_ground_truth, args.max_area)
+        det_names, dets, n_det = _load_box_files(args.dets, metrics.Detections, args.max_area)
+        gt_names, gts, n_gt = _load_box_files(args.gts, metrics.GroundTruth, args.max_area)
         if det_names != gt_names:
             missing = set(det_names) ^ set(gt_names)
             raise ValueError(f"unpaired detection/ground-truth files: {sorted(missing)}")

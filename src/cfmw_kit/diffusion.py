@@ -132,10 +132,8 @@ class DiffusionConfig:
         sampler appends the final hop to step 0 itself.
         """
         t, s = self.schedule.t_count, self.n_sample_steps
-        if s == 1:
-            return [t]
-        # s <= t makes the stride (t - 1) / (s - 1) at least 1, so the
-        # rounded steps decrease strictly
+        # np.linspace(t, 1, 1) is [t]; with more steps, s <= t makes the
+        # stride (t - 1) / (s - 1) at least 1, so the rounded steps decrease strictly
         return [int(round(v)) for v in np.linspace(t, 1, s)]
 
 
@@ -178,18 +176,10 @@ class TinyMlpPredictor:
         s1, s2 = math.sin(0.05 * t), math.cos(0.05 * t)
         xs, cs = x_t / self.SCALE, x_tilde / self.SCALE
         out = np.full_like(x_t, self.b_out)
-        unit, term = np.empty_like(x_t), np.empty_like(x_t)
         for j in range(self.HIDDEN):
-            # tanh(w_xt xs + w_cond cs + w_sin s1 + w_cos s2 + bias), added
-            # left to right as written: folding the scalars first moves bits.
-            np.multiply(self.w_xt[j], xs, out=unit)
-            unit += np.multiply(self.w_cond[j], cs, out=term)
-            unit += self.w_sin[j] * s1
-            unit += self.w_cos[j] * s2
-            unit += self.bias[j]
-            np.tanh(unit, out=unit)
-            unit *= self.w_out[j]
-            out += unit
+            # added left to right as written: folding the scalars first moves bits
+            out += np.tanh(self.w_xt[j] * xs + self.w_cond[j] * cs + self.w_sin[j] * s1
+                           + self.w_cos[j] * s2 + self.bias[j]) * self.w_out[j]
         return out
 
 

@@ -117,6 +117,7 @@ class GroundTruth(_BoxTable):
     """One image's ground truth: rows ``class_id x1 y1 x2 y2``."""
 
     _low, _high = np.array(_LOW[:5]), np.array(_HIGH[:5])
+    _kind = "ground-truth"
 
 
 @dataclass(frozen=True)
@@ -124,6 +125,7 @@ class Detections(_BoxTable):
     """One image's detections: rows ``class_id x1 y1 x2 y2 confidence``."""
 
     _low, _high = np.array(_LOW), np.array(_HIGH)
+    _kind = "detection"
     confidence = property(lambda self: self.table[:, 5])
 
 
@@ -368,41 +370,45 @@ def _mean_ap(dets, n_det, gts, n_gt) -> MeanApResult:
                         map_mean=sum(class_mean.values()) / len(class_mean))
 
 
-def _parse(text: str, kind: str, container):
-    """``container`` of the lines of ``text`` that are not blank or ``#``
-    comments, as one float64 table. Every field reads as ``float()`` and the
-    class id also as ``int()``. All rows are converted and checked at once;
-    only when that fails is each line checked in turn, and the first bad one
-    named."""
-    n = container._low.size
-    rows = [r for r in map(str.split, text.splitlines()) if r and r[0][0] != "#"]
-    tokens = list(itertools.chain.from_iterable(rows))
+def _parse(texts: list[str], names: list[str], container):
+    """``container`` of the lines of ``texts``, in order, that are not blank
+    or ``#`` comments, as one float64 table, and each text's count of them.
+    Every field reads as ``float()`` and the class id also as ``int()``. All
+    rows are converted and checked at once; only when that fails are the lines
+    walked, and the first bad one named, after its text's entry of ``names``
+    when that is not empty."""
+    n, kind = container._low.size, container._kind
+    rows = [[r for r in map(str.split, t.splitlines()) if r and r[0][0] != "#"] for t in texts]
+    flat = list(itertools.chain.from_iterable(rows))
+    tokens = list(itertools.chain.from_iterable(flat))
     try:
-        if set(map(len, rows)) - {n}:
+        if set(map(len, flat)) - {n}:
             raise ValueError(f"every line needs {n} fields")
         list(map(int, tokens[::n]))
         table = np.fromiter(map(float, tokens), np.float64, len(tokens))
-        return container(table.reshape(-1, n))
+        return container(table.reshape(-1, n)), list(map(len, rows))
     except ValueError as exc:
         error = exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        parts = line.split()
-        if parts and not parts[0].startswith("#"):
-            if len(parts) != n:
-                raise ValueError(f"{kind} line {lineno} needs {n} fields: {line.strip()!r}")
-            try:
-                box = [float(v) for v in parts[1:5]]
-                _check_row([int(parts[0]), *box, *map(float, parts[5:])])
-            except ValueError as exc:
-                raise ValueError(f"{kind} line {lineno}: {exc}") from None
+    for name, text in zip(names, texts):
+        where = f"{name}: {kind}" if name else kind
+        for lineno, line in enumerate(text.splitlines(), 1):
+            parts = line.split()
+            if parts and not parts[0].startswith("#"):
+                if len(parts) != n:
+                    raise ValueError(f"{where} line {lineno} needs {n} fields: {line.strip()!r}")
+                try:
+                    box = [float(v) for v in parts[1:5]]
+                    _check_row([int(parts[0]), *box, *map(float, parts[5:])])
+                except ValueError as exc:
+                    raise ValueError(f"{where} line {lineno}: {exc}") from None
     raise error
 
 
 def parse_detections(text: str) -> Detections:
     """One detection per line: ``class_id x1 y1 x2 y2 confidence``; errors name the line."""
-    return _parse(text, "detection", Detections)
+    return _parse([text], [""], Detections)[0]
 
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """One box per line: ``class_id x1 y1 x2 y2``; errors name the line."""
-    return _parse(text, "ground-truth", GroundTruth)
+    return _parse([text], [""], GroundTruth)[0]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cfmw_kit import diffusion
+from cfmw_kit import cli, diffusion
 from cfmw_kit.cli import _build_parser, _embed_pair, main
 from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops
 from cfmw_kit.imageio import write_ppm
@@ -378,6 +379,17 @@ class TestFuse:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_params_bundle_refuses_another_grid_of_the_same_size(self, tmp_path, clean_ppm,
+                                                               capsys):
+        # A 32x32 image at --patch 8 is a 4x4 grid: a 2x8 bundle has its 16
+        # tokens but would scan them on another layout.
+        save_params(FusionBlockParams.random(4, 2, 2, 8, SeededRng(5)), tmp_path / "p")
+        out = tmp_path / "out"
+        assert _run("fuse", "--rgb", clean_ppm, "--thermal", clean_ppm, "--patch", 8,
+                    "--dim", 4, "--d-state", 2, "--params", tmp_path / "p", "--out", out) == 1
+        assert "4x4 patch grid differs from the bundle's 2x8" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("flag, value", [
         ("--patch", 0), ("--patch", -8), ("--dim", 0), ("--d-state", 0),
@@ -550,6 +562,13 @@ class TestBench:
         assert _run("bench", "--n-min", 8, "--n-max", 16, "--out", tmp_path) == 1
         assert "at least 4" in capsys.readouterr().err
 
+    def test_three_sizes_refused_by_the_kit_before_any_timing(self, tmp_path, capsys):
+        # 64, 128 and 256: the grid rule is scaling_benchmark's own
+        out = tmp_path / "out"
+        assert _run("bench", "--n-min", 64, "--n-max", 256, "--out", out) == 1
+        assert "benchmark grid needs at least 4 sizes" in capsys.readouterr().err
+        assert not (out / "bench.csv").exists()
+
 
 def _box_dirs(root, files):
     """``dets/`` and ``gts/`` under ``root`` from ``{name: (dets, gts)}`` texts."""
@@ -715,6 +734,28 @@ class TestEval:
         assert capsys.readouterr().err == (
             f"error: {tmp_path / 'dets' / 'b.txt'}: detection line 2 needs 6 fields: "
             "'0 0 0 10 10'\n")
+
+    @pytest.mark.parametrize("bad, n_read", [(None, 8), (b"0 0 0 10 x 0.9\n", 4),
+                                             (b"0 0 0 10 10 0.9\n\x84\n", 3)],
+                             ids=["good", "bad-line", "not-ascii"])
+    def test_each_box_file_is_opened_once(self, tmp_path, monkeypatch, bad, n_read):
+        # a bad third detection file: a bad line is found once all four are
+        # read, a non-ASCII byte as that file is read
+        names = ("a.txt", "b.txt", "c.txt", "d.txt")
+        dirs = _box_dirs(tmp_path, {n: ("0 0 0 10 10 0.9\n", "0 0 0 10 10\n") for n in names})
+        if bad:
+            (dirs[0] / "c.txt").write_bytes(bad)
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        code = _run("eval", "--dets", dirs[0], "--gts", dirs[1], "--out", tmp_path / "out")
+        assert code == (1 if bad else 0)
+        want = [str(d / n) for d in dirs for n in names]
+        assert sorted(p for p in opened if os.path.basename(p) in names) == want[:n_read]
 
     def test_max_area_emptying_whole_images_matches_each_image_filtered(self, tmp_path):
         big_d, big_g = "0 100 100 200 200 0.95\n", "0 100 100 200 200\n"

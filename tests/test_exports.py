@@ -26,6 +26,10 @@ KEEP = {
     "metrics.iou": "oracle of metrics._iou_matrix; perfbench's tracer rebinds it by name",
     "metrics.average_precision": "criterion oracle: criterion 9",
     "metrics.mean_ap": "criterion oracle: criterion 9; perfbench's tracer rebinds it by name",
+    "metrics.parse_detections": "oracle that test_io_property.py holds eval to; "
+                                "perfbench's tracer rebinds it by name",
+    "metrics.parse_ground_truth": "oracle that test_io_property.py holds eval to; "
+                                  "perfbench's tracer rebinds it by name",
     "detloss.total_loss": "criterion oracle: criterion 10",
     "tensor_io.save_params": "documented API: the writer of fuse --params bundles",
 }
