@@ -41,10 +41,6 @@ __all__ = [
     "softplus_inverse",
 ]
 
-# Below this magnitude of delta*a the ZOH input factor is taken at its limit;
-# avoids catastrophic cancellation in (exp(z) - 1) / z.
-ZOH_SERIES_EPS = 1e-8
-
 _SCAN_OVERFLOW = "x is too large: its scan overflows float64"
 
 
@@ -61,21 +57,8 @@ class OpCounter:
 
 
 def _zoh_phi(z: np.ndarray) -> np.ndarray:
-    """(exp(z) - 1) / z with the removable singularity evaluated at its limit."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < ZOH_SERIES_EPS
-    safe = np.where(small, 1.0, z)
-    return np.where(small, 1.0, np.expm1(z) / safe)
-
-
-def _zoh_phi_prime(z: np.ndarray) -> np.ndarray:
-    """Derivative of the ZOH factor, series-evaluated near zero."""
-    z = np.asarray(z, dtype=np.float64)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    direct = (np.exp(z) * (z - 1.0) + 1.0) / (safe * safe)
-    series = 0.5 + z / 3.0 + (z * z) / 8.0
-    return np.where(small, series, direct)
+    """The ZOH input factor expm1(z) / z, taken at its limit 1 only where z == 0."""
+    return np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
 
 
 def softplus_inverse(y: float) -> float:
@@ -138,9 +121,10 @@ class DiscreteSsm:
 def discretize(m: ContinuousSsm, delta: float) -> DiscreteSsm:
     """Zero-order-hold transform of a continuous model with step ``delta``.
 
-    Per state: a_bar = exp(delta a) and b_bar = ((exp(delta a) - 1) / (delta a))
-    * delta * b, the latter evaluated at its limit delta * b when
-    |delta a| < 1e-8. A step so large that the model leaves float64 is refused.
+    Per state: a_bar = exp(delta a) and b_bar = (expm1(delta a) / (delta a))
+    * delta * b, whose factor takes its limit 1 only where delta a is exactly
+    0, so b_bar = delta * b there. A step so large that the model leaves
+    float64 is refused.
     """
     if not delta > 0.0:
         raise ValueError("delta must be positive")
@@ -180,8 +164,8 @@ def apply_kernel(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
     """Causal convolution y_t = sum_{j<=t} taps_j * x_{t-j}; NaN, Inf or overflow refused."""
     x = check_finite(np.asarray(x, dtype=np.float64), "x")
     taps = check_finite(np.asarray(taps, dtype=np.float64), "taps")
-    if x.ndim != 1 or taps.ndim != 1:
-        raise ValueError("apply_kernel expects 1-D sequences")
+    if x.ndim != 1 or taps.ndim != 1 or x.size < 1:
+        raise ValueError("apply_kernel expects nonempty 1-D sequences")
     if x.size != taps.size:
         raise ValueError(f"length mismatch: x has {x.size}, taps has {taps.size}")
     return finite_step("x and taps are too large: their convolution overflows float64",
@@ -283,7 +267,7 @@ def _random_scan_params(d: int, n: int, rng: SeededRng, copies: int) -> list[Sel
 
 
 def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
-    """Reference per-token scan; returns the intermediates the backward pass needs.
+    """Reference per-token scan; returns what the backward pass and the tests read.
 
     The tests hold :func:`selective_scan` to ``_selective_forward(x, p)[0]``.
     """
@@ -295,8 +279,7 @@ def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
     z = delta[:, :, None] * p.a[None, :, :]              # (L, D, N)
     a_bar = np.exp(z)
     phi = _zoh_phi(z)
-    d_b = delta[:, :, None] * b_seq[:, None, :]          # (L, D, N)
-    b_bar = phi * d_b
+    b_bar = phi * (delta[:, :, None] * b_seq[:, None, :])  # (L, D, N)
     h = np.zeros((p.d_channels, p.n_state), dtype=np.float64)
     hs = np.empty((length, p.d_channels, p.n_state), dtype=np.float64)
     y = np.empty((length, p.d_channels), dtype=np.float64)
@@ -304,7 +287,7 @@ def _selective_forward(x: np.ndarray, p: SelectiveSsmParams):
         h = a_bar[t] * h + b_bar[t] * x[t][:, None]
         hs[t] = h
         y[t] = h @ c_seq[t]
-    return y, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs
+    return y, s, delta, b_seq, c_seq, z, a_bar, phi, b_bar, hs
 
 
 # Bytes of the two (block, S, D, N) step buffers of :func:`_stacked_scan`; it
@@ -362,6 +345,16 @@ def _stacked_scan(xs: list[np.ndarray], ps: list[SelectiveSsmParams]) -> np.ndar
     return y
 
 
+def _token_sequence(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
+    """``x`` as a finite float64 (L, D) sequence with L >= 1 and D matching ``p``."""
+    x = check_finite(np.asarray(x, dtype=np.float64), "x")
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ValueError("x must be a nonempty (L, D) sequence")
+    if x.shape[1] != p.d_channels:
+        raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
+    return x
+
+
 def selective_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
     """Input-dependent scan over an (L, D) token sequence.
 
@@ -371,10 +364,10 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
         h_t = exp(delta_{t,d} a_d) * h_{t-1} + b_bar_{t,d} * x_{t,d}
         y_{t,d} = <C_t, h_t>
 
-    where b_bar uses the same zero-order-hold factor as :func:`discretize`.
-    With z = delta_{t,d} a_d, the fast scan forms b_bar * x as
-    expm1(z) * x / a_d * B_t, which has no 0/0 as z -> 0 and so needs no
-    series branch; :class:`SelectiveSsmParams` keeps |a| >= 1e-300 so the
+    where b_bar uses the same zero-order-hold factor as :func:`discretize`,
+    expm1(z) / z with z = delta_{t,d} a_d, at its limit 1 only where z == 0.
+    The fast scan forms b_bar * x as expm1(z) * x / a_d * B_t instead, which
+    has no 0/0 at all; :class:`SelectiveSsmParams` keeps |a| >= 1e-300 so the
     division stays finite.
 
     The result comes from a forward-only scan that runs the recurrence in
@@ -383,11 +376,7 @@ def selective_scan(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
     it is tested against. An ``x`` holding NaN or Inf is refused, and so is
     one so large that its scan overflows float64.
     """
-    x = check_finite(np.asarray(x, dtype=np.float64), "x")
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("selective_scan needs a nonempty (L, D) sequence")
-    if x.shape[1] != p.d_channels:
-        raise ValueError(f"channel mismatch: x has {x.shape[1]}, params {p.d_channels}")
+    x = _token_sequence(x, p)
     # delta * a may overflow to -inf, and a_bar = 0 is then the exact decay;
     # an overflow that reaches the output leaves it non-finite, and is refused.
     return finite_step(_SCAN_OVERFLOW, _stacked_scan, [x], [p])[0]
@@ -399,21 +388,19 @@ def selective_scan_input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarra
     Reverse-mode over the recurrence; used to validate the forward pass
     against central finite differences. Refused as :func:`selective_scan` refuses.
     """
-    x = check_finite(np.asarray(x, dtype=np.float64), "x")
-    if x.ndim != 2 or x.shape[1] != p.d_channels:
-        raise ValueError("x must be (L, D) matching the params")
-    return finite_step(_SCAN_OVERFLOW, _input_grad, x, p)
+    return finite_step(_SCAN_OVERFLOW, _input_grad, _token_sequence(x, p), p)
 
 
 def _input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
-    _, s, delta, b_seq, c_seq, z, a_bar, phi, d_b, b_bar, hs = _selective_forward(x, p)
+    # b_bar = expm1(delta a) / a * B, so d b_bar / d delta = a_bar * B and
+    # d b_bar / d B = phi * delta: no derivative of phi is needed.
+    _, s, delta, b_seq, c_seq, _, a_bar, phi, b_bar, hs = _selective_forward(x, p)
     length = x.shape[0]
     g_x = np.zeros_like(x)
     g_s = np.zeros_like(s)
     g_b_seq = np.zeros_like(b_seq)
     g_c_seq = np.zeros_like(c_seq)
     gh = np.zeros((p.d_channels, p.n_state), dtype=np.float64)
-    phi_p = _zoh_phi_prime(z)
     for t in range(length - 1, -1, -1):
         gh = gh + c_seq[t][None, :]                  # dL/dy_t = 1 for every (t, d)
         g_c_seq[t] = hs[t].sum(axis=0)
@@ -421,10 +408,8 @@ def _input_grad(x: np.ndarray, p: SelectiveSsmParams) -> np.ndarray:
         g_abar = gh * h_prev
         g_bbar = gh * x[t][:, None]
         g_x[t] += (gh * b_bar[t]).sum(axis=1)
-        g_z = g_abar * a_bar[t] + g_bbar * d_b[t] * phi_p[t]
-        g_db = g_bbar * phi[t]
-        g_delta = (g_z * p.a).sum(axis=1) + (g_db * b_seq[t][None, :]).sum(axis=1)
-        g_b_seq[t] = (g_db * delta[t][:, None]).sum(axis=0)
+        g_delta = (a_bar[t] * (g_abar * p.a + g_bbar * b_seq[t][None, :])).sum(axis=1)
+        g_b_seq[t] = (g_bbar * phi[t] * delta[t][:, None]).sum(axis=0)
         g_s[t] = g_delta * sigmoid(s[t])
         gh = a_bar[t] * gh
     g_x += g_s @ p.w_delta + g_b_seq @ p.w_b + g_c_seq @ p.w_c
@@ -473,8 +458,8 @@ def ss2d(fmap: np.ndarray, p: Ss2dParams, counter: OpCounter | None = None) -> n
     NaN or Inf, or one whose scans overflow float64, is refused as ``x``.
     """
     fmap = check_finite(np.asarray(fmap, dtype=np.float64), "x")
-    if fmap.ndim != 3:
-        raise ValueError("ss2d expects an (H, W, D) feature map")
+    if fmap.ndim != 3 or 0 in fmap.shape[:2]:
+        raise ValueError("ss2d expects a nonempty (H, W, D) feature map")
     h, w, d = fmap.shape
     if d != p.d_channels:
         raise ValueError(f"channel mismatch: map has {d}, params {p.d_channels}")

@@ -2,12 +2,12 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cfmw_kit.ssm import (
-    ZOH_SERIES_EPS,
     ContinuousSsm,
     DiscreteSsm,
     OpCounter,
@@ -25,6 +25,7 @@ from cfmw_kit.ssm import (
     ss2d_mac_count,
     _block_steps,
     _selective_forward,
+    _zoh_phi,
 )
 from cfmw_kit.fusion import FusionBlockParams, Mlp3
 from cfmw_kit.tensor import SeededRng, softplus
@@ -42,8 +43,11 @@ def simpson(f, a, b, n=2048):
 
 class TestDiscretize:
     def test_zero_evolution_limit(self):
-        m = ContinuousSsm(a=[0.0, 0.0], b=[1.5, -2.0], c=[1.0, 1.0])
-        for delta in (0.5, 1.0, 2.0):
+        # b_bar = delta * b exactly where delta * a is 0: state 0 has a = 0, and
+        # state 1's delta * a underflows to 0 at delta = 1e-30.
+        m = ContinuousSsm(a=[0.0, -1e-300], b=[1.5, -2.0], c=[1.0, 1.0])
+        assert 1e-30 * m.a[1] == 0.0
+        for delta in (1e-30, 0.5, 1.0, 2.0):
             d = discretize(m, delta)
             assert np.array_equal(d.a_bar, [1.0, 1.0])
             assert np.allclose(d.b_bar, delta * m.b, rtol=0, atol=0)
@@ -80,6 +84,15 @@ class TestDiscretize:
                 assert np.all(np.abs(d.a_bar - (1.0 + za)) <= 2.0 * za ** 2)
                 assert np.all(np.abs(d.b_bar - delta * m.b)
                               <= np.abs(za * delta * m.b) + 1e-300)
+
+    def test_zoh_factor_within_one_ulp(self):
+        # Against the series sum_k z^k / (k + 1)!, summed exactly and rounded
+        # once; near z = -9.9e-9, taking the limit 1 would be 4.5e7 ulps off.
+        zs = np.geomspace(1e-12, 0.3, 200)
+        zs = np.concatenate([zs, -zs, [-9.9e-9, 0.0, -0.0, -5e-324, -1e-300]])
+        want = np.array([float(sum(Fraction(z) ** k / math.factorial(k + 1) for k in range(30)))
+                         for z in zs])
+        assert np.all(np.abs(_zoh_phi(zs) - want) <= np.spacing(want))
 
     def test_rejects_nonpositive_delta(self):
         m = ContinuousSsm(a=[-1.0], b=[1.0], c=[1.0])
@@ -164,6 +177,22 @@ class TestScanAndKernel:
             scan(d, np.empty(0))
         with pytest.raises(ValueError):
             apply_kernel(np.ones(3), np.ones(4))
+
+
+@pytest.mark.parametrize("name, call", [
+    ("scan", lambda: scan(discretize(ContinuousSsm.random(2, SeededRng(9)), 0.2), np.zeros(0))),
+    ("apply_kernel", lambda: apply_kernel(np.zeros(0), np.zeros(0))),
+    ("selective_scan",
+     lambda: selective_scan(np.zeros((0, 2)), SelectiveSsmParams.random(2, 3, SeededRng(9)))),
+    ("selective_scan_input_grad", lambda: selective_scan_input_grad(
+        np.zeros((0, 2)), SelectiveSsmParams.random(2, 3, SeededRng(9)))),
+    ("ss2d", lambda: ss2d(np.zeros((0, 3, 2)), Ss2dParams.random(2, 3, SeededRng(9)))),
+    ("ss2d", lambda: ss2d(np.zeros((3, 0, 2)), Ss2dParams.random(2, 3, SeededRng(9)))),
+], ids=["scan", "apply_kernel", "selective_scan", "selective_scan_input_grad",
+        "ss2d-no-rows", "ss2d-no-columns"])
+def test_empty_sequence_axis_refused_by_name(name, call):
+    with pytest.raises(ValueError, match=rf"^({name}|x)\b.*nonempty"):
+        call()
 
 
 class TestSelectiveScan:
@@ -277,10 +306,9 @@ class TestFastScanOracle:
             _assert_matches_reference(rng.normal(length * d_ch).reshape(length, d_ch), p)
 
     def test_vanishing_steps_inside_fast_path(self):
-        # Channel 1's step is exp(-40), so |z| < ZOH_SERIES_EPS there;
-        # channel 2's step underflows to 0, so z is exactly zero. Channels 3
-        # and 4 sit at tiny |a|, where the reference takes its series branch
-        # and the fast scan divides by a.
+        # Channel 1's step is exp(-40), so |z| < 1e-8 there; channel 2's step
+        # underflows to 0, so z is exactly zero. Channels 3 and 4 sit at tiny
+        # |a|, where the fast scan divides by a.
         rng = SeededRng(31)
         p = SelectiveSsmParams.random(6, 3, rng)
         w_delta = p.w_delta.copy()
@@ -294,7 +322,7 @@ class TestFastScanOracle:
         p = dataclasses.replace(p, w_delta=w_delta, u_delta=u_delta, a=a)
         x = rng.normal(65 * 6).reshape(65, 6) * 10.0
         z = _selective_forward(x, p)[5]
-        small = np.abs(z) < ZOH_SERIES_EPS
+        small = np.abs(z) < 1e-8
         assert small[:, 1:5].all() and not small[:, [0, 5]].all()
         with np.errstate(divide="raise", invalid="raise", over="raise"):
             _assert_matches_reference(x, p)
