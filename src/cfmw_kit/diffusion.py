@@ -208,15 +208,24 @@ def _out_buffer(buf, name: str, shape, others) -> np.ndarray:
     return buf
 
 
-# Bytes of one row tile of the step: a few tiles (x_t, the noise, out, the
-# second noise term, sq_diff) stay resident in a 2 MiB L2 while all the
-# passes of the step run over them.
-_TILE_BYTES = 256 * 1024
+# NumPy's pairwise sum splits a run at n // 2, rounded down to a multiple of 8,
+# until a piece has at most _LEAF elements; np.sum of each leaf, folded in that
+# tree's order, has np.sum's bits. The step's five leaf-sized slices (192 KiB
+# each at 512x512x3) stay in a 2 MiB L2 through every pass.
+_LEAF = 32768
+
+
+def _tree_sum(leaf, lo: int, n: int):
+    """Fold ``leaf(lo, hi)``, called in order, over the leaves of ``[lo, lo + n)``."""
+    if n <= _LEAF:
+        return leaf(lo, lo + n)
+    n2 = n // 2 - (n // 2) % 8
+    return _tree_sum(leaf, lo, n2) + _tree_sum(leaf, lo + n2, n - n2)
 
 
 def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
               pred, sched: NoiseSchedule, *, out: np.ndarray | None = None,
-              sq_diff: np.ndarray | None = None) -> np.ndarray:
+              sq_sum: np.ndarray | None = None) -> np.ndarray:
     """One deterministic implicit reverse step from ``t`` to ``t_prev``.
 
     The predicted noise first inverts the forward map to a clean-image
@@ -225,14 +234,15 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
         x0_hat = (x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t)
         x_prev = sqrt(abar_prev) x0_hat + sqrt(1 - abar_prev) eps_hat
 
-    The predictor is called once on the whole ``x_t``; the arithmetic then
-    runs over blocks of leading-axis rows of about ``_TILE_BYTES`` each, so
-    every pass of the step finds its block still in cache. The result is
-    written into ``out`` (allocated when None). When ``sq_diff`` is given it
-    receives ``(x_prev - x_t) ** 2`` per element, computed on the same
-    block. Each buffer is a float64 array of ``x_t``'s shape that shares no
-    memory with ``x_t``, the predicted noise or the other buffer. Returns
-    ``out``.
+    The predictor is called once on the whole ``x_t``, whose memory its
+    output must not share. The arithmetic runs on flat C-order leaves of
+    NumPy's pairwise-sum split, each finished in scratch and then copied
+    into ``out``, so every element has the bits of the whole-array formula.
+    ``out`` (allocated when None) is a float64 array of ``x_t``'s shape:
+    ``x_t`` itself, stepped in place, or one sharing no memory with ``x_t``
+    or the noise. A given ``sq_sum``, a float64 array of shape (1,) apart
+    from the others, receives ``np.sum(np.square(x_prev - x_t))`` with its
+    bits, from per-leaf sums folded in the tree's order. Returns ``out``.
     """
     t_prev = count("step index t_prev", t_prev, 0)
     t = count("step index t", t, t_prev + 1)
@@ -240,33 +250,37 @@ def ddim_step(x_t: np.ndarray, x_tilde: np.ndarray, t: int, t_prev: int,
     eps_hat = np.asarray(pred(x_t, x_tilde, t), dtype=np.float64)
     if eps_hat.shape != x_t.shape:
         raise ValueError("predictor output shape must match x_t")
-    out = _out_buffer(out, "out", x_t.shape, (x_t, eps_hat))
-    if sq_diff is not None:
-        sq_diff = _out_buffer(sq_diff, "sq_diff", x_t.shape, (x_t, eps_hat, out))
-    abar_t = sched.alpha_bar_at(t)
-    abar_p = sched.alpha_bar_at(t_prev)
+    if np.shares_memory(eps_hat, x_t):
+        raise ValueError("predictor output must not share memory with x_t")
+    out = _out_buffer(out, "out", x_t.shape, (eps_hat,) if out is x_t else (x_t, eps_hat))
+    if sq_sum is not None:
+        sq_sum = _out_buffer(sq_sum, "sq_sum", (1,), (x_t, eps_hat, out))
+    abar_t, abar_p = sched.alpha_bar_at(t), sched.alpha_bar_at(t_prev)
     c_eps_t, c_x0_t = math.sqrt(1.0 - abar_t), math.sqrt(abar_t)
     c_x0_p, c_eps_p = math.sqrt(abar_p), math.sqrt(1.0 - abar_p)
-    # Leading-axis row views; a 0-d step runs as one row of one element.
-    x_rows, eps_rows, out_rows = np.atleast_1d(x_t, eps_hat, out)
-    sq_rows = None if sq_diff is None else np.atleast_1d(sq_diff)
-    n = x_rows.shape[0]
-    rows = max(1, _TILE_BYTES // max(8 * math.prod(x_rows.shape[1:]), 1))
-    noise = np.empty((min(rows, n),) + x_rows.shape[1:])
-    for lo in range(0, n, rows):
-        hi = min(lo + rows, n)
-        x, eps, o = x_rows[lo:hi], eps_rows[lo:hi], out_rows[lo:hi]
-        # The formulas' float operations in their written order, so every
-        # element has the bits of the untiled step.
-        np.multiply(c_eps_t, eps, out=o)
-        np.subtract(x, o, out=o)
-        o /= c_x0_t
-        o *= c_x0_p
-        o += np.multiply(c_eps_p, eps, out=noise[:hi - lo])
-        if sq_rows is not None:
-            d = sq_rows[lo:hi]
-            np.subtract(o, x, out=d)
-            np.square(d, out=d)
+    # Flat views; a strided array is read from a copy, or written back below.
+    x_flat, eps_flat, out_flat = x_t.reshape(-1), eps_hat.reshape(-1), out.reshape(-1)
+    scratch = np.empty((2, min(x_flat.size, _LEAF)))
+
+    def leaf(lo, hi):
+        x, eps = x_flat[lo:hi], eps_flat[lo:hi]
+        s, d = scratch[:, :hi - lo]
+        # The formulas' float operations in their written order.
+        np.multiply(c_eps_t, eps, out=s)
+        np.subtract(x, s, out=s)
+        s /= c_x0_t
+        s *= c_x0_p
+        s += np.multiply(c_eps_p, eps, out=d)
+        if sq_sum is not None:
+            np.square(np.subtract(s, x, out=d), out=d)
+        out_flat[lo:hi] = s
+        return 0.0 if sq_sum is None else np.sum(d)
+
+    total = _tree_sum(leaf, 0, x_flat.size)
+    if not out.flags.c_contiguous:
+        out[...] = out_flat.reshape(out.shape)
+    if sq_sum is not None:
+        sq_sum[0] = total
     return out
 
 
@@ -274,34 +288,30 @@ def sample(x_noise: np.ndarray, x_tilde: np.ndarray, cfg: DiffusionConfig,
            pred, on_step=None) -> np.ndarray:
     """Run the deterministic reverse chain from step T down to 0.
 
-    The chain steps between two buffers allocated once and never writes into
-    ``x_noise``. When ``on_step`` is given, each hop also fills a third
-    buffer with its squared update, and ``on_step(t, t_prev, update_l2)``
-    is called after the hop with ``update_l2 = sqrt(sum((x_prev - x_t)**2))``
+    The chain holds one image buffer: the first hop writes it from
+    ``x_noise``, which is never written, and each later hop steps it in
+    place. When ``on_step`` is given, ``on_step(t, t_prev, update_l2)`` is
+    called after each hop with ``update_l2 = sqrt(sum((x_prev - x_t)**2))``
     (the CLI logs these residual norms).
 
     A non-finite result is refused once, after the last hop: the step only
     subtracts, adds, and scales by positive coefficients, so a NaN or
     infinity from the predictor, or an overflow, is still there at the end.
     """
-    x = check_finite(np.asarray(x_noise, dtype=np.float64), "x_noise")
+    x_noise = check_finite(np.asarray(x_noise, dtype=np.float64), "x_noise")
     x_tilde = check_finite(np.asarray(x_tilde, dtype=np.float64), "x_tilde")
-    if x.shape != x_tilde.shape:
+    if x_noise.shape != x_tilde.shape:
         raise ValueError("x_noise and x_tilde must share a shape")
     steps = cfg.step_sequence()
 
-    def chain(x):
-        # only the result's buffer outlives the chain: the check allocates beside one image
-        bufs = (np.empty(x.shape), np.empty(x.shape))
-        sq_diff = None if on_step is None else np.empty(x.shape)
+    def chain():
+        x = np.empty(x_noise.shape)
+        sq_sum = None if on_step is None else np.empty(1)
         for i, (t, t_prev) in enumerate(zip(steps, steps[1:] + [0])):
-            x = ddim_step(x, x_tilde, t, t_prev, pred, cfg.schedule,
-                          out=bufs[i % 2], sq_diff=sq_diff)
+            ddim_step(x if i else x_noise, x_tilde, t, t_prev, pred, cfg.schedule,
+                      out=x, sq_sum=sq_sum)
             if on_step is not None:
-                # One sum over the whole contiguous buffer: np.dot or a per-tile
-                # sum would add in another order and change the logged bits.
-                on_step(t, t_prev, float(np.sqrt(np.sum(sq_diff))))
+                on_step(t, t_prev, float(np.sqrt(sq_sum[0])))
         return x
     return finite_step("sampled image contains non-finite values: the predictor "
-                       "returned NaN or infinity, or a step overflowed", chain, x)
-
+                       "returned NaN or infinity, or a step overflowed", chain)

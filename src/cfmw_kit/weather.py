@@ -31,6 +31,10 @@ __all__ = [
 
 DEPTH_MODES = ("constant", "vertical_gradient", "radial")
 
+# Work-array bytes of one batch of gen_snow's flakes, at most 128 per window
+# pixel; a flake whose window alone is larger is a batch of its own.
+_SNOW_BATCH_BYTES = 8 << 20
+
 
 def _check_image(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img, dtype=np.float64)
@@ -151,27 +155,33 @@ def gen_snow(h: int, w: int, seed: int, density: float,
     if not 1e-150 <= r_lo <= r_hi <= 1e150:  # each flake divides by its radius squared
         raise ValueError(f"flake radius range must lie in [1e-150, 1e150], got {radius_range!r}")
     rng = SeededRng(seed)
-    mask = np.zeros((h, w), dtype=np.float64)
+    mask = np.zeros(h * w)
     n = int(round(density * h * w))
     xs, ys, radii, base = rng.draws(*[("uniform", n)] * 3, ("uniform", h * w))
     xs *= w
     ys *= h
     radii = r_lo + (r_hi - r_lo) * radii
-    for cx, cy, r in zip(xs, ys, radii):
-        x_lo = max(int(math.floor(cx - r)), 0)
-        x_hi = min(int(math.ceil(cx + r)) + 1, w)
-        y_lo = max(int(math.floor(cy - r)), 0)
-        y_hi = min(int(math.ceil(cy + r)) + 1, h)
-        if x_lo >= x_hi or y_lo >= y_hi:
-            continue
-        yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
-        d2 = ((xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2) / (r * r)
-        patch = np.clip(1.0 - d2, 0.0, 1.0)
-        np.maximum(mask[y_lo:y_hi, x_lo:x_hi], patch,
-                   out=mask[y_lo:y_hi, x_lo:x_hi])
+    # Each flake's window, clipped in float so no radius overflows the int cast.
+    lo = np.maximum(np.floor([xs - radii, ys - radii]), 0.0).astype(np.int64)
+    hi = np.minimum(np.ceil([xs + radii, ys + radii]) + 1.0, [[w], [h]]).astype(np.int64)
+    (x_lo, y_lo), (widths, heights) = lo, hi - lo
+    sizes = widths * heights
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    i = 0
+    while i < n:  # batches of whole flakes
+        j = max(int(np.searchsorted(ends, starts[i] + _SNOW_BATCH_BYTES // 128, "right")), i + 1)
+        f = np.repeat(np.arange(i, j), sizes[i:j])
+        row, col = np.divmod(np.arange(starts[i], ends[j - 1]) - starts[f], widths[f])
+        yy, xx = y_lo[f] + row, x_lo[f] + col
+        # each pixel's d2 by the same float operations as a per-flake window
+        d2 = ((xx + 0.5 - xs[f]) ** 2 + (yy + 0.5 - ys[f]) ** 2) / (radii[f] * radii[f])
+        # np.maximum is exact and order-free: overlapping flakes take their max
+        np.maximum.at(mask, yy * w + xx, np.clip(1.0 - d2, 0.0, 1.0))
+        i = j
     base = 232.0 + 18.0 * base.reshape(h, w)
     tint = np.array([0.96, 0.99, 1.04])  # slight blue cast
-    return mask, np.clip(base[..., None] * tint, 0.0, 255.0)
+    return mask.reshape(h, w), np.clip(base[..., None] * tint, 0.0, 255.0)
 
 
 def gen_depth(mode: str, h: int, w: int, value: float = 1.0,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from cfmw_kit.diffusion import (
-    _TILE_BYTES,
+    _LEAF,
+    _tree_sum,
     DiffusionConfig,
     NoiseSchedule,
     OraclePredictor,
@@ -218,12 +219,16 @@ class TestDdimStep:
         for pred in (OraclePredictor(randn([5, 4, 3], rng)), TinyMlpPredictor(7)):
             for t, t_prev in ((1000, 980), (417, 1), (20, 0)):
                 want = ddim_step(x_t, cond, t, t_prev, pred, sched)
-                out, sq_diff = np.full_like(x_t, np.nan), np.full_like(x_t, np.nan)
+                out, sq_sum = np.full_like(x_t, np.nan), np.full(1, np.nan)
                 got = ddim_step(x_t, cond, t, t_prev, pred, sched,
-                                out=out, sq_diff=sq_diff)
+                                out=out, sq_sum=sq_sum)
                 assert got is out
                 assert np.array_equal(got, want)
-                assert np.array_equal(sq_diff, np.square(want - x_t))
+                assert sq_sum[0] == np.sum(np.square(want - x_t))
+                # stepped in place, x_t ends as the allocating result
+                inplace = x_t.copy()
+                assert ddim_step(inplace, cond, t, t_prev, pred, sched, out=inplace) is inplace
+                assert np.array_equal(inplace, want)
 
     def test_bad_buffers_refused(self):
         sched = make_schedule("linear", 10)
@@ -234,29 +239,35 @@ class TestDdimStep:
         bad = {
             "shape": dict(out=np.empty((2, 3))),
             "dtype": dict(out=np.empty((3, 2), dtype=np.float32)),
-            "sq_diff shape": dict(sq_diff=np.empty((3, 2, 1))),
-            "sq_diff dtype": dict(sq_diff=np.empty((3, 2), dtype=np.float32)),
-            "list": dict(sq_diff=[[0.0] * 2] * 3),
-            "out is x_t": dict(out=x_t),
+            "sq_sum shape": dict(sq_sum=np.empty(())),
+            "sq_sum size": dict(sq_sum=np.empty(2)),
+            "sq_sum dtype": dict(sq_sum=np.empty(1, dtype=np.float32)),
+            "list": dict(sq_sum=[0.0]),
+            "out views x_t": dict(out=x_t[:, :]),
+            "out overlaps x_t": dict(out=np.lib.stride_tricks.as_strided(
+                x_t[1:], shape=(3, 2), writeable=True)),
             "out is eps": dict(out=pred.eps),
-            "sq_diff views x_t": dict(sq_diff=x_t[:, :]),
-            "sq_diff is eps": dict(sq_diff=pred.eps),
-            "sq_diff is out": dict(out=pool[0], sq_diff=pool[0]),
-            "sq_diff overlaps out": dict(out=pool[0],
-                                         sq_diff=pool.reshape(-1)[3:9].reshape(3, 2)),
+            "sq_sum in x_t": dict(sq_sum=x_t.reshape(-1)[:1]),
+            "sq_sum in eps": dict(sq_sum=pred.eps.reshape(-1)[4:5]),
+            "sq_sum in out": dict(out=pool[0], sq_sum=pool.reshape(-1)[5:6]),
         }
         for kwargs in bad.values():
-            with pytest.raises(ValueError, match="out|sq_diff"):
+            with pytest.raises(ValueError, match="out|sq_sum"):
                 ddim_step(x_t, x_t, 5, 2, pred, sched, **kwargs)
+        # a predicted noise in x_t's memory would be overwritten by an in-place step
+        with pytest.raises(ValueError, match="predictor output must not share memory"):
+            ddim_step(x_t, x_t, 5, 2, lambda x, cond, t: x[:, ::-1], sched)
         # distinct slices of one array share no memory and are accepted
-        ddim_step(x_t, x_t, 5, 2, pred, sched, out=pool[0], sq_diff=pool[1])
+        ddim_step(x_t, x_t, 5, 2, pred, sched, out=pool[0], sq_sum=pool[1].reshape(-1)[:1])
 
     TILE_CASES = [
         ((), "contiguous"), ((5,), "contiguous"), ((1, 7), "contiguous"),
         ((37, 513, 3), "contiguous"), ((600, 600, 3), "contiguous"),
-        ((3, 40000), "contiguous"),  # rows wider than a tile: one row per tile
+        ((3, 40000), "contiguous"),  # leaves end inside rows
         ((5,), "strided x_t"), ((37, 513, 3), "strided x_t"),
         ((5,), "strided out"), ((600, 600, 3), "strided out"),
+        ((), "in place"), ((37, 513, 3), "in place"), ((600, 600, 3), "in place"),
+        ((5,), "strided in place"), ((37, 513, 3), "strided in place"),
     ]
 
     @pytest.mark.parametrize("shape, layout", TILE_CASES, ids=[
@@ -270,14 +281,12 @@ class TestDdimStep:
         def strided():  # every other leading row of a twice-as-long array
             return np.empty((2 * shape[0],) + shape[1:])[::2]
 
-        x_t = randn([n], rng).reshape(shape) * 40.0
-        if layout == "strided x_t":
-            view = strided()
-            view[...] = x_t
-            x_t = view
+        x_start = randn([n], rng).reshape(shape) * 40.0
         eps = randn([n], rng).reshape(shape)
-        out = strided() if layout == "strided out" else None
         for t, t_prev in ((1000, 980), (417, 3), (20, 0)):
+            x_t = strided() if layout in ("strided x_t", "strided in place") else np.empty(shape)
+            x_t[...] = x_start
+            out = strided() if layout == "strided out" else x_t if "in place" in layout else None
             # The six ops over whole arrays, in the step's written order.
             abar_t, abar_p = sched.alpha_bar_at(t), sched.alpha_bar_at(t_prev)
             want = np.multiply(math.sqrt(1.0 - abar_t), eps)
@@ -285,12 +294,36 @@ class TestDdimStep:
             want /= math.sqrt(abar_t)
             want *= math.sqrt(abar_p)
             want += np.multiply(math.sqrt(1.0 - abar_p), eps)
-            sq_diff = np.empty(shape)
-            got = ddim_step(x_t, x_t, t, t_prev, OraclePredictor(eps), sched,
-                            out=out, sq_diff=sq_diff)
+            sq_sum = np.empty(1)
+            got = ddim_step(x_t, x_start, t, t_prev, OraclePredictor(eps), sched,
+                            out=out, sq_sum=sq_sum)
             assert got.shape == shape
+            assert out is None or got is out
             assert np.array_equal(got, want)
-            assert np.array_equal(sq_diff, np.square(got - x_t))
+            assert sq_sum[0] == np.sum(np.square(want - x_start))
+
+
+class TestLeafFold:
+    # The step's logged update norm folds per-leaf np.sum results in the tree
+    # order of NumPy's pairwise split. If a NumPy release changes the split
+    # rule, this fails here and in the restore digests, never silently.
+    @pytest.mark.parametrize("n", [1, 7, 100, 127, 12345, 40001, 128 * 128 * 3,
+                                   512 * 512 * 3, 1_000_003, 7_800_007])
+    def test_fold_is_np_sum(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.standard_normal(n)
+        a *= np.exp2(rng.integers(-40, 40, n))  # magnitudes that make order show
+        for values in (a, np.square(a, out=a)):
+            leaves = []
+
+            def leaf(lo, hi):
+                leaves.append((lo, hi))
+                return np.sum(values[lo:hi])
+
+            assert _tree_sum(leaf, 0, n) == np.sum(values)
+            assert leaves[0][0] == 0 and leaves[-1][1] == n
+            assert all(hi == lo for (_, hi), (lo, _) in zip(leaves, leaves[1:]))
+            assert max(hi - lo for lo, hi in leaves) <= _LEAF
 
 
 class TestSample:
@@ -332,7 +365,7 @@ class TestSample:
         sched = make_schedule("linear", 100)
         cfg = DiffusionConfig(schedule=sched, n_sample_steps=4)
         rng = SeededRng(63)
-        shape = [300, 200, 3]  # several row tiles per step
+        shape = [300, 200, 3]  # several leaves per step
         x_noise, cond = randn(shape, rng), randn(shape, rng)
         pred = TinyMlpPredictor(5)
         seen = []
@@ -406,13 +439,32 @@ class TestSample:
         assert np.array_equal(x_noise, before)
         assert not np.shares_memory(out, x_noise)
 
+    def test_x_noise_read_once_and_chain_stepped_in_place(self):
+        sched = make_schedule("linear", 100)
+        cfg = DiffusionConfig(schedule=sched, n_sample_steps=5)
+        rng = SeededRng(68)
+        x_noise, eps = randn([6, 5], rng), randn([6, 5], rng)
+        seen = []
+
+        def pred(x, cond, t):
+            seen.append(x)
+            return eps
+
+        out = sample(x_noise, np.zeros_like(x_noise), cfg, pred)
+        assert seen[0] is x_noise
+        assert all(x is out for x in seen[1:])
+
     def test_memory_does_not_grow_with_steps(self):
         sched = make_schedule("linear", 1000)
         rng = SeededRng(65)
-        shape = [256, 256, 3]  # six row tiles per step
+        shape = [256, 256, 3]  # eight leaves per step
         x_noise, eps = randn(shape, rng), randn(shape, rng)
         pred = OraclePredictor(eps)
         cond = np.zeros_like(x_noise)
+        # The chain holds one image buffer, and each step two leaf-sized
+        # scratch tiles; the last check adds a one-byte-per-element isfinite
+        # mask. Only the step list (a few bytes a step) grows with S.
+        bound = x_noise.nbytes + x_noise.size + 2 * 8 * _LEAF + 8 * 1024
         peaks = {}
         for steps in (5, 50):
             cfg = DiffusionConfig(schedule=sched, n_sample_steps=steps)
@@ -422,12 +474,8 @@ class TestSample:
                 peaks[steps] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        # The chain holds two ping-pong buffers and the squared-update buffer,
-        # plus one tile of the step's second noise term, at any step count;
-        # only the step list (a few bytes a step) grows with S.
-        slack = _TILE_BYTES + 8 * 1024
         assert peaks[50] <= peaks[5] + 8 * 1024
-        assert peaks[50] <= 3 * x_noise.nbytes + slack
+        assert peaks[50] <= bound
 
     def test_conditioning_reaches_predictor(self):
         # A predictor biased by the conditioning image's mean must change the

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from cfmw_kit.tensor import SeededRng
 from cfmw_kit.weather import (
+    _SNOW_BATCH_BYTES,
     apply_fog,
     apply_rain,
     apply_snow,
@@ -211,7 +213,77 @@ class TestRainGenerator:
             gen_rain(8, 8, seed=1, density=0.05, angle_deg=angle)
 
 
+def _snow_mask_by_flake(h, w, seed, density, radius_range):
+    """gen_snow's mask composited one flake at a time, each over its own
+    clipped window: the oracle for the batched mask."""
+    n = int(round(density * h * w))
+    xs, ys, radii, _ = SeededRng(seed).draws(*[("uniform", n)] * 3, ("uniform", h * w))
+    xs *= w
+    ys *= h
+    r_lo, r_hi = radius_range
+    radii = r_lo + (r_hi - r_lo) * radii
+    mask = np.zeros((h, w))
+    for cx, cy, r in zip(xs, ys, radii):
+        x_lo = max(int(math.floor(cx - r)), 0)
+        x_hi = min(int(math.ceil(cx + r)) + 1, w)
+        y_lo = max(int(math.floor(cy - r)), 0)
+        y_hi = min(int(math.ceil(cy + r)) + 1, h)
+        if x_lo >= x_hi or y_lo >= y_hi:
+            continue
+        yy, xx = np.mgrid[y_lo:y_hi, x_lo:x_hi]
+        d2 = ((xx + 0.5 - cx) ** 2 + (yy + 0.5 - cy) ** 2) / (r * r)
+        patch = np.clip(1.0 - d2, 0.0, 1.0)
+        np.maximum(mask[y_lo:y_hi, x_lo:x_hi], patch, out=mask[y_lo:y_hi, x_lo:x_hi])
+    return mask
+
+
+def _snow_cases():
+    cases = [
+        (8, 8, 1, 0.5, (1e-150, 1e-150)),
+        (8, 8, 1, 0.5, (1e150, 1e150)),
+        (9, 7, 2, 0.5, (1e-150, 1e150)),
+        (1, 1, 4, 1.0, (1.0, 3.0)),
+        (1, 40, 5, 0.3, (0.3, 2.0)),
+        (512, 512, 6, 0.004, (1.0, 3.0)),  # synth's default snow at the benchmark size
+    ]
+    rng = np.random.default_rng(12)
+    for _ in range(40):
+        h, w = rng.integers(1, 49, 2)
+        lo = 10.0 ** rng.uniform(-2.0, 1.5)
+        cases.append((int(h), int(w), int(rng.integers(2 ** 31)), float(rng.uniform(0.001, 1.0)),
+                      (lo, lo * 10.0 ** rng.uniform(0.0, 1.0))))
+    return cases
+
+
 class TestSnowGenerator:
+    def test_batched_mask_has_the_per_flake_bits(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for h, w, seed, density, radius_range in _snow_cases():
+                mask, _ = gen_snow(h, w, seed, density, radius_range)
+                want = _snow_mask_by_flake(h, w, seed, density, radius_range)
+                assert np.array_equal(mask, want), (h, w, seed, density, radius_range)
+
+    def test_flakes_clipped_at_all_four_borders(self):
+        mask, _ = gen_snow(16, 16, 3, 0.2, (4.0, 12.0))
+        assert np.array_equal(mask, _snow_mask_by_flake(16, 16, 3, 0.2, (4.0, 12.0)))
+        assert all(edge.any() for edge in (mask[0], mask[-1], mask[:, 0], mask[:, -1]))
+
+    def test_memory_stays_within_the_batch_budget(self):
+        # About 4,400 window pixels a flake at radii up to 64: all 262 flakes
+        # in one batch would take about 100 MB of work arrays.
+        h = w = 256
+        image = 8 * h * w
+        # the batch, plus the mask, the base draws, the overlay and its temporaries
+        bound = _SNOW_BATCH_BYTES + 8 * image
+        tracemalloc.start()
+        try:
+            gen_snow(h, w, 9, 0.004, (1.0, 64.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
     def test_deterministic(self):
         a_mask, a_map = gen_snow(24, 24, seed=8, density=0.01)
         b_mask, b_map = gen_snow(24, 24, seed=8, density=0.01)
