@@ -96,8 +96,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                   "radius_max": repr(args.radius_max)}
     else:
         params = {"beta": repr(args.beta), "linf": repr(args.linf),
-                  "depth_mode": args.depth_mode, "depth_value": repr(args.depth_value),
-                  "max_depth": repr(args.max_depth)}
+                  "depth_mode": args.depth_mode, "max_depth": repr(args.max_depth)}
 
     def degrade(item):
         index, (dst, src) = item
@@ -113,8 +112,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                                              (args.radius_min, args.radius_max))
             degraded = weather.apply_snow(img, mask, overlay)
         else:
-            depth = weather.gen_depth(args.depth_mode, h, w, value=args.depth_value,
-                                      max_depth=args.max_depth)
+            depth = weather.gen_depth(args.depth_mode, h, w, max_depth=args.max_depth)
             degraded = weather.apply_fog(img, depth, args.beta, args.linf)
         _atomic_file(dst, lambda p: imageio.write_ppm(p, degraded))
         return src, dst, img_seed
@@ -151,14 +149,9 @@ def cmd_restore(args: argparse.Namespace) -> int:
         clean = imageio.read_ppm(args.clean)
         if clean.shape != degraded.shape:
             raise ValueError("clean and degraded image sizes differ")
-        if args.eps_file is not None:
-            eps = tensor_io.read_tensor(args.eps_file)
-            if eps.shape != clean.shape:
-                raise ValueError("stored noise shape does not match the images")
-        else:
-            eps = tensor.randn(clean.shape, rng)
-        x_noise = diffusion.q_sample(clean, args.t_count, eps, sched)
-        pred = diffusion.OraclePredictor(eps)
+        pred = diffusion.OraclePredictor(tensor.randn(clean.shape, rng))
+        x_noise = diffusion.q_sample(clean, args.t_count, pred.eps, sched)
+        del clean
     else:
         x_noise = tensor.randn(degraded.shape, rng) * 127.5 + 127.5
         pred = diffusion.TinyMlpPredictor(args.seed)
@@ -166,6 +159,7 @@ def cmd_restore(args: argparse.Namespace) -> int:
     residuals = []
     restored = diffusion.sample(x_noise, degraded, cfg, pred,
                                 on_step=lambda *hop: residuals.append(hop))
+    del x_noise, pred, degraded  # the restored image is written alone
     dst = out / f"{degraded_path.stem}_restored.ppm"
     _atomic_file(dst, lambda p: imageio.write_ppm(p, restored))
     csv = "t,t_prev,update_l2\n" + "".join(
@@ -386,16 +380,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--linf", type=float, default=235.0)
     p.add_argument("--depth-mode", choices=weather.DEPTH_MODES, default="vertical_gradient")
-    p.add_argument("--depth-value", type=float, default=1.0)
-    p.add_argument("--max-depth", type=float, default=1.0)
+    p.add_argument("--max-depth", type=float, default=1.0, help="scales every --depth-mode")
 
     p = command("restore", cmd_restore, "deterministic implicit-sampler restoration")
     p.add_argument("--input", type=Path, default=None, help="degraded PPM image")
     p.add_argument("--predictor", choices=("oracle", "tinymlp"), default=None)
     p.add_argument("--clean", type=Path, default=None,
                    help="oracle inversion target (oracle predictor only)")
-    p.add_argument("--eps-file", type=Path, default=None,
-                   help="stored TSR1 noise for the oracle (default: seeded draw)")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--t-count", type=int, default=1000)
     p.add_argument("--schedule", choices=diffusion.SCHEDULE_KINDS, default="linear")

@@ -33,8 +33,9 @@ def write_ppm(path: str | Path, pixels: np.ndarray) -> None:
     if h < 1 or w < 1:
         raise ValueError("netpbm extents must be >= 1")
     header = f"P6\n{w} {h}\n255\n".encode("ascii")
-    body = np.rint(np.clip(check_finite(pixels, "image"), 0.0, 255.0)).astype(np.uint8)
-    Path(path).write_bytes(header + body.tobytes(order="C"))
+    body = np.clip(check_finite(pixels, "image"), 0.0, 255.0)
+    np.rint(body, out=body)  # clip made a fresh array: pixels stay as they are
+    Path(path).write_bytes(header + body.astype(np.uint8).tobytes(order="C"))
 
 
 def read_ppm(path: str | Path) -> np.ndarray:

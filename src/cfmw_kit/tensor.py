@@ -183,20 +183,25 @@ def finite_step(message: str, step, *args):
 
 
 @functools.cache
-def _fields(cls, hint) -> tuple[str, ...]:
+def _init_fields(cls) -> tuple[tuple[str, object], ...]:
+    """Name and resolved type hint of each init field of the dataclass ``cls``,
+    in field order."""
     hints = typing.get_type_hints(cls)
-    return tuple(f.name for f in dataclasses.fields(cls) if f.init and hints[f.name] is hint)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init)
 
 
 def freeze_arrays(obj) -> None:
     """Store each ``int``-hinted init field of the frozen dataclass ``obj`` as
     a :func:`count` of at least 1, and each ``np.ndarray``-hinted one as a
     finite float64 array; either refusal is a ValueError naming its field."""
-    for name in _fields(type(obj), int):
-        object.__setattr__(obj, name, count(name, getattr(obj, name), 1))
-    for name in _fields(type(obj), np.ndarray):
-        arr = np.asarray(getattr(obj, name), dtype=np.float64)
-        object.__setattr__(obj, name, check_finite(arr, name))
+    fields = _init_fields(type(obj))
+    for name, hint in fields:
+        if hint is int:
+            object.__setattr__(obj, name, count(name, getattr(obj, name), 1))
+    for name, hint in fields:
+        if hint is np.ndarray:
+            arr = np.asarray(getattr(obj, name), dtype=np.float64)
+            object.__setattr__(obj, name, check_finite(arr, name))
 
 
 def randn(shape: Sequence[int], rng: SeededRng) -> np.ndarray:

@@ -23,10 +23,11 @@ import dataclasses
 import os
 import shutil
 import struct
-import typing
 from pathlib import Path
 
 import numpy as np
+
+from .tensor import _init_fields
 
 __all__ = [
     "write_tensor",
@@ -116,14 +117,13 @@ def read_manifest(path: str | Path) -> dict[str, str]:
     return entries
 
 
-def _init_fields(cls) -> list[tuple[str, type]]:
+def _bundle_fields(cls) -> tuple[tuple[str, type], ...]:
     """Name and type of each init field of ``cls``, in field order.
 
     A field that is not an array, a nested dataclass, an ``int`` or a ``str``
     is refused by name: ``str`` of it would not read back as the same value.
     """
-    hints = typing.get_type_hints(cls)
-    fields = [(f.name, hints[f.name]) for f in dataclasses.fields(cls) if f.init]
+    fields = _init_fields(cls)
     for name, hint in fields:
         if hint not in (np.ndarray, int, str) and not dataclasses.is_dataclass(hint):
             raise ValueError(f"{cls.__name__}.{name} is not an array, a dataclass, an int "
@@ -143,7 +143,7 @@ def save_params(obj, directory: str | Path) -> None:
     tensors: dict[str, np.ndarray] = {}
 
     def walk(obj, prefix: str) -> None:
-        for name, hint in _init_fields(type(obj)):
+        for name, hint in _bundle_fields(type(obj)):
             value = getattr(obj, name)
             if dataclasses.is_dataclass(hint):
                 walk(value, f"{prefix}{name}.")
@@ -191,7 +191,7 @@ def load_params(cls, directory: str | Path):
 
     def build(cls, prefix: str):
         fields = {}
-        for name, hint in _init_fields(cls):
+        for name, hint in _bundle_fields(cls):
             key = prefix + name
             entry = ("tensor." if hint is np.ndarray else "meta.") + key
             if dataclasses.is_dataclass(hint):

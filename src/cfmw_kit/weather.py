@@ -184,16 +184,15 @@ def gen_snow(h: int, w: int, seed: int, density: float,
     return mask.reshape(h, w), np.clip(base[..., None] * tint, 0.0, 255.0)
 
 
-def gen_depth(mode: str, h: int, w: int, value: float = 1.0,
-              max_depth: float = 1.0) -> np.ndarray:
-    """Depth maps: constant fill, top-to-bottom ramp, or distance from center."""
+def gen_depth(mode: str, h: int, w: int, max_depth: float = 1.0) -> np.ndarray:
+    """Depth maps in [0, ``max_depth``]: ``max_depth`` everywhere (constant), a
+    top-to-bottom ramp from 0 (vertical_gradient), or the distance from the
+    center, ``max_depth`` at the corners (radial)."""
     h, w = count("image extents h", h, 1), count("image extents w", w, 1)
-    if mode == "constant":
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"depth value must be finite and nonnegative, got {value!r}")
-        return np.full((h, w), float(value), dtype=np.float64)
     if not 0.0 <= max_depth < math.inf:
         raise ValueError(f"max depth must be finite and nonnegative, got {max_depth!r}")
+    if mode == "constant":
+        return np.full((h, w), float(max_depth), dtype=np.float64)
     if mode == "vertical_gradient":
         ramp = np.zeros(h) if h == 1 else np.arange(h, dtype=np.float64) / (h - 1)
         return np.repeat((ramp * max_depth)[:, None], w, axis=1)

@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from cfmw_kit.fusion import FusionBlockParams, Mlp3, count_ops
 from cfmw_kit.imageio import write_ppm
 from cfmw_kit.metrics import mean_ap, parse_detections, parse_ground_truth
 from cfmw_kit.tensor import SeededRng
-from cfmw_kit.tensor_io import save_params, write_tensor
+from cfmw_kit.tensor_io import save_params
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _clean_image(h=32, w=32):
@@ -170,7 +175,7 @@ class TestSynth:
     @pytest.mark.parametrize("argv", [
         ("rain", "--angle", "nan"), ("rain", "--angle", "inf"),
         ("fog", "--linf", "inf"), ("fog", "--beta", "nan"), ("fog", "--beta", "inf"),
-        ("fog", "--depth-mode", "constant", "--depth-value", "nan"),
+        ("fog", "--depth-mode", "constant", "--max-depth", "nan"),
         ("fog", "--max-depth", "inf"), ("snow", "--radius-max", "inf"),
     ])
     def test_non_finite_weather_parameters_rejected(self, tmp_path, clean_ppm, capsys, argv):
@@ -244,6 +249,22 @@ class TestRestore:
         got = tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
                     for name in ("clean_restored.ppm", "clean_residuals.csv"))
         assert got == self.PINNED[predictor]
+
+    def test_peak_memory_is_the_noise_draw(self, tmp_path):
+        # The peak is the oracle's seeded noise draw, taken while the degraded
+        # and clean images are alive: its 64-bit words, its output and four
+        # half-image Box-Muller temporaries, six images in all. Holding the
+        # inputs through the chain and the write goes past that.
+        clean = tmp_path / "clean.ppm"
+        write_ppm(clean, _clean_image(256, 256))
+        tracemalloc.start()
+        try:
+            assert _run("restore", "--input", clean, "--predictor", "oracle", "--clean", clean,
+                        "--steps", 2, "--t-count", 20, "--out", tmp_path / "out") == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 256 * 256 * 3 * 8
 
     def test_oracle_requires_clean(self, tmp_path, clean_ppm, capsys):
         code = _run("restore", "--input", clean_ppm, "--predictor", "oracle",
@@ -947,6 +968,48 @@ def _options():
             if s.startswith("--") and s not in ("--config", "--help")]
 
 
+_SCHEDULE = ("chooses the noise schedule that restore samples on and schedule dumps; "
+             "no other flag sets it")
+
+# Flags that no caller sets, each with the reason it stays.
+KEEP_FLAGS = {
+    "restore --schedule": _SCHEDULE,
+    "restore --beta-start": _SCHEDULE,
+    "restore --beta-end": _SCHEDULE,
+    "schedule --beta-start": _SCHEDULE,
+    "schedule --beta-end": _SCHEDULE,
+}
+
+
+def _flags_set() -> set[str]:
+    """The option names that a caller sets: a string ``--name`` in a benchmark
+    argv or in criterion 11's pipeline, or a ``--name`` on a ``cfmw-kit``
+    line of CI or anywhere in README.md. A name counts for every command
+    that has it."""
+    def literals(tree):
+        return {node.value[2:] for node in ast.walk(tree) if isinstance(node, ast.Constant)
+                and isinstance(node.value, str) and node.value.startswith("--")}
+
+    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    pipeline = next(node for node in acceptance.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_run_pipeline")
+    ci = (ROOT / ".github" / "workflows" / "tests.yml").read_text().replace("\\\n", " ")
+    shell = "\n".join(line for line in ci.splitlines() if line.lstrip().startswith("cfmw-kit "))
+    flag = r"(?<![\w-])--([a-z][a-z0-9-]*)"
+    return (literals(ast.parse((ROOT / "perfbench" / "workloads.py").read_text()))
+            | literals(pipeline) | set(re.findall(flag, shell))
+            | set(re.findall(flag, (ROOT / "README.md").read_text())))
+
+
+def test_every_flag_has_a_caller():
+    # No flag that only tests set: as test_exports.KEEP does for names, a
+    # kept flag that gained a caller or left the parser leaves KEEP_FLAGS too.
+    called = _flags_set()
+    unset = {f"{command} --{option}" for command, option, _ in _options() if option not in called}
+    assert sorted(unset - KEEP_FLAGS.keys()) == []
+    assert sorted(KEEP_FLAGS.keys() - unset) == []
+
+
 # Flags every run of a command gets, unless they name the option under test.
 _BASE = {
     "synth": {"input": "{clean}", "weather": "rain"},
@@ -975,12 +1038,10 @@ _CASES = [
     ("synth", "beta", "0.8", {"weather": "fog"}),
     ("synth", "linf", "200.0", {"weather": "fog"}),
     ("synth", "depth-mode", "radial", {"weather": "fog"}),
-    ("synth", "depth-value", "2.0", {"weather": "fog", "depth-mode": "constant"}),
     ("synth", "max-depth", "3.0", {"weather": "fog", "depth-mode": "radial"}),
     ("restore", "input", "{degraded}", {}),
     ("restore", "predictor", "tinymlp", {}),
     ("restore", "clean", "{clean}", {}),
-    ("restore", "eps-file", "{eps}", {}),
     ("restore", "steps", "3", {}),
     ("restore", "t-count", "30", {}),
     ("restore", "schedule", "cosine", {}),
@@ -1020,8 +1081,6 @@ def inputs(tmp_path):
     write_ppm(files["clean"], _clean_image())
     write_ppm(files["thermal"], 255.0 - _clean_image())
     write_ppm(files["degraded"], np.clip(_clean_image() + 40.0, 0.0, 255.0))
-    files["eps"] = root / "eps.tsr"
-    write_tensor(files["eps"], SeededRng(3).normal(32 * 32 * 3).reshape(32, 32, 3))
     files["params"] = root / "params"
     save_params(FusionBlockParams.random(4, 2, 4, 4, SeededRng(5)), files["params"])
     files["dets"], files["gts"] = _box_dirs(root, {

@@ -359,8 +359,8 @@ def _(draw):
 @row("weather.gen_depth", r"extents|depth|mode")
 def _(draw):
     mode = draw(st.sampled_from(weather.DEPTH_MODES + ("spiral",)))
-    h, w, value, max_depth = draw(_EXTENT), draw(_EXTENT), draw(_ANY), draw(_ANY)
-    return lambda: weather.gen_depth(mode, h, w, value, max_depth)
+    h, w, max_depth = draw(_EXTENT), draw(_EXTENT), draw(_ANY)
+    return lambda: weather.gen_depth(mode, h, w, max_depth)
 
 
 # ----------------------------------------------------------------- metrics

@@ -62,7 +62,7 @@ def _ref_softplus(v):
 
 
 def _ref_phi(z):
-    return 1.0 if abs(z) < 1e-8 else math.expm1(z) / z
+    return 1.0 if z == 0.0 else math.expm1(z) / z
 
 
 def _ref_selective_scan(tokens, p):

@@ -337,9 +337,12 @@ class TestDepth:
     def test_constant_zero_gives_fog_identity(self):
         rng = SeededRng(76)
         img = _image(rng, 5, 5)
-        depth = gen_depth("constant", 5, 5, value=0.0)
+        depth = gen_depth("constant", 5, 5, max_depth=0.0)
         for beta in (0.1, 1.0, 10.0):
             assert np.array_equal(apply_fog(img, depth, beta, 255.0), img)
+
+    def test_constant_fill_is_max_depth(self):
+        assert np.array_equal(gen_depth("constant", 3, 4, max_depth=2.5), np.full((3, 4), 2.5))
 
     def test_radial_center_zero(self):
         depth = gen_depth("radial", 7, 9, max_depth=3.0)
@@ -357,8 +360,8 @@ class TestDepth:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("mode, kwargs, name", [
-        ("constant", {"value": math.nan}, "depth value"),
-        ("constant", {"value": math.inf}, "depth value"),
+        ("constant", {"max_depth": math.nan}, "max depth"),
+        ("constant", {"max_depth": math.inf}, "max depth"),
         ("vertical_gradient", {"max_depth": math.inf}, "max depth"),
         ("radial", {"max_depth": math.nan}, "max depth"),
     ])
